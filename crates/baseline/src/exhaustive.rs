@@ -9,14 +9,19 @@
 //! workload execution), which is exactly why sampling-based methods exist.
 //! Here it serves to validate them: the sampled SDC rate must converge to
 //! the exhaustive rate.
+//!
+//! Being the ground truth, every injection runs the bound workload's
+//! golden-prefix resume path (re-run only the suffix from the fault's
+//! first dirty layer or stage) with the sparse-delta path switched off, so
+//! the oracle never shares the shortcut the sampled drivers are checked
+//! against.
 
 use crate::estimator::{estimate_proportion, ProportionEstimate};
-use bdlfi::checkpoint::fingerprint;
+use bdlfi::checkpoint::journal_fingerprint;
 use bdlfi::engine::{CheckpointSpec, EngineError, EvalEngine, EvalSink, RunControl, RunMeta};
+use bdlfi::{FaultWorkload, GoldenModel};
 use bdlfi_data::Dataset;
-use bdlfi_faults::{resolve_sites, FaultConfig, FaultMask, SiteSpec};
-use bdlfi_nn::{predict_all, Sequential};
-use bdlfi_quant::{QPrefixCache, QuantModel};
+use bdlfi_faults::{BernoulliBitFlip, FaultConfig, FaultMask, SiteSpec};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -110,18 +115,23 @@ impl EvalSink<(u8, bool, f64)> for Agg {
 }
 
 /// Runs the exhaustive study over every single-bit fault in the sites
-/// selected by `spec`.
+/// selected by `spec` of the golden network — an f32
+/// [`bdlfi_nn::Sequential`] or an int8 [`bdlfi_quant::QuantModel`] (see
+/// [`GoldenModel`]). The enumeration is width-aware: an f32 value or i32
+/// word contributes 32 positions per element, an int8 weight byte 8 (a
+/// complete 8-bit sweep). `by_bit` keeps its 32 rows; positions a
+/// representation does not have simply record zero injections.
 ///
 /// # Panics
 ///
 /// Panics if the spec resolves to no parameter sites or the dataset is
 /// empty.
-pub fn run_exhaustive(
-    model: &Sequential,
+pub fn run_exhaustive<N: GoldenModel>(
+    net: &N,
     eval: &Arc<Dataset>,
     spec: &SiteSpec,
 ) -> ExhaustiveResult {
-    run_exhaustive_with(model, eval, spec, 0)
+    run_exhaustive_with(net, eval, spec, 0)
 }
 
 /// [`run_exhaustive`] with an explicit engine worker count (0 = all
@@ -132,13 +142,13 @@ pub fn run_exhaustive(
 ///
 /// Panics if the spec resolves to no parameter sites or the dataset is
 /// empty.
-pub fn run_exhaustive_with(
-    model: &Sequential,
+pub fn run_exhaustive_with<N: GoldenModel>(
+    net: &N,
     eval: &Arc<Dataset>,
     spec: &SiteSpec,
     workers: usize,
 ) -> ExhaustiveResult {
-    match run_exhaustive_controlled(model, eval, spec, workers, &RunControl::default(), None) {
+    match run_exhaustive_controlled(net, eval, spec, workers, &RunControl::default(), None) {
         Ok(res) => res,
         Err(e) => panic!("exhaustive study failed: {e}"),
     }
@@ -156,8 +166,8 @@ pub fn run_exhaustive_with(
 /// # Panics
 ///
 /// Same preconditions as [`run_exhaustive_with`].
-pub fn run_exhaustive_controlled(
-    model: &Sequential,
+pub fn run_exhaustive_controlled<N: GoldenModel>(
+    net: &N,
     eval: &Arc<Dataset>,
     spec: &SiteSpec,
     workers: usize,
@@ -165,179 +175,50 @@ pub fn run_exhaustive_controlled(
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<ExhaustiveResult, EngineError> {
     assert!(!eval.is_empty(), "evaluation set must not be empty");
-    let mut model = model.clone();
-    let sites = resolve_sites(&model, spec);
-    assert!(
-        !sites.params.is_empty(),
-        "exhaustive FI requires parameter sites"
-    );
-
-    let golden_logits = predict_all(&mut model, eval.inputs(), 64);
-    let golden_preds = golden_logits.argmax_rows();
-    let golden_error = bdlfi_nn::metrics::classification_error(&golden_logits, eval.labels());
+    // Every injection is one explicit bit, so the bound fault model is
+    // never sampled; p = 0 keeps any transient site in `spec` inert.
+    let mut workload =
+        net.clone()
+            .bind(Arc::clone(eval), spec, Arc::new(BernoulliBitFlip::new(0.0)));
+    workload.set_delta_enabled(false);
+    let sites = workload.sites().params.clone();
+    assert!(!sites.is_empty(), "exhaustive FI requires parameter sites");
+    let golden_error = workload.golden_error();
 
     // Flatten the (site, element, bit) enumeration into one task index
-    // space: site `s` owns `site.len * 32` consecutive task ids starting
-    // at `starts[s]`.
-    let mut starts = Vec::with_capacity(sites.params.len());
+    // space: site `s` owns `site.len * site.repr.width()` consecutive task
+    // ids starting at `starts[s]`.
+    let mut starts = Vec::with_capacity(sites.len());
     let mut total_tasks = 0usize;
-    for site in &sites.params {
-        starts.push(total_tasks);
-        total_tasks += site.len * 32;
-    }
-
-    let mut agg = Agg::new();
-
-    // The task set is a deterministic enumeration (no RNG), so the engine
-    // seed is irrelevant; workers each own a model clone.
-    let engine = EvalEngine::with_workers(0, workers);
-    let ckpt = ckpt.cloned().map(|mut s| {
-        if s.fingerprint.is_empty() {
-            let site_shape: Vec<(String, usize)> = sites
-                .params
-                .iter()
-                .map(|p| (p.path.clone(), p.len))
-                .collect();
-            s.fingerprint = fingerprint("exhaustive", &(site_shape, golden_error));
-        }
-        s
-    });
-    let run_meta = engine.run_checkpointed(
-        total_tasks,
-        || model.clone(),
-        |model, ctx| {
-            let site_idx = starts.partition_point(|&s| s <= ctx.task_id) - 1;
-            let site = &sites.params[site_idx];
-            let offset = ctx.task_id - starts[site_idx];
-            let element = offset / 32;
-            let bit = (offset % 32) as u8;
-
-            let mut mask = FaultMask::empty();
-            mask.push_bit(element, bit);
-            let mut cfg = FaultConfig::clean();
-            cfg.set_mask(&site.path, mask);
-
-            cfg.apply(model);
-            let logits = predict_all(model, eval.inputs(), 64);
-            cfg.apply(model); // restore (XOR involution)
-
-            let corrupted = logits
-                .argmax_rows()
-                .iter()
-                .zip(golden_preds.iter())
-                .any(|(a, b)| a != b);
-            let error = bdlfi_nn::metrics::classification_error(&logits, eval.labels());
-            Ok((bit, corrupted, error))
-        },
-        &mut agg,
-        ctl,
-        ckpt.as_ref(),
-    )?;
-
-    Ok(agg.into_result(golden_error, run_meta))
-}
-
-/// Runs the exhaustive study over every single-bit fault of a *quantized*
-/// model's sites selected by `spec`. The enumeration is width-aware: an
-/// int8 weight site contributes 8 positions per element (a complete 8-bit
-/// sweep), i32 bias words and f32 scales 32. `by_bit` keeps its 32 rows;
-/// positions a representation does not have simply record zero injections.
-///
-/// Each injection resumes inference from a shared golden prefix cache at
-/// the fault's stage, so the study costs only dirty suffixes.
-///
-/// # Panics
-///
-/// Panics if the spec resolves to no site or the dataset is empty.
-pub fn run_exhaustive_quant(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-) -> ExhaustiveResult {
-    run_exhaustive_quant_with(qm, eval, spec, 0)
-}
-
-/// [`run_exhaustive_quant`] with an explicit engine worker count (0 = all
-/// available cores). The enumeration is deterministic, so the result is
-/// identical at every worker count.
-///
-/// # Panics
-///
-/// Same preconditions as [`run_exhaustive_quant`].
-pub fn run_exhaustive_quant_with(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-    workers: usize,
-) -> ExhaustiveResult {
-    match run_exhaustive_quant_controlled(qm, eval, spec, workers, &RunControl::default(), None) {
-        Ok(res) => res,
-        Err(e) => panic!("quant exhaustive study failed: {e}"),
-    }
-}
-
-/// [`run_exhaustive_quant_with`] with cooperative cancellation and an
-/// optional checkpoint journal (one entry per injection, in enumeration
-/// order), under its own fingerprint namespace.
-///
-/// # Errors
-///
-/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
-/// failures.
-///
-/// # Panics
-///
-/// Same preconditions as [`run_exhaustive_quant`].
-pub fn run_exhaustive_quant_controlled(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-    workers: usize,
-    ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<ExhaustiveResult, EngineError> {
-    assert!(!eval.is_empty(), "evaluation set must not be empty");
-    let mut qm = qm.clone();
-    let sites = qm.sites_matching(spec);
-    assert!(
-        !sites.params.is_empty(),
-        "exhaustive FI requires parameter sites"
-    );
-
-    let cache = Arc::new(QPrefixCache::build(&mut qm, eval.inputs(), 64));
-    let golden_logits = cache.golden_logits();
-    let golden_preds = golden_logits.argmax_rows();
-    let golden_error = bdlfi_nn::metrics::classification_error(&golden_logits, eval.labels());
-
-    // Width-aware flattening: site `s` owns `site.len * site.repr.width()`
-    // consecutive task ids.
-    let mut starts = Vec::with_capacity(sites.params.len());
-    let mut total_tasks = 0usize;
-    for site in &sites.params {
+    for site in &sites {
         starts.push(total_tasks);
         total_tasks += site.len * site.repr.width() as usize;
     }
 
     let mut agg = Agg::new();
 
+    // The task set is a deterministic enumeration (no RNG), so the engine
+    // seed is irrelevant; workers each own a workload clone.
     let engine = EvalEngine::with_workers(0, workers);
-    let ckpt = ckpt.cloned().map(|mut s| {
-        if s.fingerprint.is_empty() {
-            let site_shape: Vec<(String, usize, u8)> = sites
-                .params
-                .iter()
-                .map(|p| (p.path.clone(), p.len, p.repr.width()))
-                .collect();
-            s.fingerprint = fingerprint("exhaustive_quant", &(site_shape, golden_error));
-        }
-        s
-    });
+    // f32 journals predate width-aware enumeration and keep their
+    // two-field site shape; int8 ones record each site's width.
+    let namespace = <N::Workload as FaultWorkload>::NAMESPACE;
+    let site_shape: Vec<serde::Value> = sites
+        .iter()
+        .map(|p| match namespace {
+            "" => (&p.path, p.len).to_json_value(),
+            _ => (&p.path, p.len, p.repr.width()).to_json_value(),
+        })
+        .collect();
+    let identity = (site_shape, golden_error);
+    let ckpt =
+        ckpt.map(|s| s.or_fingerprint(|| journal_fingerprint("exhaustive", namespace, &identity)));
     let run_meta = engine.run_checkpointed(
         total_tasks,
-        || qm.clone(),
-        |qm, ctx| {
+        || workload.clone(),
+        |w, ctx| {
             let site_idx = starts.partition_point(|&s| s <= ctx.task_id) - 1;
-            let site = &sites.params[site_idx];
+            let site = &sites[site_idx];
             let width = site.repr.width() as usize;
             let offset = ctx.task_id - starts[site_idx];
             let element = offset / width;
@@ -348,17 +229,13 @@ pub fn run_exhaustive_quant_controlled(
             let mut cfg = FaultConfig::clean();
             cfg.set_mask(&site.path, mask);
 
-            let start = qm.first_dirty_op(&cfg).unwrap_or_else(|| qm.len());
-            qm.apply(&cfg);
-            let logits = cache.predict_from(qm, start);
-            qm.apply(&cfg); // restore (XOR involution)
-
+            let logits = w.eval_logits(&cfg, &mut ctx.rng);
             let corrupted = logits
                 .argmax_rows()
                 .iter()
-                .zip(golden_preds.iter())
+                .zip(w.golden_preds())
                 .any(|(a, b)| a != b);
-            let error = bdlfi_nn::metrics::classification_error(&logits, eval.labels());
+            let error = bdlfi_nn::metrics::classification_error(&logits, w.eval().labels());
             Ok((bit, corrupted, error))
         },
         &mut agg,
@@ -374,7 +251,8 @@ mod tests {
     use super::*;
     use crate::random_fi::{RandomFi, RandomFiConfig};
     use bdlfi_data::gaussian_blobs;
-    use bdlfi_nn::{mlp, optim::Sgd, TrainConfig, Trainer};
+    use bdlfi_faults::resolve_sites;
+    use bdlfi_nn::{mlp, optim::Sgd, predict_all, Sequential, TrainConfig, Trainer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -411,6 +289,47 @@ mod tests {
         for b in &res.by_bit {
             assert_eq!(b.injections, 12);
             assert!(b.sdc <= b.injections);
+        }
+    }
+
+    #[test]
+    fn prefix_resume_matches_a_cold_enumeration() {
+        let (mut model, eval) = tiny_trained();
+        let spec = SiteSpec::AllParams;
+        let res = run_exhaustive(&model, &eval, &spec);
+
+        // The same enumeration, every injection a cold full inference.
+        let golden = predict_all(&mut model, eval.inputs(), 64).argmax_rows();
+        let mut by_bit = vec![(0u64, 0u64); 32];
+        let (mut sdc, mut error_sum, mut total) = (0u64, 0.0f64, 0u64);
+        for site in resolve_sites(&model, &spec).params {
+            for element in 0..site.len {
+                for bit in 0..32u8 {
+                    let mut mask = FaultMask::empty();
+                    mask.push_bit(element, bit);
+                    let mut cfg = FaultConfig::clean();
+                    cfg.set_mask(&site.path, mask);
+                    let logits =
+                        cfg.with_applied(&mut model, |m| predict_all(m, eval.inputs(), 64));
+                    let corrupted = logits.argmax_rows() != golden;
+                    let row = &mut by_bit[bit as usize];
+                    row.0 += 1;
+                    row.1 += u64::from(corrupted);
+                    sdc += u64::from(corrupted);
+                    error_sum += bdlfi_nn::metrics::classification_error(&logits, eval.labels());
+                    total += 1;
+                }
+            }
+        }
+
+        assert_eq!(res.injections, total);
+        assert_eq!(res.sdc.successes, sdc);
+        assert_eq!(
+            res.mean_error.to_bits(),
+            (error_sum / total as f64).to_bits()
+        );
+        for (b, &(injections, sdc)) in res.by_bit.iter().zip(&by_bit) {
+            assert_eq!((b.injections, b.sdc), (injections, sdc), "bit {}", b.bit);
         }
     }
 
@@ -484,7 +403,7 @@ mod tests {
         let (model, eval) = tiny_trained();
         let qm = quantize_model(&model, eval.inputs(), &CalibConfig::default());
         // fc1.weight only: 2*4 int8 elements * 8 bits = 64 injections.
-        let res = run_exhaustive_quant(&qm, &eval, &SiteSpec::Params(vec!["fc1.weight".into()]));
+        let res = run_exhaustive(&qm, &eval, &SiteSpec::Params(vec!["fc1.weight".into()]));
         assert_eq!(res.injections, 64);
         for b in &res.by_bit[..8] {
             assert_eq!(b.injections, 8, "bit {} injections", b.bit);
@@ -504,11 +423,11 @@ mod tests {
         let spec = SiteSpec::LayerParams {
             prefix: "fc2".into(),
         };
-        let serial = run_exhaustive_quant_with(&qm, &eval, &spec, 1);
+        let serial = run_exhaustive_with(&qm, &eval, &spec, 1);
         // fc2: 4*2 i8 weights * 8 + 2 i32 biases * 32 + 2 per-channel
         // w_scales * 32 + out_zp * 32 = 64 + 64 + 64 + 32 = 224 injections.
         assert_eq!(serial.injections, 224);
-        let parallel = run_exhaustive_quant_with(&qm, &eval, &spec, 4);
+        let parallel = run_exhaustive_with(&qm, &eval, &spec, 4);
         assert_eq!(serial.sdc.successes, parallel.sdc.successes);
         assert_eq!(serial.mean_error, parallel.mean_error);
         for (a, b) in serial.by_bit.iter().zip(&parallel.by_bit) {
@@ -522,7 +441,7 @@ mod tests {
         use bdlfi_quant::{quantize_model, CalibConfig};
         let (model, eval) = tiny_trained();
         let qm = quantize_model(&model, eval.inputs(), &CalibConfig::default());
-        let res = run_exhaustive_quant(
+        let res = run_exhaustive(
             &qm,
             &eval,
             &SiteSpec::Params(vec!["fc1.weight".into(), "fc2.weight".into()]),

@@ -7,7 +7,7 @@
 //! manufactures the depth effect reported by earlier studies.
 
 use crate::random_fi::{RandomFi, RandomFiConfig, RandomFiResult};
-use bdlfi::checkpoint::fingerprint;
+use bdlfi::checkpoint::journal_fingerprint;
 use bdlfi::engine::{CheckpointSpec, CollectSink, EngineError, EvalEngine, RunControl, RunMeta};
 use bdlfi::stats::spearman;
 use bdlfi_bayes::seed_stream;
@@ -82,12 +82,8 @@ pub fn run_layer_fi_controlled(
     // decorrelates layers without the collision risk of additive offsets.
     let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.cloned().map(|mut s| {
-        if s.fingerprint.is_empty() {
-            s.fingerprint = fingerprint("layer_fi", &(cfg.clone(), names.clone()));
-        }
-        s
-    });
+    let ckpt =
+        ckpt.map(|s| s.or_fingerprint(|| journal_fingerprint("layer_fi", "", &(cfg, &names))));
     let mut sink = CollectSink::new();
     let run_meta = engine.run_checkpointed(
         names.len(),

@@ -36,9 +36,8 @@ mod random_fi;
 
 pub use estimator::{estimate_proportion, normal_quantile, ProportionEstimate};
 pub use exhaustive::{
-    run_exhaustive, run_exhaustive_controlled, run_exhaustive_quant,
-    run_exhaustive_quant_controlled, run_exhaustive_quant_with, run_exhaustive_with,
-    BitPositionStats, ExhaustiveResult,
+    run_exhaustive, run_exhaustive_controlled, run_exhaustive_with, BitPositionStats,
+    ExhaustiveResult,
 };
 pub use layer_fi::{run_layer_fi, run_layer_fi_controlled, LayerFiResult, LayerFiStudy};
 pub use random_fi::{RandomFi, RandomFiConfig, RandomFiResult};

@@ -9,7 +9,7 @@
 //! methodological gap the paper targets.
 
 use crate::estimator::{estimate_proportion, ProportionEstimate};
-use bdlfi::checkpoint::fingerprint;
+use bdlfi::checkpoint::journal_fingerprint;
 use bdlfi::engine::{CheckpointSpec, EngineError, EvalEngine, EvalSink, RunControl, RunMeta};
 use bdlfi_data::Dataset;
 use bdlfi_faults::{resolve_sites, FaultConfig, FaultModel, SingleBitFlip, SiteSpec};
@@ -183,14 +183,10 @@ impl RandomFi {
             errors: Vec::with_capacity(cfg.injections),
         };
         let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-        let ckpt = ckpt.cloned().map(|mut s| {
-            if s.fingerprint.is_empty() {
-                s.fingerprint = fingerprint(
-                    "random_fi",
-                    &(cfg.clone(), self.single_bit, self.golden_error),
-                );
-            }
-            s
+        let ckpt = ckpt.map(|s| {
+            s.or_fingerprint(|| {
+                journal_fingerprint("random_fi", "", &(cfg, self.single_bit, self.golden_error))
+            })
         });
         let run_meta = engine.run_checkpointed(
             cfg.injections,

@@ -9,7 +9,7 @@
 //! most reliability — the engineering decision the paper's methodology
 //! exists to inform.
 
-use crate::checkpoint::fingerprint;
+use crate::checkpoint::journal_fingerprint;
 use crate::engine::{CheckpointSpec, CollectSink, EngineError, EvalEngine, RunControl};
 use crate::faulty_model::FaultyModel;
 use bdlfi_bayes::{mh_step, seed_stream};
@@ -114,14 +114,11 @@ pub fn attribute_faults_controlled(
     // (restart `r` draws from seed-stream lanes 2r and 2r+1) and merge the
     // reports in restart order, so the result is worker-count invariant.
     let engine = EvalEngine::new(seed);
-    let ckpt = ckpt.cloned().map(|mut s| {
-        if s.fingerprint.is_empty() {
-            s.fingerprint = fingerprint(
-                "attribution",
-                &(samples, beta.unwrap_or(f64::NAN), seed, fm.golden_error()),
-            );
-        }
-        s
+    let ckpt = ckpt.map(|s| {
+        s.or_fingerprint(|| {
+            let identity = (samples, beta.unwrap_or(f64::NAN), seed, fm.golden_error());
+            journal_fingerprint("attribution", "", &identity)
+        })
     });
     let mut sink = CollectSink::new();
     engine.run_checkpointed(

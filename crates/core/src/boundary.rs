@@ -3,7 +3,8 @@
 //! against the original classification boundary. The paper's finding:
 //! *the effect of faults is most significant at the decision boundary.*
 
-use crate::checkpoint::fingerprint;
+use crate::campaign::delta_accounted;
+use crate::checkpoint::journal_fingerprint;
 use crate::engine::{CheckpointSpec, EngineError, EvalEngine, EvalSink, RunControl, RunMeta};
 use crate::faulty_model::FaultyModel;
 use crate::stats::spearman;
@@ -44,20 +45,6 @@ impl Default for BoundaryConfig {
             fault_samples: 200,
             seed: 42,
             workers: 0,
-        }
-    }
-}
-
-impl BoundaryConfig {
-    /// The config with execution-only fields pinned, for journal
-    /// fingerprinting. Maps are bit-identical at every worker count, so
-    /// `workers` is scheduling metadata, not map identity: a journal
-    /// written at `workers: 1` must resume under any other worker count.
-    #[must_use]
-    pub fn fingerprint_form(&self) -> BoundaryConfig {
-        BoundaryConfig {
-            workers: 0,
-            ..*self
         }
     }
 }
@@ -270,27 +257,20 @@ pub fn boundary_map_controlled(
         counts: vec![0u64; n],
     };
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.cloned().map(|mut spec| {
-        if spec.fingerprint.is_empty() {
-            spec.fingerprint = fingerprint("boundary_map", &cfg.fingerprint_form());
-        }
-        spec
-    });
-    let (delta_hits0, delta_fb0) = fm.delta_counters();
-    let mut run_meta = engine.run_checkpointed(
-        cfg.fault_samples,
-        || fm.clone(),
-        |fm, ctx| {
-            let fault_cfg = fm.sample_config(&mut ctx.rng);
-            Ok(fm.eval_mismatch(&fault_cfg, &mut ctx.rng))
-        },
-        &mut sink,
-        ctl,
-        ckpt.as_ref(),
-    )?;
-    let (delta_hits1, delta_fb1) = fm.delta_counters();
-    run_meta.delta_hits = delta_hits1 - delta_hits0;
-    run_meta.delta_fallbacks = delta_fb1 - delta_fb0;
+    let ckpt = ckpt.map(|s| s.or_fingerprint(|| journal_fingerprint("boundary_map", "", cfg)));
+    let run_meta = delta_accounted(&fm, || {
+        engine.run_checkpointed(
+            cfg.fault_samples,
+            || fm.clone(),
+            |fm, ctx| {
+                let fault_cfg = fm.sample_config(&mut ctx.rng);
+                Ok(fm.eval_mismatch(&fault_cfg, &mut ctx.rng))
+            },
+            &mut sink,
+            ctl,
+            ckpt.as_ref(),
+        )
+    })?;
     let mismatch_counts = sink.counts;
 
     let error_prob: Vec<f64> = mismatch_counts

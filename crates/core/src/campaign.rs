@@ -11,10 +11,10 @@
 //! completeness criteria certify — the operational form of "inject until
 //! further injections change nothing".
 
-use crate::checkpoint::{fingerprint, CheckpointError, CheckpointHeader, CheckpointWriter};
+use crate::checkpoint::{journal_fingerprint, CheckpointError, CheckpointHeader, CheckpointWriter};
 use crate::completeness::{assess, CompletenessCriteria, CompletenessReport};
 use crate::engine::{
-    CheckpointSpec, CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta,
+    CheckpointSpec, CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta, TaskCtx,
 };
 use crate::proposals::{BitToggleProposal, GibbsBitProposal, PriorProposal};
 use crate::report::CampaignReport;
@@ -501,41 +501,61 @@ pub fn run_campaign_controlled<W: FaultWorkload>(
     ctl: &RunControl,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<CampaignReport, EngineError> {
-    assert!(cfg.chains > 0, "campaign needs at least one chain");
-    assert!(cfg.chain.samples > 0, "campaign must record samples");
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.cloned().map(|mut spec| {
-        if spec.fingerprint.is_empty() {
-            spec.fingerprint = campaign_fingerprint(fm, cfg);
-        }
-        spec
-    });
+    let engine = campaign_engine(cfg);
+    let ckpt = ckpt.map(|s| s.or_fingerprint(|| campaign_fingerprint(fm, cfg)));
     let mut sink = CollectSink::new();
-    let (hits0, fb0) = fm.delta_counters();
-    let mut meta = engine.run_checkpointed(
-        cfg.chains,
-        || fm.clone(),
-        |fm, ctx| {
-            let mut worker = ChainWorker::new(fm, cfg, ctx.task_id);
-            worker.advance(cfg, cfg.chain.samples);
-            Ok(worker.snapshot())
-        },
-        &mut sink,
-        ctl,
-        ckpt.as_ref(),
-    )?;
-    // Chain clones share the workload's delta counters; the difference
-    // across the run is this campaign's sparse-delta accounting.
-    let (hits1, fb1) = fm.delta_counters();
-    meta.delta_hits = hits1 - hits0;
-    meta.delta_fallbacks = fb1 - fb0;
+    let meta = delta_accounted(fm, || {
+        engine.run_checkpointed(
+            cfg.chains,
+            || fm.clone(),
+            chain_task(cfg),
+            &mut sink,
+            ctl,
+            ckpt.as_ref(),
+        )
+    })?;
     Ok(assemble(fm, cfg, &sink.into_inner(), meta))
 }
 
+/// Checks a fixed-budget campaign's preconditions and builds its engine.
+fn campaign_engine(cfg: &CampaignConfig) -> EvalEngine {
+    assert!(cfg.chains > 0, "campaign needs at least one chain");
+    assert!(cfg.chain.samples > 0, "campaign must record samples");
+    EvalEngine::with_workers(cfg.seed, cfg.workers)
+}
+
+/// The journaled task of a fixed-budget campaign, shared by the whole and
+/// the sharded runner: chain `task_id` run to its full budget.
+fn chain_task<W: FaultWorkload>(
+    cfg: &CampaignConfig,
+) -> impl Fn(&mut W, &mut TaskCtx) -> Result<ChainOutcome, EngineError> + Sync + '_ {
+    move |fm, ctx| {
+        let mut worker = ChainWorker::new(fm, cfg, ctx.task_id);
+        worker.advance(cfg, cfg.chain.samples);
+        Ok(worker.snapshot())
+    }
+}
+
+/// Runs `run` and stamps the workload's sparse-delta accounting across it
+/// into the returned meta. Workload clones share the counters, so the
+/// difference is exactly the run's hits and fallbacks.
+pub(crate) fn delta_accounted<W: FaultWorkload, E>(
+    fm: &W,
+    run: impl FnOnce() -> Result<RunMeta, E>,
+) -> Result<RunMeta, E> {
+    let (hits0, fb0) = fm.delta_counters();
+    let mut meta = run()?;
+    let (hits1, fb1) = fm.delta_counters();
+    meta.delta_hits = hits1 - hits0;
+    meta.delta_fallbacks = fb1 - fb0;
+    Ok(meta)
+}
+
 /// The fingerprint binding a campaign journal to its identity: driver,
-/// config, and the golden error as a cheap model/dataset proxy.
+/// representation, config, and the golden error as a cheap model/dataset
+/// proxy.
 fn campaign_fingerprint<W: FaultWorkload>(fm: &W, cfg: &CampaignConfig) -> String {
-    fingerprint("campaign", &(cfg.fingerprint_form(), fm.golden_error()))
+    journal_fingerprint("campaign", W::NAMESPACE, &(cfg, fm.golden_error()))
 }
 
 /// Runs one shard of a campaign split `count` ways: the chains in shard
@@ -549,8 +569,8 @@ fn campaign_fingerprint<W: FaultWorkload>(fm: &W, cfg: &CampaignConfig) -> Strin
 ///
 /// `ckpt.fingerprint` names the **unsharded** campaign fingerprint (empty
 /// — the default — derives it from the workload and config, matching
-/// [`run_campaign_controlled`]); the shard fingerprint is always derived,
-/// never passed in.
+/// [`run_campaign_controlled`]); the engine derives the shard fingerprint
+/// from it, so it is never passed in.
 ///
 /// # Errors
 ///
@@ -570,38 +590,20 @@ pub fn run_campaign_shard<W: FaultWorkload>(
     ctl: &RunControl,
     ckpt: &CheckpointSpec,
 ) -> Result<RunMeta, ShardError> {
-    assert!(cfg.chains > 0, "campaign needs at least one chain");
-    assert!(cfg.chain.samples > 0, "campaign must record samples");
-    let base = if ckpt.fingerprint.is_empty() {
-        campaign_fingerprint(fm, cfg)
-    } else {
-        ckpt.fingerprint.clone()
-    };
-    let plan = ShardPlan::new(base, cfg.seed, cfg.chains, count)?;
-    let info = plan.info(index)?;
-    let spec = CheckpointSpec {
-        fingerprint: plan.shard_fingerprint(index),
-        ..ckpt.clone()
-    };
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let (hits0, fb0) = fm.delta_counters();
-    let mut meta = engine.run_shard_checkpointed(
-        info,
-        plan.range(index)?.len(),
-        || fm.clone(),
-        |fm, ctx| {
-            let mut worker = ChainWorker::new(fm, cfg, ctx.task_id);
-            worker.advance(cfg, cfg.chain.samples);
-            Ok(worker.snapshot())
-        },
-        &mut NullSink,
-        ctl,
-        &spec,
-    )?;
-    let (hits1, fb1) = fm.delta_counters();
-    meta.delta_hits = hits1 - hits0;
-    meta.delta_fallbacks = fb1 - fb0;
-    Ok(meta)
+    let engine = campaign_engine(cfg);
+    let base = ckpt.or_fingerprint(|| campaign_fingerprint(fm, cfg));
+    let plan = ShardPlan::new(base.fingerprint, cfg.seed, cfg.chains, count)?;
+    delta_accounted(fm, || {
+        engine.run_shard_checkpointed(
+            &plan,
+            index,
+            || fm.clone(),
+            chain_task(cfg),
+            &mut NullSink,
+            ctl,
+            ckpt,
+        )
+    })
 }
 
 /// Runs an adaptive campaign: chains are extended in segments of
@@ -678,14 +680,15 @@ pub fn run_campaign_adaptive_controlled<W: FaultWorkload>(
     // Segment journals are open-ended (`tasks: 0`): the number of entries
     // depends on when the criteria certify.
     let header = |spec: &CheckpointSpec| CheckpointHeader {
-        fingerprint: if spec.fingerprint.is_empty() {
-            fingerprint(
-                "campaign_adaptive",
-                &(*cfg, max_samples_per_chain, fm.golden_error()),
-            )
-        } else {
-            spec.fingerprint.clone()
-        },
+        fingerprint: spec
+            .or_fingerprint(|| {
+                journal_fingerprint(
+                    "campaign_adaptive",
+                    W::NAMESPACE,
+                    &(cfg, max_samples_per_chain, fm.golden_error()),
+                )
+            })
+            .fingerprint,
         seed: cfg.seed,
         tasks: 0,
         shard: None,

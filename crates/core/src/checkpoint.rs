@@ -303,6 +303,35 @@ pub fn fingerprint<C: Serialize + ?Sized>(driver: &str, config: &C) -> String {
     format!("{h:016x}")
 }
 
+/// The fingerprint binding a driver's journal to its identity — the one
+/// place every driver derives it. Hashes the driver `tag` followed by the
+/// workload's representation `namespace`
+/// ([`crate::FaultWorkload::NAMESPACE`]: `""` for f32, `"_quant"` for
+/// int8, so the two representations' journals never cross-resume) over
+/// the serialized `identity`, with the `workers` field of every top-level
+/// config in it pinned to 0: results are bit-identical at every worker
+/// count, so a journal written at `workers: 1` resumes, finalizes and
+/// shard-merges under any other.
+pub fn journal_fingerprint<I: Serialize + ?Sized>(
+    tag: &str,
+    namespace: &str,
+    identity: &I,
+) -> String {
+    let pin = |v: &mut serde::Value| {
+        if let serde::Value::Object(fields) = v {
+            for (_, workers) in fields.iter_mut().filter(|(name, _)| name == "workers") {
+                *workers = 0usize.to_json_value();
+            }
+        }
+    };
+    let mut identity = identity.to_json_value();
+    match &mut identity {
+        serde::Value::Array(items) => items.iter_mut().for_each(pin),
+        config => pin(config),
+    }
+    fingerprint(&format!("{tag}{namespace}"), &identity)
+}
+
 /// Everything [`read_journal`] recovers from a journal file.
 #[derive(Debug)]
 pub struct JournalContents {
@@ -941,6 +970,27 @@ mod tests {
         assert_ne!(fingerprint("a", &1u64), fingerprint("b", &1u64));
         assert_ne!(fingerprint("a", &1u64), fingerprint("a", &2u64));
         assert_eq!(fingerprint("a", &1u64), fingerprint("a", &1u64));
+    }
+
+    #[test]
+    fn journal_fingerprint_pins_workers_and_namespaces_representations() {
+        #[derive(Serialize)]
+        struct Cfg {
+            seed: u64,
+            workers: usize,
+        }
+        let at = |workers| Cfg { seed: 5, workers };
+        let pinned = fingerprint("d", &(at(0), 7u64));
+        assert_eq!(journal_fingerprint("d", "", &(at(3), 7u64)), pinned);
+        assert_eq!(
+            journal_fingerprint("d", "", &at(3)),
+            fingerprint("d", &at(0))
+        );
+        assert_eq!(
+            journal_fingerprint("d", "_quant", &(at(1), 7u64)),
+            fingerprint("d_quant", &(at(0), 7u64))
+        );
+        assert_ne!(journal_fingerprint("d", "_quant", &(at(0), 7u64)), pinned);
     }
 
     #[test]

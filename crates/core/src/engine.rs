@@ -29,6 +29,7 @@
 //!   tasks/sec) embedded in every driver report for cross-run comparison.
 
 use crate::checkpoint::{CheckpointError, CheckpointHeader, CheckpointWriter, ShardInfo};
+use crate::shard::{ShardError, ShardPlan};
 use bdlfi_bayes::seed_stream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -260,6 +261,17 @@ impl CheckpointSpec {
         self.resume = true;
         self.allow_complete = true;
         self
+    }
+
+    /// The same spec, bound to `derive()` when no fingerprint was given —
+    /// how every driver defaults its journal identity.
+    #[must_use]
+    pub fn or_fingerprint(&self, derive: impl FnOnce() -> String) -> Self {
+        let mut spec = self.clone();
+        if spec.fingerprint.is_empty() {
+            spec.fingerprint = derive();
+        }
+        spec
     }
 }
 
@@ -742,31 +754,35 @@ impl EvalEngine {
         )
     }
 
-    /// Runs one shard of a sharded campaign: tasks
-    /// `shard.start..shard.start + len` execute with their **global** task
-    /// ids (so every task draws the same seed stream it would in an
-    /// unsharded run), journaled to a mandatory shard journal whose header
-    /// carries `shard`. Resume semantics — replay, torn-tail truncation,
-    /// [`RunMeta::resumed_from`] — are exactly those of
-    /// [`EvalEngine::run_checkpointed`], scoped to the shard's range.
-    /// [`RunMeta::tasks`] is the shard length; observers see `shard.total`
-    /// as the task count.
+    /// Runs shard `index` of `plan`: the shard's global task range
+    /// executes with its **global** task ids (so every task draws the same
+    /// seed stream it would in an unsharded run), journaled to a mandatory
+    /// shard journal whose header carries the shard's
+    /// [`ShardInfo`] and binds [`ShardPlan::shard_fingerprint`] — the
+    /// engine writes every per-shard fingerprint, so `ckpt.fingerprint` is
+    /// ignored here (the plan carries the unsharded one). Resume
+    /// semantics — replay, torn-tail truncation, [`RunMeta::resumed_from`]
+    /// — are exactly those of [`EvalEngine::run_checkpointed`], scoped to
+    /// the shard's range. [`RunMeta::tasks`] is the shard length;
+    /// observers see the plan's total as the task count.
     ///
     /// # Errors
     ///
-    /// As [`EvalEngine::run_checkpointed`]. `Interrupted::completed`
-    /// counts this shard's delivered results.
+    /// [`ShardError::IndexOutOfRange`] for an index outside the plan;
+    /// otherwise [`ShardError::Engine`] wrapping the failure modes of
+    /// [`EvalEngine::run_checkpointed`] (`Interrupted::completed` counts
+    /// this shard's delivered results).
     #[allow(clippy::too_many_arguments)]
     pub fn run_shard_checkpointed<W, T, I, F, S>(
         &self,
-        shard: ShardInfo,
-        len: usize,
+        plan: &ShardPlan,
+        index: usize,
         init: I,
         task: F,
         sink: &mut S,
         ctl: &RunControl,
         ckpt: &CheckpointSpec,
-    ) -> Result<RunMeta, EngineError>
+    ) -> Result<RunMeta, ShardError>
     where
         T: Send + Serialize + Deserialize,
         I: Fn() -> W + Sync,
@@ -774,18 +790,24 @@ impl EvalEngine {
         S: EvalSink<T> + Send + ?Sized,
     {
         let started = Instant::now();
-        self.run_journaled(
-            shard.start,
-            shard.start + len,
+        let shard = plan.info(index)?;
+        let range = plan.range(index)?;
+        let spec = CheckpointSpec {
+            fingerprint: plan.shard_fingerprint(index),
+            ..ckpt.clone()
+        };
+        Ok(self.run_journaled(
+            range.start,
+            range.end,
             shard.total,
             Some(shard),
             &init,
             &task,
             sink,
             ctl,
-            ckpt,
+            &spec,
             started,
-        )
+        )?)
     }
 
     /// The journaled half of both checkpointed entry points: create or

@@ -4,19 +4,16 @@
 //! small-sample random-FI studies.)
 
 use crate::campaign::{run_campaign, CampaignConfig};
-use crate::checkpoint::fingerprint;
+use crate::checkpoint::journal_fingerprint;
 use crate::engine::{
-    CheckpointSpec, CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta,
+    CheckpointSpec, CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta, TaskCtx,
 };
-use crate::faulty_model::FaultyModel;
 use crate::report::CampaignReport;
 use crate::shard::{ShardError, ShardPlan};
 use crate::stats::spearman;
-use crate::workload::QuantFaultyModel;
+use crate::workload::{FaultWorkload, GoldenModel};
 use bdlfi_data::Dataset;
 use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
-use bdlfi_nn::Sequential;
-use bdlfi_quant::QuantModel;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -99,29 +96,25 @@ pub struct LayerwiseResult {
     pub run_meta: RunMeta,
 }
 
-/// Runs one BDLFI campaign per layer prefix, injecting only into that
-/// layer's parameters, with the fault burden allocated by `budget`.
+/// Runs one BDLFI campaign per layer prefix of the golden network (an
+/// f32 [`bdlfi_nn::Sequential`] or an int8 [`bdlfi_quant::QuantModel`],
+/// see [`GoldenModel`]), injecting only into that layer's parameters, with
+/// the fault burden allocated by `budget` over the layer's injectable
+/// *bits* (f32 values contribute 32 bits per element, int8 weight bytes 8,
+/// i32 biases 32).
 ///
 /// # Panics
 ///
 /// Panics if `layers` is empty, the budget induces an invalid probability,
 /// or a prefix does not exist in the model.
-pub fn run_layerwise(
-    model: &Sequential,
+pub fn run_layerwise<N: GoldenModel>(
+    net: &N,
     eval: &Arc<Dataset>,
     layers: &[&str],
     budget: LayerBudget,
     cfg: &CampaignConfig,
 ) -> LayerwiseResult {
-    match run_layerwise_controlled(
-        model,
-        eval,
-        layers,
-        budget,
-        cfg,
-        &RunControl::default(),
-        None,
-    ) {
+    match run_layerwise_controlled(net, eval, layers, budget, cfg, &RunControl::default(), None) {
         Ok(res) => res,
         Err(e) => panic!("layerwise study failed: {e}"),
     }
@@ -138,8 +131,8 @@ pub fn run_layerwise(
 /// # Panics
 ///
 /// Same preconditions as [`run_layerwise`].
-pub fn run_layerwise_controlled(
-    model: &Sequential,
+pub fn run_layerwise_controlled<N: GoldenModel>(
+    net: &N,
     eval: &Arc<Dataset>,
     layers: &[&str],
     budget: LayerBudget,
@@ -147,192 +140,15 @@ pub fn run_layerwise_controlled(
     ctl: &RunControl,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<LayerwiseResult, EngineError> {
-    assert!(
-        !layers.is_empty(),
-        "layerwise study needs at least one layer"
-    );
-    if let LayerBudget::PerBit(p) = budget {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "flip probability must be in [0, 1]"
-        );
-    }
-
     // One campaign per layer, fanned out through the engine; each
     // campaign is deterministic in (cfg.seed, layer), so the study is
     // worker-count invariant. Task `i` covers `layers[i]` at depth `i`.
-    let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
+    let task = layer_task(net, eval, layers, budget, cfg);
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.cloned().map(|mut s| {
-        if s.fingerprint.is_empty() {
-            s.fingerprint = fingerprint(
-                "layerwise",
-                &(cfg.fingerprint_form(), names.clone(), budget),
-            );
-        }
-        s
-    });
+    let ckpt = ckpt.map(|s| s.or_fingerprint(|| layerwise_fingerprint::<N>(layers, budget, cfg)));
     let mut sink = CollectSink::new();
-    let run_meta = engine.run_checkpointed(
-        names.len(),
-        || (),
-        |(), ctx| {
-            let depth = ctx.task_id;
-            let layer = names[depth].clone();
-            let spec = SiteSpec::LayerParams {
-                prefix: layer.clone(),
-            };
-            // Resolve first to size the budget.
-            let elements = bdlfi_faults::resolve_sites(model, &spec).total_param_elements();
-            let p = budget.probability_for(elements);
-            let fm = FaultyModel::new(
-                model.clone(),
-                Arc::clone(eval),
-                &spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(LayerResult {
-                depth,
-                layer,
-                elements,
-                p,
-                report: run_campaign(&fm, cfg).journal_form(),
-            })
-        },
-        &mut sink,
-        ctl,
-        ckpt.as_ref(),
-    )?;
-    let results = sink.into_inner();
-
-    let golden_error = results[0].report.golden_error;
-    let depths: Vec<f64> = results.iter().map(|r| r.depth as f64).collect();
-    let errors: Vec<f64> = results.iter().map(|r| r.report.mean_error).collect();
-    let depth_correlation = spearman(&depths, &errors);
-
-    // Roll the per-layer campaigns' sparse-delta accounting up into the
-    // outer meta so the study-level report shows the aggregate hit rate.
-    let mut run_meta = run_meta;
-    run_meta.delta_hits = results.iter().map(|r| r.report.run_meta.delta_hits).sum();
-    run_meta.delta_fallbacks = results
-        .iter()
-        .map(|r| r.report.run_meta.delta_fallbacks)
-        .sum();
-
-    Ok(LayerwiseResult {
-        layers: results,
-        golden_error,
-        depth_correlation,
-        run_meta,
-    })
-}
-
-/// [`run_layerwise`] over the *quantized* workload: one campaign per
-/// stage prefix of the int8 model, with the fault burden sized by the
-/// layer's injectable *bit* count (int8 weight bytes contribute 8 bits per
-/// element, i32 biases 32).
-///
-/// # Panics
-///
-/// Panics if `layers` is empty, the budget induces an invalid probability,
-/// or a prefix matches no quantized site.
-pub fn run_layerwise_quant(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    layers: &[&str],
-    budget: LayerBudget,
-    cfg: &CampaignConfig,
-) -> LayerwiseResult {
-    match run_layerwise_quant_controlled(
-        qm,
-        eval,
-        layers,
-        budget,
-        cfg,
-        &RunControl::default(),
-        None,
-    ) {
-        Ok(res) => res,
-        Err(e) => panic!("quant layerwise study failed: {e}"),
-    }
-}
-
-/// [`run_layerwise_quant`] with cooperative cancellation and an optional
-/// checkpoint journal, in its own fingerprint namespace.
-///
-/// # Errors
-///
-/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
-/// failures.
-///
-/// # Panics
-///
-/// Same preconditions as [`run_layerwise_quant`].
-pub fn run_layerwise_quant_controlled(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    layers: &[&str],
-    budget: LayerBudget,
-    cfg: &CampaignConfig,
-    ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<LayerwiseResult, EngineError> {
-    assert!(
-        !layers.is_empty(),
-        "layerwise study needs at least one layer"
-    );
-    if let LayerBudget::PerBit(p) = budget {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "flip probability must be in [0, 1]"
-        );
-    }
-
-    let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.cloned().map(|mut s| {
-        if s.fingerprint.is_empty() {
-            s.fingerprint = fingerprint(
-                "layerwise_quant",
-                &(cfg.fingerprint_form(), names.clone(), budget),
-            );
-        }
-        s
-    });
-    let mut sink = CollectSink::new();
-    let run_meta = engine.run_checkpointed(
-        names.len(),
-        || (),
-        |(), ctx| {
-            let depth = ctx.task_id;
-            let layer = names[depth].clone();
-            let spec = SiteSpec::LayerParams {
-                prefix: layer.clone(),
-            };
-            // Size the budget by the layer's injectable bit space, which
-            // mixes 8-bit and 32-bit sites.
-            let sites = qm.sites_matching(&spec);
-            let elements = sites.total_param_elements();
-            let bits: u64 = sites.params.iter().map(|s| s.injectable_bits()).sum();
-            let p = budget.probability_for_bits(bits);
-            let qfm = QuantFaultyModel::new(
-                qm.clone(),
-                Arc::clone(eval),
-                &spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(LayerResult {
-                depth,
-                layer,
-                elements,
-                p,
-                report: run_campaign(&qfm, cfg).journal_form(),
-            })
-        },
-        &mut sink,
-        ctl,
-        ckpt.as_ref(),
-    )?;
+    let run_meta =
+        engine.run_checkpointed(layers.len(), || (), task, &mut sink, ctl, ckpt.as_ref())?;
     let results = sink.into_inner();
 
     let golden_error = results[0].report.golden_error;
@@ -377,8 +193,8 @@ pub fn run_layerwise_quant_controlled(
 ///
 /// Same preconditions as [`run_layerwise`].
 #[allow(clippy::too_many_arguments)]
-pub fn run_layerwise_shard(
-    model: &Sequential,
+pub fn run_layerwise_shard<N: GoldenModel>(
+    net: &N,
     eval: &Arc<Dataset>,
     layers: &[&str],
     budget: LayerBudget,
@@ -388,88 +204,34 @@ pub fn run_layerwise_shard(
     ctl: &RunControl,
     ckpt: &CheckpointSpec,
 ) -> Result<RunMeta, ShardError> {
-    assert!(
-        !layers.is_empty(),
-        "layerwise study needs at least one layer"
-    );
-    if let LayerBudget::PerBit(p) = budget {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "flip probability must be in [0, 1]"
-        );
-    }
-    let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
-    let base = if ckpt.fingerprint.is_empty() {
-        fingerprint(
-            "layerwise",
-            &(cfg.fingerprint_form(), names.clone(), budget),
-        )
-    } else {
-        ckpt.fingerprint.clone()
-    };
-    let plan = ShardPlan::new(base, cfg.seed, names.len(), count)?;
-    let shard_spec = CheckpointSpec {
-        fingerprint: plan.shard_fingerprint(index),
-        ..ckpt.clone()
-    };
+    let task = layer_task(net, eval, layers, budget, cfg);
+    let base = ckpt.or_fingerprint(|| layerwise_fingerprint::<N>(layers, budget, cfg));
+    let plan = ShardPlan::new(base.fingerprint, cfg.seed, layers.len(), count)?;
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let meta = engine.run_shard_checkpointed(
-        plan.info(index)?,
-        plan.range(index)?.len(),
-        || (),
-        |(), ctx| {
-            let depth = ctx.task_id;
-            let layer = names[depth].clone();
-            let spec = SiteSpec::LayerParams {
-                prefix: layer.clone(),
-            };
-            // Resolve first to size the budget.
-            let elements = bdlfi_faults::resolve_sites(model, &spec).total_param_elements();
-            let p = budget.probability_for(elements);
-            let fm = FaultyModel::new(
-                model.clone(),
-                Arc::clone(eval),
-                &spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(LayerResult {
-                depth,
-                layer,
-                elements,
-                p,
-                report: run_campaign(&fm, cfg).journal_form(),
-            })
-        },
-        &mut NullSink,
-        ctl,
-        &shard_spec,
-    )?;
-    Ok(meta)
+    engine.run_shard_checkpointed(&plan, index, || (), task, &mut NullSink, ctl, ckpt)
 }
 
-/// The quantized twin of [`run_layerwise_shard`], in the
-/// `layerwise_quant` fingerprint namespace so f32 and int8 shards never
-/// cross-merge.
-///
-/// # Errors
-///
-/// As [`run_layerwise_shard`].
-///
-/// # Panics
-///
-/// Same preconditions as [`run_layerwise_quant`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_layerwise_quant_shard(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
+/// The journal identity of a layerwise study: driver, representation,
+/// config, the layer prefixes in depth order and the budget.
+fn layerwise_fingerprint<N: GoldenModel>(
     layers: &[&str],
     budget: LayerBudget,
     cfg: &CampaignConfig,
-    count: usize,
-    index: usize,
-    ctl: &RunControl,
-    ckpt: &CheckpointSpec,
-) -> Result<RunMeta, ShardError> {
+) -> String {
+    let namespace = <N::Workload as FaultWorkload>::NAMESPACE;
+    journal_fingerprint("layerwise", namespace, &(cfg, layers, budget))
+}
+
+/// Checks a layerwise study's preconditions and returns its journaled
+/// task, shared by the whole and the sharded runner: the campaign over
+/// `layers[task_id]` at depth `task_id`.
+fn layer_task<'a, N: GoldenModel>(
+    net: &'a N,
+    eval: &'a Arc<Dataset>,
+    layers: &'a [&str],
+    budget: LayerBudget,
+    cfg: &'a CampaignConfig,
+) -> impl Fn(&mut (), &mut TaskCtx) -> Result<LayerResult, EngineError> + Sync + 'a {
     assert!(
         !layers.is_empty(),
         "layerwise study needs at least one layer"
@@ -480,56 +242,29 @@ pub fn run_layerwise_quant_shard(
             "flip probability must be in [0, 1]"
         );
     }
-    let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
-    let base = if ckpt.fingerprint.is_empty() {
-        fingerprint(
-            "layerwise_quant",
-            &(cfg.fingerprint_form(), names.clone(), budget),
-        )
-    } else {
-        ckpt.fingerprint.clone()
-    };
-    let plan = ShardPlan::new(base, cfg.seed, names.len(), count)?;
-    let shard_spec = CheckpointSpec {
-        fingerprint: plan.shard_fingerprint(index),
-        ..ckpt.clone()
-    };
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let meta = engine.run_shard_checkpointed(
-        plan.info(index)?,
-        plan.range(index)?.len(),
-        || (),
-        |(), ctx| {
-            let depth = ctx.task_id;
-            let layer = names[depth].clone();
-            let spec = SiteSpec::LayerParams {
-                prefix: layer.clone(),
-            };
-            // Size the budget by the layer's injectable bit space, which
-            // mixes 8-bit and 32-bit sites.
-            let sites = qm.sites_matching(&spec);
-            let elements = sites.total_param_elements();
-            let bits: u64 = sites.params.iter().map(|s| s.injectable_bits()).sum();
-            let p = budget.probability_for_bits(bits);
-            let qfm = QuantFaultyModel::new(
-                qm.clone(),
-                Arc::clone(eval),
-                &spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(LayerResult {
-                depth,
-                layer,
-                elements,
-                p,
-                report: run_campaign(&qfm, cfg).journal_form(),
-            })
-        },
-        &mut NullSink,
-        ctl,
-        &shard_spec,
-    )?;
-    Ok(meta)
+    move |(), ctx| {
+        let depth = ctx.task_id;
+        let layer = layers[depth].to_string();
+        let spec = SiteSpec::LayerParams {
+            prefix: layer.clone(),
+        };
+        // Resolve first to size the budget by the layer's injectable bit
+        // space (which mixes 8- and 32-bit sites on an int8 network).
+        let sites = net.resolve_sites(&spec);
+        let elements = sites.total_param_elements();
+        let bits: u64 = sites.params.iter().map(|s| s.injectable_bits()).sum();
+        let p = budget.probability_for_bits(bits);
+        let fm = net
+            .clone()
+            .bind(Arc::clone(eval), &spec, Arc::new(BernoulliBitFlip::new(p)));
+        Ok(LayerResult {
+            depth,
+            layer,
+            elements,
+            p,
+            report: run_campaign(&fm, cfg).journal_form(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -636,7 +371,7 @@ mod tests {
         let data = gaussian_blobs(100, 2, 0.6, &mut rng);
         let model = mlp(2, &[32], 2, &mut rng);
         let qm = quantize_model(&model, data.inputs(), &CalibConfig::default());
-        let res = run_layerwise_quant(
+        let res = run_layerwise(
             &qm,
             &Arc::new(data),
             &["fc1", "fc2"],

@@ -22,6 +22,8 @@
 //!   the campaign drivers run over, and its int8 quantized-deployment
 //!   implementation (built on `bdlfi-quant`), with representation-aware
 //!   bit flips in int8 weights, i32 biases and f32 scales;
+//!   [`GoldenModel`] binds either golden network into its workload, so
+//!   every driver has one body for both representations;
 //! * [`engine`] — the shared fault-evaluation executor: one bounded
 //!   worker pool, SplitMix64 per-task seed streams and ordered streaming
 //!   sinks that every campaign driver (and the baseline FI drivers) runs
@@ -98,8 +100,8 @@ pub use campaign::{
     run_campaign_shard, CampaignConfig, KernelChoice,
 };
 pub use checkpoint::{
-    fingerprint, read_journal, CheckpointError, CheckpointHeader, CheckpointWriter,
-    JournalContents, Replay,
+    fingerprint, journal_fingerprint, read_journal, CheckpointError, CheckpointHeader,
+    CheckpointWriter, JournalContents, Replay,
 };
 pub use completeness::{
     assess, assess_slices, samples_to_certify, CompletenessCriteria, CompletenessReport,
@@ -111,8 +113,8 @@ pub use engine::{
 };
 pub use faulty_model::FaultyModel;
 pub use layerwise::{
-    run_layerwise, run_layerwise_controlled, run_layerwise_quant, run_layerwise_quant_controlled,
-    run_layerwise_quant_shard, run_layerwise_shard, LayerBudget, LayerResult, LayerwiseResult,
+    run_layerwise, run_layerwise_controlled, run_layerwise_shard, LayerBudget, LayerResult,
+    LayerwiseResult,
 };
 pub use protection::{
     plan_protection, run_protection_study, run_protection_study_controlled, ProtectionPlan,
@@ -121,8 +123,7 @@ pub use protection::{
 pub use report::CampaignReport;
 pub use shard::{merge_shards, MergeSummary, ShardError, ShardPlan};
 pub use sweep::{
-    log_spaced_probabilities, run_sweep, run_sweep_controlled, run_sweep_quant,
-    run_sweep_quant_controlled, run_sweep_quant_shard, run_sweep_shard, KneeAnalysis, SweepPoint,
-    SweepResult,
+    log_spaced_probabilities, run_sweep, run_sweep_controlled, run_sweep_shard, KneeAnalysis,
+    SweepPoint, SweepResult,
 };
-pub use workload::{FaultWorkload, QuantFaultyModel};
+pub use workload::{FaultWorkload, GoldenModel, QuantFaultyModel};

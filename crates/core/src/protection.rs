@@ -9,7 +9,7 @@
 //! range checks), everything else runs fast.
 
 use crate::boundary::{boundary_map_controlled, BoundaryConfig, BoundaryMap};
-use crate::checkpoint::fingerprint;
+use crate::checkpoint::journal_fingerprint;
 use crate::engine::{CheckpointSpec, EngineError, RunControl};
 use bdlfi_faults::{FaultModel, SiteSpec};
 use bdlfi_nn::Sequential;
@@ -108,14 +108,10 @@ pub fn run_protection_study_controlled(
     // boundary-map journal even though the sampled tasks coincide — the
     // study derives a protection plan from the finished map, so the two
     // runs make different claims about the same bytes.
-    let ckpt = ckpt.cloned().map(|mut spec| {
-        if spec.fingerprint.is_empty() {
-            spec.fingerprint = fingerprint(
-                "protection_study",
-                &(cfg.fingerprint_form(), target_error.to_bits()),
-            );
-        }
-        spec
+    let ckpt = ckpt.map(|s| {
+        s.or_fingerprint(|| {
+            journal_fingerprint("protection_study", "", &(cfg, target_error.to_bits()))
+        })
     });
     let map = boundary_map_controlled(model, spec, fault_model, cfg, ctl, ckpt.as_ref())?;
     let plan = plan_protection(&map, target_error);

@@ -3,19 +3,16 @@
 //! per-bit flip probability `p`, with the two-regime knee analysis.
 
 use crate::campaign::{run_campaign, CampaignConfig};
-use crate::checkpoint::fingerprint;
+use crate::checkpoint::journal_fingerprint;
 use crate::engine::{
-    CheckpointSpec, CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta,
+    CheckpointSpec, CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta, TaskCtx,
 };
-use crate::faulty_model::FaultyModel;
 use crate::report::CampaignReport;
 use crate::shard::{ShardError, ShardPlan};
 use crate::stats::{fit_knee, KneeFit};
-use crate::workload::QuantFaultyModel;
+use crate::workload::{FaultWorkload, GoldenModel};
 use bdlfi_data::Dataset;
 use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
-use bdlfi_nn::Sequential;
-use bdlfi_quant::QuantModel;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -88,19 +85,21 @@ pub fn log_spaced_probabilities(lo: f64, hi: f64, points: usize) -> Vec<f64> {
 }
 
 /// Runs one BDLFI campaign per probability in `ps`, injecting into the
-/// sites selected by `spec` of the given golden model.
+/// sites selected by `spec` of the given golden network — an f32
+/// [`bdlfi_nn::Sequential`] or an int8 [`bdlfi_quant::QuantModel`] (see
+/// [`GoldenModel`]).
 ///
 /// # Panics
 ///
 /// Panics if `ps` is empty or contains non-probabilities.
-pub fn run_sweep(
-    model: &Sequential,
+pub fn run_sweep<N: GoldenModel>(
+    net: &N,
     eval: &Arc<Dataset>,
     spec: &SiteSpec,
     ps: &[f64],
     cfg: &CampaignConfig,
 ) -> SweepResult {
-    match run_sweep_controlled(model, eval, spec, ps, cfg, &RunControl::default(), None) {
+    match run_sweep_controlled(net, eval, spec, ps, cfg, &RunControl::default(), None) {
         Ok(sweep) => sweep,
         Err(e) => panic!("sweep failed: {e}"),
     }
@@ -118,8 +117,8 @@ pub fn run_sweep(
 /// # Panics
 ///
 /// Same preconditions as [`run_sweep`].
-pub fn run_sweep_controlled(
-    model: &Sequential,
+pub fn run_sweep_controlled<N: GoldenModel>(
+    net: &N,
     eval: &Arc<Dataset>,
     spec: &SiteSpec,
     ps: &[f64],
@@ -127,136 +126,15 @@ pub fn run_sweep_controlled(
     ctl: &RunControl,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<SweepResult, EngineError> {
-    assert!(!ps.is_empty(), "sweep needs at least one probability");
-    assert!(
-        ps.iter().all(|p| (0.0..=1.0).contains(p)),
-        "probabilities must be in [0, 1]"
-    );
     // Fan the per-p campaigns out through the engine; each campaign is a
     // deterministic function of (cfg.seed, p), so sweep results do not
     // depend on scheduling. Task `i` evaluates `ps[i]` (journal order is
     // the caller's order; points are sorted only in the final result).
+    let task = point_task(net, eval, spec, ps, cfg);
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.cloned().map(|mut s| {
-        if s.fingerprint.is_empty() {
-            s.fingerprint = fingerprint("sweep", &(cfg.fingerprint_form(), ps.to_vec()));
-        }
-        s
-    });
+    let ckpt = ckpt.map(|s| s.or_fingerprint(|| sweep_fingerprint::<N>(ps, cfg)));
     let mut sink = CollectSink::new();
-    let run_meta = engine.run_checkpointed(
-        ps.len(),
-        || (),
-        |(), ctx| {
-            let p = ps[ctx.task_id];
-            let fm = FaultyModel::new(
-                model.clone(),
-                Arc::clone(eval),
-                spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(SweepPoint {
-                p,
-                report: run_campaign(&fm, cfg).journal_form(),
-            })
-        },
-        &mut sink,
-        ctl,
-        ckpt.as_ref(),
-    )?;
-    let mut points = sink.into_inner();
-    points.sort_by(|a, b| a.p.total_cmp(&b.p));
-    let golden_error = points[0].report.golden_error;
-    // Roll the per-point campaigns' sparse-delta accounting up into the
-    // sweep-level meta.
-    let mut run_meta = run_meta;
-    run_meta.delta_hits = points.iter().map(|s| s.report.run_meta.delta_hits).sum();
-    run_meta.delta_fallbacks = points
-        .iter()
-        .map(|s| s.report.run_meta.delta_fallbacks)
-        .sum();
-    Ok(SweepResult {
-        points,
-        golden_error,
-        run_meta,
-    })
-}
-
-/// [`run_sweep`] over the *quantized* workload: one BDLFI campaign per
-/// probability in `ps`, injecting representation-aware bit flips into the
-/// int8 model's sites selected by `spec`.
-///
-/// # Panics
-///
-/// Panics if `ps` is empty or contains non-probabilities.
-pub fn run_sweep_quant(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-    ps: &[f64],
-    cfg: &CampaignConfig,
-) -> SweepResult {
-    match run_sweep_quant_controlled(qm, eval, spec, ps, cfg, &RunControl::default(), None) {
-        Ok(sweep) => sweep,
-        Err(e) => panic!("quant sweep failed: {e}"),
-    }
-}
-
-/// [`run_sweep_quant`] with cooperative cancellation and an optional
-/// checkpoint journal — the quantized twin of [`run_sweep_controlled`],
-/// with its own fingerprint namespace so f32 and int8 journals never
-/// cross-resume.
-///
-/// # Errors
-///
-/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
-/// failures.
-///
-/// # Panics
-///
-/// Same preconditions as [`run_sweep_quant`].
-pub fn run_sweep_quant_controlled(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-    ps: &[f64],
-    cfg: &CampaignConfig,
-    ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<SweepResult, EngineError> {
-    assert!(!ps.is_empty(), "sweep needs at least one probability");
-    assert!(
-        ps.iter().all(|p| (0.0..=1.0).contains(p)),
-        "probabilities must be in [0, 1]"
-    );
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.cloned().map(|mut s| {
-        if s.fingerprint.is_empty() {
-            s.fingerprint = fingerprint("sweep_quant", &(cfg.fingerprint_form(), ps.to_vec()));
-        }
-        s
-    });
-    let mut sink = CollectSink::new();
-    let run_meta = engine.run_checkpointed(
-        ps.len(),
-        || (),
-        |(), ctx| {
-            let p = ps[ctx.task_id];
-            let qfm = QuantFaultyModel::new(
-                qm.clone(),
-                Arc::clone(eval),
-                spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(SweepPoint {
-                p,
-                report: run_campaign(&qfm, cfg).journal_form(),
-            })
-        },
-        &mut sink,
-        ctl,
-        ckpt.as_ref(),
-    )?;
+    let run_meta = engine.run_checkpointed(ps.len(), || (), task, &mut sink, ctl, ckpt.as_ref())?;
     let mut points = sink.into_inner();
     points.sort_by(|a, b| a.p.total_cmp(&b.p));
     let golden_error = points[0].report.golden_error;
@@ -295,8 +173,8 @@ pub fn run_sweep_quant_controlled(
 ///
 /// Same preconditions as [`run_sweep`].
 #[allow(clippy::too_many_arguments)]
-pub fn run_sweep_shard(
-    model: &Sequential,
+pub fn run_sweep_shard<N: GoldenModel>(
+    net: &N,
     eval: &Arc<Dataset>,
     spec: &SiteSpec,
     ps: &[f64],
@@ -306,107 +184,47 @@ pub fn run_sweep_shard(
     ctl: &RunControl,
     ckpt: &CheckpointSpec,
 ) -> Result<RunMeta, ShardError> {
-    assert!(!ps.is_empty(), "sweep needs at least one probability");
-    assert!(
-        ps.iter().all(|p| (0.0..=1.0).contains(p)),
-        "probabilities must be in [0, 1]"
-    );
-    let base = if ckpt.fingerprint.is_empty() {
-        fingerprint("sweep", &(cfg.fingerprint_form(), ps.to_vec()))
-    } else {
-        ckpt.fingerprint.clone()
-    };
-    let plan = ShardPlan::new(base, cfg.seed, ps.len(), count)?;
-    let shard_spec = CheckpointSpec {
-        fingerprint: plan.shard_fingerprint(index),
-        ..ckpt.clone()
-    };
+    let task = point_task(net, eval, spec, ps, cfg);
+    let base = ckpt.or_fingerprint(|| sweep_fingerprint::<N>(ps, cfg));
+    let plan = ShardPlan::new(base.fingerprint, cfg.seed, ps.len(), count)?;
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let meta = engine.run_shard_checkpointed(
-        plan.info(index)?,
-        plan.range(index)?.len(),
-        || (),
-        |(), ctx| {
-            let p = ps[ctx.task_id];
-            let fm = FaultyModel::new(
-                model.clone(),
-                Arc::clone(eval),
-                spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(SweepPoint {
-                p,
-                report: run_campaign(&fm, cfg).journal_form(),
-            })
-        },
-        &mut NullSink,
-        ctl,
-        &shard_spec,
-    )?;
-    Ok(meta)
+    engine.run_shard_checkpointed(&plan, index, || (), task, &mut NullSink, ctl, ckpt)
 }
 
-/// The quantized twin of [`run_sweep_shard`]: one shard of an int8 sweep,
-/// journaled under the plan derived from the `sweep_quant` fingerprint
-/// namespace so f32 and int8 shards never cross-merge.
-///
-/// # Errors
-///
-/// As [`run_sweep_shard`].
-///
-/// # Panics
-///
-/// Same preconditions as [`run_sweep_quant`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep_quant_shard(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-    ps: &[f64],
-    cfg: &CampaignConfig,
-    count: usize,
-    index: usize,
-    ctl: &RunControl,
-    ckpt: &CheckpointSpec,
-) -> Result<RunMeta, ShardError> {
+/// The journal identity of a sweep: driver, representation, config and
+/// the probability grid in the caller's order.
+fn sweep_fingerprint<N: GoldenModel>(ps: &[f64], cfg: &CampaignConfig) -> String {
+    journal_fingerprint(
+        "sweep",
+        <N::Workload as FaultWorkload>::NAMESPACE,
+        &(cfg, ps),
+    )
+}
+
+/// Checks a sweep's preconditions and returns its journaled task, shared
+/// by the whole and the sharded runner: the campaign at `ps[task_id]`.
+fn point_task<'a, N: GoldenModel>(
+    net: &'a N,
+    eval: &'a Arc<Dataset>,
+    spec: &'a SiteSpec,
+    ps: &'a [f64],
+    cfg: &'a CampaignConfig,
+) -> impl Fn(&mut (), &mut TaskCtx) -> Result<SweepPoint, EngineError> + Sync + 'a {
     assert!(!ps.is_empty(), "sweep needs at least one probability");
     assert!(
         ps.iter().all(|p| (0.0..=1.0).contains(p)),
         "probabilities must be in [0, 1]"
     );
-    let base = if ckpt.fingerprint.is_empty() {
-        fingerprint("sweep_quant", &(cfg.fingerprint_form(), ps.to_vec()))
-    } else {
-        ckpt.fingerprint.clone()
-    };
-    let plan = ShardPlan::new(base, cfg.seed, ps.len(), count)?;
-    let shard_spec = CheckpointSpec {
-        fingerprint: plan.shard_fingerprint(index),
-        ..ckpt.clone()
-    };
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let meta = engine.run_shard_checkpointed(
-        plan.info(index)?,
-        plan.range(index)?.len(),
-        || (),
-        |(), ctx| {
-            let p = ps[ctx.task_id];
-            let qfm = QuantFaultyModel::new(
-                qm.clone(),
-                Arc::clone(eval),
-                spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(SweepPoint {
-                p,
-                report: run_campaign(&qfm, cfg).journal_form(),
-            })
-        },
-        &mut NullSink,
-        ctl,
-        &shard_spec,
-    )?;
-    Ok(meta)
+    move |(), ctx| {
+        let p = ps[ctx.task_id];
+        let fm = net
+            .clone()
+            .bind(Arc::clone(eval), spec, Arc::new(BernoulliBitFlip::new(p)));
+        Ok(SweepPoint {
+            p,
+            report: run_campaign(&fm, cfg).journal_form(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -416,7 +234,7 @@ mod tests {
     use crate::completeness::CompletenessCriteria;
     use bdlfi_bayes::ChainConfig;
     use bdlfi_data::gaussian_blobs;
-    use bdlfi_nn::{mlp, optim::Sgd, TrainConfig, Trainer};
+    use bdlfi_nn::{mlp, optim::Sgd, Sequential, TrainConfig, Trainer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -514,7 +332,7 @@ mod tests {
         use bdlfi_quant::{quantize_model, CalibConfig};
         let (model, eval) = trained();
         let qm = quantize_model(&model, eval.inputs(), &CalibConfig::default());
-        let sweep = run_sweep_quant(
+        let sweep = run_sweep(
             &qm,
             &eval,
             &SiteSpec::AllParams,

@@ -7,12 +7,16 @@
 //! MCMC campaign machinery ([`crate::run_campaign`] and friends) runs
 //! unchanged over the f32 [`FaultyModel`] and the int8
 //! [`QuantFaultyModel`] — the quantized-deployment workload of the paper's
-//! "memory units storing NN parameters" fault model.
+//! "memory units storing NN parameters" fault model. [`GoldenModel`] is
+//! the same split one level up: the drivers that bind a fresh workload per
+//! task (sweep, layerwise, exhaustive) take any golden network that knows
+//! how to bind one.
 
 use crate::delta::{forward_delta_quant, DeltaStats, DENSIFY_THRESHOLD};
 use crate::FaultyModel;
 use bdlfi_data::Dataset;
-use bdlfi_faults::{FaultConfig, FaultModel, ResolvedSites, SiteSpec};
+use bdlfi_faults::{resolve_sites, FaultConfig, FaultModel, ResolvedSites, SiteSpec};
+use bdlfi_nn::Sequential;
 use bdlfi_quant::{QPrefixCache, QuantModel};
 use bdlfi_tensor::Tensor;
 use rand::Rng;
@@ -25,6 +29,12 @@ use std::sync::Arc;
 /// one copy to each parallel chain (share the heavy read-only state behind
 /// `Arc`s, clone only the mutable storage faults are XORed into).
 pub trait FaultWorkload: Clone + Send + Sync {
+    /// The representation suffix of this workload's journal fingerprint
+    /// tags (`""` for f32, `"_quant"` for int8), so a journal of one
+    /// representation is refused by the other; see
+    /// [`crate::checkpoint::journal_fingerprint`].
+    const NAMESPACE: &'static str;
+
     /// The resolved injection sites.
     fn sites(&self) -> &ResolvedSites;
 
@@ -35,10 +45,27 @@ pub trait FaultWorkload: Clone + Send + Sync {
     /// "golden run" line.
     fn golden_error(&self) -> f64;
 
+    /// The evaluation dataset.
+    fn eval(&self) -> &Dataset;
+
+    /// The golden network's predictions on the evaluation set.
+    fn golden_preds(&self) -> &[usize];
+
+    /// The faulted network's logits over the evaluation set under one
+    /// fault configuration. `rng` drives transient faults where the
+    /// workload has any; pure-parameter workloads ignore it.
+    fn eval_logits(&mut self, cfg: &FaultConfig, rng: &mut dyn Rng) -> Tensor;
+
+    /// Enables or disables the sparse-delta path; results are
+    /// bit-identical either way.
+    fn set_delta_enabled(&mut self, enabled: bool);
+
     /// Classification error (vs. true labels) under one fault
-    /// configuration. `rng` drives transient faults where the workload has
-    /// any; pure-parameter workloads ignore it.
-    fn eval_error(&mut self, cfg: &FaultConfig, rng: &mut dyn Rng) -> f64;
+    /// configuration.
+    fn eval_error(&mut self, cfg: &FaultConfig, rng: &mut dyn Rng) -> f64 {
+        let logits = self.eval_logits(cfg, rng);
+        bdlfi_nn::metrics::classification_error(&logits, self.eval().labels())
+    }
 
     /// Samples a fault configuration from the prior over the sites.
     fn sample_config(&self, rng: &mut dyn Rng) -> FaultConfig {
@@ -65,6 +92,8 @@ pub trait FaultWorkload: Clone + Send + Sync {
 }
 
 impl FaultWorkload for FaultyModel {
+    const NAMESPACE: &'static str = "";
+
     fn sites(&self) -> &ResolvedSites {
         FaultyModel::sites(self)
     }
@@ -77,12 +106,82 @@ impl FaultWorkload for FaultyModel {
         FaultyModel::golden_error(self)
     }
 
-    fn eval_error(&mut self, cfg: &FaultConfig, rng: &mut dyn Rng) -> f64 {
-        FaultyModel::eval_error(self, cfg, rng)
+    fn eval(&self) -> &Dataset {
+        FaultyModel::eval(self)
+    }
+
+    fn golden_preds(&self) -> &[usize] {
+        FaultyModel::golden_preds(self)
+    }
+
+    fn eval_logits(&mut self, cfg: &FaultConfig, rng: &mut dyn Rng) -> Tensor {
+        FaultyModel::eval_logits(self, cfg, rng)
+    }
+
+    fn set_delta_enabled(&mut self, enabled: bool) {
+        FaultyModel::set_delta_enabled(self, enabled);
     }
 
     fn delta_counters(&self) -> (u64, u64) {
         FaultyModel::delta_counters(self)
+    }
+}
+
+/// A golden network the per-task drivers ([`crate::run_sweep`],
+/// [`crate::run_layerwise`], the exhaustive baseline) bind into a fresh
+/// [`FaultWorkload`] for every task: [`Sequential`] binds a
+/// [`FaultyModel`], [`QuantModel`] a [`QuantFaultyModel`]. One generic
+/// driver body therefore serves both representations, and the bound
+/// workload's [`FaultWorkload::NAMESPACE`] keeps their journals apart.
+pub trait GoldenModel: Clone + Sync {
+    /// The workload this network binds into.
+    type Workload: FaultWorkload;
+
+    /// The sites `spec` selects on this network, tagged with their stored
+    /// representation (for sizing a fault budget before binding).
+    fn resolve_sites(&self, spec: &SiteSpec) -> ResolvedSites;
+
+    /// Binds the network to an evaluation set and a fault model over the
+    /// sites `spec` selects.
+    fn bind(
+        self,
+        eval: Arc<Dataset>,
+        spec: &SiteSpec,
+        fault_model: Arc<dyn FaultModel>,
+    ) -> Self::Workload;
+}
+
+impl GoldenModel for Sequential {
+    type Workload = FaultyModel;
+
+    fn resolve_sites(&self, spec: &SiteSpec) -> ResolvedSites {
+        resolve_sites(self, spec)
+    }
+
+    fn bind(
+        self,
+        eval: Arc<Dataset>,
+        spec: &SiteSpec,
+        fault_model: Arc<dyn FaultModel>,
+    ) -> FaultyModel {
+        FaultyModel::new(self, eval, spec, fault_model)
+    }
+}
+
+impl GoldenModel for QuantModel {
+    type Workload = QuantFaultyModel;
+
+    fn resolve_sites(&self, spec: &SiteSpec) -> ResolvedSites {
+        self.sites_matching(spec)
+    }
+
+    fn bind(
+        self,
+        eval: Arc<Dataset>,
+        spec: &SiteSpec,
+        fault_model: Arc<dyn FaultModel>,
+    ) -> QuantFaultyModel {
+        QuantFaultyModel::new(self, eval, spec, fault_model)
     }
 }
 
@@ -255,6 +354,8 @@ impl QuantFaultyModel {
 }
 
 impl FaultWorkload for QuantFaultyModel {
+    const NAMESPACE: &'static str = "_quant";
+
     fn sites(&self) -> &ResolvedSites {
         &self.sites
     }
@@ -267,8 +368,20 @@ impl FaultWorkload for QuantFaultyModel {
         self.golden_error
     }
 
-    fn eval_error(&mut self, cfg: &FaultConfig, _rng: &mut dyn Rng) -> f64 {
-        QuantFaultyModel::eval_error(self, cfg)
+    fn eval(&self) -> &Dataset {
+        &self.eval
+    }
+
+    fn golden_preds(&self) -> &[usize] {
+        &self.golden_preds
+    }
+
+    fn eval_logits(&mut self, cfg: &FaultConfig, _rng: &mut dyn Rng) -> Tensor {
+        QuantFaultyModel::eval_logits(self, cfg)
+    }
+
+    fn set_delta_enabled(&mut self, enabled: bool) {
+        self.delta_enabled = enabled;
     }
 
     fn delta_counters(&self) -> (u64, u64) {

@@ -28,7 +28,7 @@
 //!   arguments are ordinary expressions and their calls *are* collected.
 //!
 //! Unresolved calls are deliberate false-negative surface; the
-//! per-file rules (BD001–BD009) still see every token, so a panic or
+//! per-file rules (BD001–BD008) still see every token, so a panic or
 //! entropy source hiding behind an unresolvable call is caught at its
 //! definition site whenever its file is in a policed scope.
 

@@ -179,7 +179,7 @@ mod tests {
         assert_eq!(dirs[0].codes, vec!["BD001", "BD003"]);
         assert!(apply_directives("x.rs", vec![finding("BD003", 1)], &dirs).is_empty());
         assert_eq!(
-            apply_directives("x.rs", vec![finding("BD006", 1)], &dirs).len(),
+            apply_directives("x.rs", vec![finding("BD007", 1)], &dirs).len(),
             1
         );
     }

@@ -48,7 +48,7 @@ entry points and additionally reports panics *reachable* from them anywhere in t
 workspace. See `bdlfi-lint explain BD010`.";
 
 /// All rule explanations, in code order.
-pub static ALL: [Explanation; 12] = [
+pub static ALL: [Explanation; 10] = [
     Explanation {
         code: "BD000",
         name: "malformed-suppression-directive",
@@ -97,16 +97,6 @@ test code corrupts the evidence the paper's statistics rest on.",
         bad: ("bd004_bad.rs", include_str!("../fixtures/bd004_bad.rs")),
     },
     Explanation {
-        code: "BD006",
-        name: "distinct-journal-fingerprint-tags",
-        rationale: "Every `*_controlled` campaign driver binds its own fingerprint tag; \
-two drivers sharing one tag would resume each other's journals and silently merge \
-incompatible task streams. Scope: fingerprint tag bindings, workspace-wide \
-(cross-file duplicates included).",
-        good: ("bd006_good.rs", include_str!("../fixtures/bd006_good.rs")),
-        bad: ("bd006_bad.rs", include_str!("../fixtures/bd006_bad.rs")),
-    },
-    Explanation {
         code: "BD007",
         name: "delta-exact-fallback",
         rationale: "`forward_delta*` routines may refuse (conv fan-out, transient sites, \
@@ -126,15 +116,6 @@ module names a scalar `*_reference` oracle its equivalence tests pin against. Sc
 production code, workspace-wide.",
         good: ("bd008_good.rs", include_str!("../fixtures/bd008_good.rs")),
         bad: ("bd008_bad.rs", include_str!("../fixtures/bd008_bad.rs")),
-    },
-    Explanation {
-        code: "BD009",
-        name: "shard-fingerprint-discipline",
-        rationale: "A shard runner that journals under the unsharded fingerprint — or \
-derives one without the shard index *and* count — lets a shard resume from the wrong \
-journal. Scope: production shard runners and fingerprint helpers, workspace-wide.",
-        good: ("bd009_good.rs", include_str!("../fixtures/bd009_good.rs")),
-        bad: ("bd009_bad.rs", include_str!("../fixtures/bd009_bad.rs")),
     },
     Explanation {
         code: "BD010",
@@ -198,13 +179,15 @@ mod tests {
     #[test]
     fn every_rule_code_resolves_case_insensitively() {
         for code in [
-            "BD000", "BD001", "BD002", "BD003", "BD004", "BD006", "BD007", "BD008", "BD009",
-            "BD010", "BD011", "BD012",
+            "BD000", "BD001", "BD002", "BD003", "BD004", "BD007", "BD008", "BD010", "BD011",
+            "BD012",
         ] {
             assert!(lookup(code).is_some(), "{code} missing");
             assert!(lookup(&code.to_lowercase()).is_some(), "{code} lowercase");
         }
-        assert!(lookup("BD005").is_none(), "BD005 is retired");
+        for retired in ["BD005", "BD006", "BD009"] {
+            assert!(lookup(retired).is_none(), "{retired} is retired");
+        }
         assert!(lookup("BD999").is_none());
     }
 

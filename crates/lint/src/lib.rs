@@ -13,15 +13,13 @@
 //! | BD002 | no additive `seed + i` derivation feeding RNG constructors |
 //! | BD003 | no HashMap/HashSet iteration in serialization-adjacent paths |
 //! | BD004 | every `unsafe` carries a `// SAFETY:` justification |
-//! | BD006 | every `*_controlled` driver binds a distinct journal fingerprint tag |
 //! | BD007 | `forward_delta*` routines can refuse; their callers keep an exact fallback |
 //! | BD008 | `#[target_feature]` kernels reached only via guarded, SAFETY-justified dispatch; intrinsics modules name a `*_reference` oracle |
-//! | BD009 | shard journal fingerprints embed shard index and count |
 //! | BD010 | no call path from an engine/checkpoint/shard/serve entry point to a panic site (interprocedural; subsumed the old per-file BD005) |
 //! | BD011 | no entropy/time/thread-id/worker-count flow into journal or fingerprint bytes (interprocedural taint) |
 //! | BD012 | `#[target_feature]` kernels are reached cross-file only through their own module's guarded dispatch front door |
 //!
-//! BD001–BD009 are token-level per-file rules. BD010–BD012 are
+//! BD001–BD008 are token-level per-file rules. BD010–BD012 are
 //! **interprocedural**: an AST-lite layer ([`ast`]) recovers function
 //! items and call sites from the token stream, a workspace symbol table
 //! ([`symbols`]) indexes them, and a name-resolved approximate call

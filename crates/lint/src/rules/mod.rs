@@ -1,6 +1,6 @@
 //! The rule engine: each determinism rule is a [`Rule`] over a lexed
 //! file, with an optional workspace-wide `finish` pass for cross-file
-//! invariants (BD006's tag-distinctness check).
+//! invariants (BD008's dispatch check joins definitions and call sites).
 //!
 //! Rules see a [`FileCtx`]: the token stream (comments included), a
 //! comment-free *code view* (indices into the stream), and the file's
@@ -17,10 +17,8 @@ mod bd001;
 mod bd002;
 mod bd003;
 mod bd004;
-mod bd006;
 mod bd007;
 mod bd008;
-mod bd009;
 mod bd010;
 mod bd011;
 mod bd012;
@@ -29,10 +27,8 @@ pub use bd001::EntropySources;
 pub use bd002::AdditiveSeeds;
 pub use bd003::UnorderedIteration;
 pub use bd004::UnsafeNeedsSafety;
-pub use bd006::DistinctFingerprints;
 pub use bd007::ExactDeltaFallback;
 pub use bd008::SimdDispatchDiscipline;
-pub use bd009::ShardFingerprintDiscipline;
 pub use bd010::PanicReachability;
 pub use bd011::DeterminismTaint;
 pub use bd012::UnsafeDispatchReachability;
@@ -94,7 +90,10 @@ pub trait WsRule {
 
 /// The per-file rule set, in code order. BD005's per-file panic scan
 /// retired in favour of BD010's interprocedural reachability (its exact
-/// scope survives as BD010's root set).
+/// scope survives as BD010's root set). BD006 (distinct fingerprint tags)
+/// and BD009 (shard fingerprint discipline) retired once the drivers
+/// derived every journal fingerprint through one helper and the engine
+/// wrote every shard fingerprint itself.
 #[must_use]
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
@@ -102,10 +101,8 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(AdditiveSeeds),
         Box::new(UnorderedIteration),
         Box::new(UnsafeNeedsSafety),
-        Box::new(DistinctFingerprints::default()),
         Box::new(ExactDeltaFallback),
         Box::new(SimdDispatchDiscipline::default()),
-        Box::new(ShardFingerprintDiscipline),
     ]
 }
 

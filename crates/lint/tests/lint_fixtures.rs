@@ -276,28 +276,6 @@ fn bd012_good_tree_front_door_dispatch_is_clean() {
     assert_tree_clean("bd012_good");
 }
 
-// ---- BD006: distinct fingerprints ------------------------------------
-
-#[test]
-fn bd006_bad_missing_tag_trips_only_bd006() {
-    let f = assert_trips("bd006_bad.rs", "crates/core/src/study.rs", "BD006");
-    assert!(f[0].render().contains("run_study_controlled"));
-}
-
-#[test]
-fn bd006_dup_bad_shared_tag_trips_only_bd006() {
-    let f = assert_trips("bd006_dup_bad.rs", "crates/core/src/study.rs", "BD006");
-    assert!(
-        f.iter().all(|x| x.render().contains("\"study\"")),
-        "findings should name the shared tag: {f:?}"
-    );
-}
-
-#[test]
-fn bd006_good_distinct_tags_and_helper_resolution_are_clean() {
-    assert_clean("bd006_good.rs", "crates/core/src/study.rs");
-}
-
 // ---- BD007: delta exact-fallback guard --------------------------------
 
 #[test]
@@ -346,30 +324,6 @@ fn bd008_bad_is_ignored_in_test_code() {
     // apply there, and the oracle requirement keys off production
     // intrinsics use only.
     assert_clean("bd008_bad.rs", "crates/tensor/tests/kernel_equivalence.rs");
-}
-
-// ---- BD009: shard journal fingerprint discipline ----------------------
-
-#[test]
-fn bd009_bad_trips_only_bd009() {
-    let f = assert_trips("bd009_bad.rs", "crates/core/src/campaign.rs", "BD009");
-    assert_eq!(f.len(), 2, "one per failure mode: {f:?}");
-    // Sorted by line: the runner that reuses the base fingerprint, then
-    // the helper that drops the shard count.
-    assert!(f[0].render().contains("run_demo_shard"));
-    assert!(f[1].render().contains("shard_fingerprint"));
-}
-
-#[test]
-fn bd009_good_derived_shard_fingerprints_are_clean() {
-    assert_clean("bd009_good.rs", "crates/core/src/campaign.rs");
-}
-
-#[test]
-fn bd009_bad_is_ignored_in_test_code() {
-    // Tests exercise shard runners against hand-built journals; the
-    // discipline applies to production writers only.
-    assert_clean("bd009_bad.rs", "tests/shard_merge.rs");
 }
 
 // ---- allow directive --------------------------------------------------

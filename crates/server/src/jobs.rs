@@ -21,17 +21,14 @@
 //! Everything in this module runs on request or runner paths: no panics,
 //! poisoned locks are taken over with [`PoisonError::into_inner`].
 
-use crate::spec::{
-    build_workload, check_layers, job_fingerprint, DriverSpec, JobSpec, ShardSpec, SpecError,
-    Workload,
-};
+use crate::spec::{build_workload, check_layers, job_fingerprint, DriverSpec, JobSpec, SpecError};
 use bdlfi::{
     run_campaign_adaptive_controlled, run_campaign_controlled, run_campaign_shard,
-    run_layerwise_controlled, run_layerwise_quant_controlled, run_layerwise_quant_shard,
-    run_layerwise_shard, run_sweep_controlled, run_sweep_quant_controlled, run_sweep_quant_shard,
-    run_sweep_shard, CheckpointSpec, EngineError, FaultyModel, QuantFaultyModel, RunControl,
-    RunMeta, RunObserver, ShardError,
+    run_layerwise_controlled, run_layerwise_shard, run_sweep_controlled, run_sweep_shard,
+    CampaignConfig, CheckpointSpec, EngineError, GoldenModel, RunControl, RunMeta, RunObserver,
+    ShardError,
 };
+use bdlfi_data::Dataset;
 use bdlfi_faults::BernoulliBitFlip;
 use serde::{Deserialize, Number, Serialize, Value};
 use std::collections::BTreeMap;
@@ -635,237 +632,109 @@ pub fn run_driver(
     };
     let mut cfg = *spec.config();
     cfg.workers = workers;
-    if let Some(shard) = spec.shard {
-        return run_shard_job(spec, workload, &cfg, shard, ctl, ckpt);
-    }
-    let sites = &spec.scenario.sites;
-    let fault = Arc::new(BernoulliBitFlip::new(spec.scenario.flip_probability));
-
-    match (&spec.driver, workload.quant) {
-        (DriverSpec::Campaign { .. }, None) => {
-            let fm = FaultyModel::new(workload.model, workload.eval, sites, fault);
-            match run_campaign_controlled(&fm, &cfg, ctl, Some(ckpt)) {
-                Ok(report) => {
-                    let meta = report.run_meta;
-                    tagged_report("campaign", report.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
-        (DriverSpec::Campaign { .. }, Some(qm)) => {
-            let fm = QuantFaultyModel::new(qm, workload.eval, sites, fault);
-            match run_campaign_controlled(&fm, &cfg, ctl, Some(ckpt)) {
-                Ok(report) => {
-                    let meta = report.run_meta;
-                    tagged_report("campaign", report.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
-        (
-            DriverSpec::AdaptiveCampaign {
-                max_samples_per_chain,
-                ..
-            },
-            None,
-        ) => {
-            let fm = FaultyModel::new(workload.model, workload.eval, sites, fault);
-            match run_campaign_adaptive_controlled(
-                &fm,
-                &cfg,
-                *max_samples_per_chain,
-                ctl,
-                Some(ckpt),
-            ) {
-                Ok(report) => {
-                    let meta = report.run_meta;
-                    tagged_report("campaign", report.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
-        (
-            DriverSpec::AdaptiveCampaign {
-                max_samples_per_chain,
-                ..
-            },
-            Some(qm),
-        ) => {
-            let fm = QuantFaultyModel::new(qm, workload.eval, sites, fault);
-            match run_campaign_adaptive_controlled(
-                &fm,
-                &cfg,
-                *max_samples_per_chain,
-                ctl,
-                Some(ckpt),
-            ) {
-                Ok(report) => {
-                    let meta = report.run_meta;
-                    tagged_report("campaign", report.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
-        (DriverSpec::Sweep { ps, .. }, None) => {
-            match run_sweep_controlled(
-                &workload.model,
-                &workload.eval,
-                sites,
-                ps,
-                &cfg,
-                ctl,
-                Some(ckpt),
-            ) {
-                Ok(result) => {
-                    let meta = result.run_meta;
-                    tagged_report("sweep", result.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
-        (DriverSpec::Sweep { ps, .. }, Some(qm)) => {
-            match run_sweep_quant_controlled(&qm, &workload.eval, sites, ps, &cfg, ctl, Some(ckpt))
-            {
-                Ok(result) => {
-                    let meta = result.run_meta;
-                    tagged_report("sweep", result.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
-        (DriverSpec::Layerwise { layers, budget, .. }, None) => {
-            let refs: Vec<&str> = layers.iter().map(String::as_str).collect();
-            match run_layerwise_controlled(
-                &workload.model,
-                &workload.eval,
-                &refs,
-                *budget,
-                &cfg,
-                ctl,
-                Some(ckpt),
-            ) {
-                Ok(result) => {
-                    let meta = result.run_meta;
-                    tagged_report("layerwise", result.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
-        (DriverSpec::Layerwise { layers, budget, .. }, Some(qm)) => {
-            let refs: Vec<&str> = layers.iter().map(String::as_str).collect();
-            match run_layerwise_quant_controlled(
-                &qm,
-                &workload.eval,
-                &refs,
-                *budget,
-                &cfg,
-                ctl,
-                Some(ckpt),
-            ) {
-                Ok(result) => {
-                    let meta = result.run_meta;
-                    tagged_report("layerwise", result.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
+    // The representation is chosen once; every driver is generic over it.
+    match workload.quant {
+        Some(qm) => dispatch(spec, qm, workload.eval, &cfg, ctl, ckpt),
+        None => dispatch(spec, workload.model, workload.eval, &cfg, ctl, ckpt),
     }
 }
 
-/// Runs one shard of the spec's driver. The shard's deliverable is its
-/// journal (collect it via `GET /jobs/<id>/journal`); the report is a
-/// small summary with the shard coordinates and engine accounting.
-fn run_shard_job(
+/// The layer prefixes as the layerwise drivers take them.
+fn layer_refs(layers: &[String]) -> Vec<&str> {
+    layers.iter().map(String::as_str).collect()
+}
+
+/// Runs the spec's driver, or one shard of it, over either golden
+/// network. A shard's deliverable is its journal (collect it via
+/// `GET /jobs/<id>/journal`); its report is a small summary with the shard
+/// coordinates and engine accounting.
+fn dispatch<N: GoldenModel>(
     spec: &JobSpec,
-    workload: Workload,
-    cfg: &bdlfi::CampaignConfig,
-    shard: ShardSpec,
+    net: N,
+    eval: Arc<Dataset>,
+    cfg: &CampaignConfig,
     ctl: &RunControl,
     ckpt: &CheckpointSpec,
 ) -> JobOutcome {
     let sites = &spec.scenario.sites;
-    let fault = Arc::new(BernoulliBitFlip::new(spec.scenario.flip_probability));
-    let result = match (&spec.driver, workload.quant) {
-        (DriverSpec::Campaign { .. }, None) => {
-            let fm = FaultyModel::new(workload.model, workload.eval, sites, fault);
-            run_campaign_shard(&fm, cfg, shard.count, shard.index, ctl, ckpt)
-        }
-        (DriverSpec::Campaign { .. }, Some(qm)) => {
-            let fm = QuantFaultyModel::new(qm, workload.eval, sites, fault);
-            run_campaign_shard(&fm, cfg, shard.count, shard.index, ctl, ckpt)
-        }
-        (DriverSpec::Sweep { ps, .. }, None) => run_sweep_shard(
-            &workload.model,
-            &workload.eval,
-            sites,
-            ps,
-            cfg,
-            shard.count,
-            shard.index,
-            ctl,
-            ckpt,
-        ),
-        (DriverSpec::Sweep { ps, .. }, Some(qm)) => run_sweep_quant_shard(
-            &qm,
-            &workload.eval,
-            sites,
-            ps,
-            cfg,
-            shard.count,
-            shard.index,
-            ctl,
-            ckpt,
-        ),
-        (DriverSpec::Layerwise { layers, budget, .. }, None) => {
-            let refs: Vec<&str> = layers.iter().map(String::as_str).collect();
-            run_layerwise_shard(
-                &workload.model,
-                &workload.eval,
-                &refs,
-                *budget,
-                cfg,
-                shard.count,
-                shard.index,
-                ctl,
-                ckpt,
-            )
-        }
-        (DriverSpec::Layerwise { layers, budget, .. }, Some(qm)) => {
-            let refs: Vec<&str> = layers.iter().map(String::as_str).collect();
-            run_layerwise_quant_shard(
-                &qm,
-                &workload.eval,
-                &refs,
-                *budget,
-                cfg,
-                shard.count,
-                shard.index,
-                ctl,
-                ckpt,
-            )
-        }
-        (DriverSpec::AdaptiveCampaign { .. }, _) => {
-            // Unreachable past validation; refuse rather than panic.
-            return JobOutcome::Failed("adaptive campaigns cannot be sharded".to_string());
-        }
+    let bind = |net: N, eval| {
+        let fault = Arc::new(BernoulliBitFlip::new(spec.scenario.flip_probability));
+        net.bind(eval, sites, fault)
     };
-    match result {
-        Ok(meta) => {
-            let summary = Value::Object(vec![
-                (
-                    "index".to_string(),
-                    Value::Number(Number::U(shard.index as u64)),
-                ),
-                (
-                    "count".to_string(),
-                    Value::Number(Number::U(shard.count as u64)),
-                ),
-                ("meta".to_string(), meta.to_json_value()),
-            ]);
-            tagged_report("shard", summary, meta)
+
+    if let Some(shard) = spec.shard {
+        let (count, index) = (shard.count, shard.index);
+        let result = match &spec.driver {
+            DriverSpec::Campaign { .. } => {
+                run_campaign_shard(&bind(net, eval), cfg, count, index, ctl, ckpt)
+            }
+            DriverSpec::Sweep { ps, .. } => {
+                run_sweep_shard(&net, &eval, sites, ps, cfg, count, index, ctl, ckpt)
+            }
+            DriverSpec::Layerwise { layers, budget, .. } => run_layerwise_shard(
+                &net,
+                &eval,
+                &layer_refs(layers),
+                *budget,
+                cfg,
+                count,
+                index,
+                ctl,
+                ckpt,
+            ),
+            DriverSpec::AdaptiveCampaign { .. } => {
+                // Unreachable past validation; refuse rather than panic.
+                return JobOutcome::Failed("adaptive campaigns cannot be sharded".to_string());
+            }
+        };
+        return match result {
+            Ok(meta) => {
+                let summary = Value::Object(vec![
+                    ("index".to_string(), Value::Number(Number::U(index as u64))),
+                    ("count".to_string(), Value::Number(Number::U(count as u64))),
+                    ("meta".to_string(), meta.to_json_value()),
+                ]);
+                tagged_report("shard", summary, meta)
+            }
+            Err(ShardError::Engine(e)) => engine_outcome(e),
+            Err(other) => JobOutcome::Failed(other.to_string()),
+        };
+    }
+
+    let done = match &spec.driver {
+        DriverSpec::Campaign { .. } => {
+            run_campaign_controlled(&bind(net, eval), cfg, ctl, Some(ckpt))
+                .map(|r| ("campaign", r.run_meta, r.to_json_value()))
         }
-        Err(ShardError::Engine(e)) => engine_outcome(e),
-        Err(other) => JobOutcome::Failed(other.to_string()),
+        DriverSpec::AdaptiveCampaign {
+            max_samples_per_chain,
+            ..
+        } => run_campaign_adaptive_controlled(
+            &bind(net, eval),
+            cfg,
+            *max_samples_per_chain,
+            ctl,
+            Some(ckpt),
+        )
+        .map(|r| ("campaign", r.run_meta, r.to_json_value())),
+        DriverSpec::Sweep { ps, .. } => {
+            run_sweep_controlled(&net, &eval, sites, ps, cfg, ctl, Some(ckpt))
+                .map(|r| ("sweep", r.run_meta, r.to_json_value()))
+        }
+        DriverSpec::Layerwise { layers, budget, .. } => run_layerwise_controlled(
+            &net,
+            &eval,
+            &layer_refs(layers),
+            *budget,
+            cfg,
+            ctl,
+            Some(ckpt),
+        )
+        .map(|r| ("layerwise", r.run_meta, r.to_json_value())),
+    };
+    match done {
+        Ok((kind, meta, report)) => tagged_report(kind, report, meta),
+        Err(e) => engine_outcome(e),
     }
 }
 

@@ -525,8 +525,9 @@ pub fn check_layers(w: &Workload, layers: &[String]) -> Result<(), SpecError> {
 }
 
 /// The journal fingerprint tag for a job — distinct per driver x
-/// representation, mirroring the drivers' own tag discipline (BD006), so
-/// no two different studies ever produce resume-compatible journals.
+/// representation, with the drivers' own `_quant` suffix
+/// ([`bdlfi::FaultWorkload::NAMESPACE`]), so no two different studies
+/// ever produce resume-compatible journals.
 #[must_use]
 pub fn fingerprint_tag(spec: &JobSpec) -> &'static str {
     match (&spec.driver, spec.scenario.quantized) {
@@ -551,7 +552,7 @@ pub fn fingerprint_tag(spec: &JobSpec) -> &'static str {
 /// per-shard fingerprint the shard runner derives from this base (plus
 /// the shard count and index), never this value directly. The worker
 /// count is pinned for the same reason the core drivers pin it
-/// ([`CampaignConfig::fingerprint_form`]): results are bit-identical at
+/// ([`bdlfi::journal_fingerprint`]): results are bit-identical at
 /// every worker count, so shards run on differently-sized daemons must
 /// still merge.
 #[must_use]

@@ -16,7 +16,7 @@
 //! cargo run --release --example quant_campaign
 //! ```
 
-use bdlfi_suite::baseline::{run_exhaustive, run_exhaustive_quant, ExhaustiveResult};
+use bdlfi_suite::baseline::{run_exhaustive, ExhaustiveResult};
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
     run_campaign, CampaignConfig, FaultyModel, KernelChoice, QuantFaultyModel,
@@ -114,7 +114,7 @@ fn main() {
     // --- Exhaustive single-bit ablation: ground truth per bit position. ---
     println!("\n## exhaustive single-bit ablation (all parameters)");
     let f32_ex = run_exhaustive(&model, &test, &SiteSpec::AllParams);
-    let int8_ex = run_exhaustive_quant(&qm, &test, &SiteSpec::AllParams);
+    let int8_ex = run_exhaustive(&qm, &test, &SiteSpec::AllParams);
     println!(
         "  f32 : {} injections, SDC rate {:.4}",
         f32_ex.injections, f32_ex.sdc.rate
@@ -128,7 +128,7 @@ fn main() {
     // alias their low bits onto the int8 positions).
     let weights = SiteSpec::Params(vec!["fc1.weight".into(), "fc2.weight".into()]);
     let f32_w = run_exhaustive(&model, &test, &weights);
-    let int8_w = run_exhaustive_quant(&qm, &test, &weights);
+    let int8_w = run_exhaustive(&qm, &test, &weights);
     println!("\n  weight bit | int8 SDC | f32 SDC   (int8 bit 7 = sign)");
     for bit in 0..8u8 {
         println!(

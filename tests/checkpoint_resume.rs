@@ -31,13 +31,16 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Worker counts the resume contract must hold across: serial and the
-/// host's actual parallelism.
-fn worker_counts() -> Vec<usize> {
+/// Worker counts the resume contract must hold across, as (interrupted
+/// run, resumed run): serial, the host's actual parallelism, and a journal
+/// written serially then resumed at 4 workers (the engine honours 4 even
+/// on a 1-core host) — the worker count is scheduling, never journal
+/// identity.
+fn worker_counts() -> Vec<(usize, usize)> {
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut counts = vec![1, host];
+    let mut counts = vec![(1, 1), (host, host), (1, 4)];
     counts.dedup();
     counts
 }
@@ -137,15 +140,19 @@ fn campaign_resumes_bit_identically() {
     let fm = mlp_fm(1e-3);
     let reference = run_campaign(&fm, &campaign_cfg(41, 4, 30, 1));
     let scratch = Scratch::new("campaign");
-    for workers in worker_counts() {
-        let what = format!("campaign @{workers}");
+    for (workers, resume_workers) in worker_counts() {
+        let what = format!("campaign @{workers}->{resume_workers}");
         let cfg = campaign_cfg(41, 4, 30, workers);
-        let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
+        let resume_cfg = campaign_cfg(41, 4, 30, resume_workers);
+        let spec = CheckpointSpec::new(
+            scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
+            String::new(),
+        );
         let err = run_campaign_controlled(&fm, &cfg, &RunControl::stop_after(2), Some(&spec))
             .unwrap_err();
         assert_interrupted(err, 2, &what);
         let resumed =
-            run_campaign_controlled(&fm, &cfg, &RunControl::new(), Some(&spec.resuming()))
+            run_campaign_controlled(&fm, &resume_cfg, &RunControl::new(), Some(&spec.resuming()))
                 .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_reports_identical(&reference, &resumed, &what);
         assert_eq!(resumed.run_meta.resumed_from, Some(2), "{what}");
@@ -160,10 +167,14 @@ fn adaptive_campaign_resumes_bit_identically() {
     let cfg_for = |workers| campaign_cfg(42, 2, 15, workers);
     let reference = run_campaign_adaptive(&fm, &cfg_for(1), 60);
     let scratch = Scratch::new("adaptive");
-    for workers in worker_counts() {
-        let what = format!("adaptive campaign @{workers}");
+    for (workers, resume_workers) in worker_counts() {
+        let what = format!("adaptive campaign @{workers}->{resume_workers}");
         let cfg = cfg_for(workers);
-        let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
+        let resume_cfg = cfg_for(resume_workers);
+        let spec = CheckpointSpec::new(
+            scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
+            String::new(),
+        );
         // stop_after counts completed *segments* for the adaptive driver.
         let err = run_campaign_adaptive_controlled(
             &fm,
@@ -176,7 +187,7 @@ fn adaptive_campaign_resumes_bit_identically() {
         assert_interrupted(err, 2, &what);
         let resumed = run_campaign_adaptive_controlled(
             &fm,
-            &cfg,
+            &resume_cfg,
             60,
             &RunControl::new(),
             Some(&spec.resuming()),
@@ -199,10 +210,14 @@ fn sweep_resumes_bit_identically() {
         &campaign_cfg(43, 2, 20, 1),
     );
     let scratch = Scratch::new("sweep");
-    for workers in worker_counts() {
-        let what = format!("sweep @{workers}");
+    for (workers, resume_workers) in worker_counts() {
+        let what = format!("sweep @{workers}->{resume_workers}");
         let cfg = campaign_cfg(43, 2, 20, workers);
-        let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
+        let resume_cfg = campaign_cfg(43, 2, 20, resume_workers);
+        let spec = CheckpointSpec::new(
+            scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
+            String::new(),
+        );
         let err = run_sweep_controlled(
             &model,
             &eval,
@@ -219,7 +234,7 @@ fn sweep_resumes_bit_identically() {
             &eval,
             &SiteSpec::AllParams,
             &ps,
-            &cfg,
+            &resume_cfg,
             &RunControl::new(),
             Some(&spec.resuming()),
         )
@@ -240,10 +255,14 @@ fn layerwise_resumes_bit_identically() {
     let budget = LayerBudget::ExpectedFlips(2.0);
     let reference = run_layerwise(&model, &eval, &layers, budget, &campaign_cfg(44, 2, 20, 1));
     let scratch = Scratch::new("layerwise");
-    for workers in worker_counts() {
-        let what = format!("layerwise @{workers}");
+    for (workers, resume_workers) in worker_counts() {
+        let what = format!("layerwise @{workers}->{resume_workers}");
         let cfg = campaign_cfg(44, 2, 20, workers);
-        let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
+        let resume_cfg = campaign_cfg(44, 2, 20, resume_workers);
+        let spec = CheckpointSpec::new(
+            scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
+            String::new(),
+        );
         let err = run_layerwise_controlled(
             &model,
             &eval,
@@ -260,7 +279,7 @@ fn layerwise_resumes_bit_identically() {
             &eval,
             &layers,
             budget,
-            &cfg,
+            &resume_cfg,
             &RunControl::new(),
             Some(&spec.resuming()),
         )
@@ -295,10 +314,14 @@ fn boundary_map_resumes_bit_identically() {
         &cfg_for(1),
     );
     let scratch = Scratch::new("boundary");
-    for workers in worker_counts() {
-        let what = format!("boundary map @{workers}");
+    for (workers, resume_workers) in worker_counts() {
+        let what = format!("boundary map @{workers}->{resume_workers}");
         let cfg = cfg_for(workers);
-        let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
+        let resume_cfg = cfg_for(resume_workers);
+        let spec = CheckpointSpec::new(
+            scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
+            String::new(),
+        );
         let err = boundary_map_controlled(
             &model,
             &SiteSpec::AllParams,
@@ -313,7 +336,7 @@ fn boundary_map_resumes_bit_identically() {
             &model,
             &SiteSpec::AllParams,
             fault_model.clone(),
-            &cfg,
+            &resume_cfg,
             &RunControl::new(),
             Some(&spec.resuming()),
         )
@@ -380,16 +403,20 @@ fn random_fi_resumes_bit_identically() {
     };
     let reference = fi.run(&cfg_for(1));
     let scratch = Scratch::new("random_fi");
-    for workers in worker_counts() {
-        let what = format!("random FI @{workers}");
+    for (workers, resume_workers) in worker_counts() {
+        let what = format!("random FI @{workers}->{resume_workers}");
         let cfg = cfg_for(workers);
-        let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
+        let resume_cfg = cfg_for(resume_workers);
+        let spec = CheckpointSpec::new(
+            scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
+            String::new(),
+        );
         let err = fi
             .run_controlled(&cfg, &RunControl::stop_after(23), Some(&spec))
             .unwrap_err();
         assert_interrupted(err, 23, &what);
         let resumed = fi
-            .run_controlled(&cfg, &RunControl::new(), Some(&spec.resuming()))
+            .run_controlled(&resume_cfg, &RunControl::new(), Some(&spec.resuming()))
             .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_eq!(resumed.errors, reference.errors, "{what}");
         assert_eq!(resumed.sdc.successes, reference.sdc.successes, "{what}");
@@ -409,9 +436,12 @@ fn exhaustive_fi_resumes_bit_identically() {
     };
     let reference = run_exhaustive_with(&model, &eval, &spec_sites, 1);
     let scratch = Scratch::new("exhaustive");
-    for workers in worker_counts() {
-        let what = format!("exhaustive FI @{workers}");
-        let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
+    for (workers, resume_workers) in worker_counts() {
+        let what = format!("exhaustive FI @{workers}->{resume_workers}");
+        let spec = CheckpointSpec::new(
+            scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
+            String::new(),
+        );
         let err = run_exhaustive_controlled(
             &model,
             &eval,
@@ -426,7 +456,7 @@ fn exhaustive_fi_resumes_bit_identically() {
             &model,
             &eval,
             &spec_sites,
-            workers,
+            resume_workers,
             &RunControl::new(),
             Some(&spec.resuming()),
         )
@@ -453,10 +483,14 @@ fn layer_fi_study_resumes_bit_identically() {
     };
     let reference = run_layer_fi(&model, &eval, &layers, &cfg_for(1));
     let scratch = Scratch::new("layer_fi");
-    for workers in worker_counts() {
-        let what = format!("layer FI @{workers}");
+    for (workers, resume_workers) in worker_counts() {
+        let what = format!("layer FI @{workers}->{resume_workers}");
         let cfg = cfg_for(workers);
-        let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
+        let resume_cfg = cfg_for(resume_workers);
+        let spec = CheckpointSpec::new(
+            scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
+            String::new(),
+        );
         let err = run_layer_fi_controlled(
             &model,
             &eval,
@@ -471,7 +505,7 @@ fn layer_fi_study_resumes_bit_identically() {
             &model,
             &eval,
             &layers,
-            &cfg,
+            &resume_cfg,
             &RunControl::new(),
             Some(&spec.resuming()),
         )

@@ -7,14 +7,13 @@
 //! driver enumerates exactly the 8-bit space of int8 storage (not the
 //! 32-bit space of f32), reporting per-bit SDC for all eight positions.
 
-use bdlfi_suite::baseline::{
-    run_exhaustive_quant_controlled, run_exhaustive_quant_with, ExhaustiveResult,
-};
+use bdlfi_suite::baseline::{run_exhaustive_controlled, run_exhaustive_with, ExhaustiveResult};
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    run_campaign, run_campaign_controlled, run_layerwise_quant, run_layerwise_quant_controlled,
-    run_sweep_quant, run_sweep_quant_controlled, CampaignConfig, CampaignReport, CheckpointSpec,
-    EngineError, KernelChoice, LayerBudget, QuantFaultyModel, RunControl, RunMeta,
+    run_campaign, run_campaign_adaptive_controlled, run_campaign_controlled, run_layerwise,
+    run_layerwise_controlled, run_sweep, run_sweep_controlled, CampaignConfig, CampaignReport,
+    CheckpointError, CheckpointSpec, EngineError, FaultyModel, KernelChoice, LayerBudget,
+    QuantFaultyModel, RunControl, RunMeta,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, BitRange, Repr, SiteSpec};
@@ -60,6 +59,12 @@ impl Drop for Scratch {
 
 /// Train a small MLP and quantize it against its own training inputs.
 fn quantized_mlp(hidden: &[usize]) -> (QuantModel, Arc<Dataset>) {
+    let (_, qm, eval) = trained_pair(hidden);
+    (qm, eval)
+}
+
+/// The trained f32 MLP, its int8 quantization and the evaluation split.
+fn trained_pair(hidden: &[usize]) -> (Sequential, QuantModel, Arc<Dataset>) {
     let mut rng = StdRng::seed_from_u64(2024);
     let data = gaussian_blobs(160, 3, 0.6, &mut rng);
     let (train, test) = data.split(0.7, &mut rng);
@@ -74,7 +79,7 @@ fn quantized_mlp(hidden: &[usize]) -> (QuantModel, Arc<Dataset>) {
     );
     trainer.fit(&mut model, train.inputs(), train.labels(), &mut rng);
     let qm = quantize_model(&model, train.inputs(), &CalibConfig::default());
-    (qm, Arc::new(test))
+    (model, qm, Arc::new(test))
 }
 
 fn quant_fm(p: f64) -> QuantFaultyModel {
@@ -186,7 +191,7 @@ fn quant_campaign_reports_int8_scale_flip_counts() {
 fn quant_sweep_resumes_bit_identically() {
     let (qm, eval) = quantized_mlp(&[16, 16]);
     let ps = [1e-4, 1e-3, 1e-2];
-    let reference = run_sweep_quant(
+    let reference = run_sweep(
         &qm,
         &eval,
         &SiteSpec::AllParams,
@@ -198,7 +203,7 @@ fn quant_sweep_resumes_bit_identically() {
         let what = format!("quant sweep @{workers}");
         let cfg = campaign_cfg(74, 2, 20, workers);
         let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
-        let err = run_sweep_quant_controlled(
+        let err = run_sweep_controlled(
             &qm,
             &eval,
             &SiteSpec::AllParams,
@@ -209,7 +214,7 @@ fn quant_sweep_resumes_bit_identically() {
         )
         .unwrap_err();
         assert_interrupted(err, 1, &what);
-        let resumed = run_sweep_quant_controlled(
+        let resumed = run_sweep_controlled(
             &qm,
             &eval,
             &SiteSpec::AllParams,
@@ -238,13 +243,13 @@ fn quant_layerwise_resumes_bit_identically() {
     let (qm, eval) = quantized_mlp(&[16, 16]);
     let layers = ["fc1", "fc2", "fc3"];
     let budget = LayerBudget::ExpectedFlips(2.0);
-    let reference = run_layerwise_quant(&qm, &eval, &layers, budget, &campaign_cfg(75, 2, 20, 1));
+    let reference = run_layerwise(&qm, &eval, &layers, budget, &campaign_cfg(75, 2, 20, 1));
     let scratch = Scratch::new("layerwise");
     for workers in worker_counts() {
         let what = format!("quant layerwise @{workers}");
         let cfg = campaign_cfg(75, 2, 20, workers);
         let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
-        let err = run_layerwise_quant_controlled(
+        let err = run_layerwise_controlled(
             &qm,
             &eval,
             &layers,
@@ -255,7 +260,7 @@ fn quant_layerwise_resumes_bit_identically() {
         )
         .unwrap_err();
         assert_interrupted(err, 2, &what);
-        let resumed = run_layerwise_quant_controlled(
+        let resumed = run_layerwise_controlled(
             &qm,
             &eval,
             &layers,
@@ -275,6 +280,85 @@ fn quant_layerwise_resumes_bit_identically() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Journal identity across representations.
+// ---------------------------------------------------------------------------
+
+/// A run of one driver over one representation, under `ctl` and journal.
+type Run<'a> = Box<dyn Fn(&RunControl, Option<&CheckpointSpec>) -> Result<(), EngineError> + 'a>;
+
+/// Interrupts each representation's run after its first task, then
+/// resumes that journal under the other representation, which must refuse
+/// it with a typed fingerprint mismatch.
+fn assert_cross_refused(scratch: &Scratch, what: &str, f32_run: Run<'_>, int8_run: Run<'_>) {
+    for (from, write, resume) in [("f32", &f32_run, &int8_run), ("int8", &int8_run, &f32_run)] {
+        let spec = CheckpointSpec::new(scratch.path(&format!("{what}_{from}.ckpt")), String::new());
+        let what = format!("{what}: {from} journal under the other representation");
+        let err = write(&RunControl::stop_after(1), Some(&spec)).unwrap_err();
+        assert_interrupted(err, 1, &what);
+        match resume(&RunControl::new(), Some(&spec.resuming())) {
+            Err(EngineError::Checkpoint(CheckpointError::Mismatch {
+                field: "fingerprint",
+                ..
+            })) => {}
+            Err(other) => panic!("{what}: expected a fingerprint mismatch, got {other}"),
+            Ok(()) => panic!("{what}: resumed"),
+        }
+    }
+}
+
+#[test]
+fn f32_and_int8_journals_never_cross_resume() {
+    let (model, qm, eval) = trained_pair(&[16, 16]);
+    let sites = SiteSpec::AllParams;
+    let fault = || Arc::new(BernoulliBitFlip::new(1e-3));
+    let fm = FaultyModel::new(model.clone(), Arc::clone(&eval), &sites, fault());
+    let qfm = QuantFaultyModel::new(qm.clone(), Arc::clone(&eval), &sites, fault());
+    // With equal golden errors only the representation namespace keeps the
+    // campaign and adaptive journals apart.
+    assert_eq!(fm.golden_error(), qfm.golden_error());
+    let cfg = campaign_cfg(76, 2, 10, 1);
+    let (ps, layers, budget) = ([1e-3, 1e-2], ["fc1", "fc2"], LayerBudget::PerBit(1e-3));
+    let scratch = Scratch::new("cross");
+
+    assert_cross_refused(
+        &scratch,
+        "campaign",
+        Box::new(|ctl, ck| run_campaign_controlled(&fm, &cfg, ctl, ck).map(drop)),
+        Box::new(|ctl, ck| run_campaign_controlled(&qfm, &cfg, ctl, ck).map(drop)),
+    );
+    assert_cross_refused(
+        &scratch,
+        "adaptive",
+        Box::new(|ctl, ck| run_campaign_adaptive_controlled(&fm, &cfg, 30, ctl, ck).map(drop)),
+        Box::new(|ctl, ck| run_campaign_adaptive_controlled(&qfm, &cfg, 30, ctl, ck).map(drop)),
+    );
+    assert_cross_refused(
+        &scratch,
+        "sweep",
+        Box::new(|ctl, ck| {
+            run_sweep_controlled(&model, &eval, &sites, &ps, &cfg, ctl, ck).map(drop)
+        }),
+        Box::new(|ctl, ck| run_sweep_controlled(&qm, &eval, &sites, &ps, &cfg, ctl, ck).map(drop)),
+    );
+    assert_cross_refused(
+        &scratch,
+        "layerwise",
+        Box::new(|ctl, ck| {
+            run_layerwise_controlled(&model, &eval, &layers, budget, &cfg, ctl, ck).map(drop)
+        }),
+        Box::new(|ctl, ck| {
+            run_layerwise_controlled(&qm, &eval, &layers, budget, &cfg, ctl, ck).map(drop)
+        }),
+    );
+    assert_cross_refused(
+        &scratch,
+        "exhaustive",
+        Box::new(|ctl, ck| run_exhaustive_controlled(&model, &eval, &sites, 1, ctl, ck).map(drop)),
+        Box::new(|ctl, ck| run_exhaustive_controlled(&qm, &eval, &sites, 1, ctl, ck).map(drop)),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +394,7 @@ fn quant_exhaustive_sweeps_the_complete_eight_bit_space() {
     let (qm, eval) = quantized_mlp(&[4]);
     // fc1.weight of a 2-[4]-3 MLP: 8 int8 elements, 8 bits each.
     let spec = SiteSpec::Params(vec!["fc1.weight".into()]);
-    let res = run_exhaustive_quant_with(&qm, &eval, &spec, 0);
+    let res = run_exhaustive_with(&qm, &eval, &spec, 0);
     assert_eight_bit_coverage(&res, 8, "fc1.weight");
     // Per-bit SDC rates are reportable for every one of the 8 positions.
     let rates: Vec<f64> = res.by_bit[..8]
@@ -337,12 +421,12 @@ fn quant_exhaustive_resumes_bit_identically() {
     let site_spec = SiteSpec::LayerParams {
         prefix: "fc1".into(),
     };
-    let reference = run_exhaustive_quant_with(&qm, &eval, &site_spec, 1);
+    let reference = run_exhaustive_with(&qm, &eval, &site_spec, 1);
     let scratch = Scratch::new("exhaustive");
     for workers in worker_counts() {
         let what = format!("quant exhaustive @{workers}");
         let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
-        let err = run_exhaustive_quant_controlled(
+        let err = run_exhaustive_controlled(
             &qm,
             &eval,
             &site_spec,
@@ -352,7 +436,7 @@ fn quant_exhaustive_resumes_bit_identically() {
         )
         .unwrap_err();
         assert_interrupted(err, 31, &what);
-        let resumed = run_exhaustive_quant_controlled(
+        let resumed = run_exhaustive_controlled(
             &qm,
             &eval,
             &site_spec,

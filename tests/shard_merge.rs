@@ -10,10 +10,9 @@
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
     merge_shards, read_journal, run_campaign_controlled, run_campaign_shard,
-    run_layerwise_controlled, run_layerwise_quant_controlled, run_layerwise_quant_shard,
-    run_layerwise_shard, run_sweep_controlled, run_sweep_quant_controlled, run_sweep_quant_shard,
-    run_sweep_shard, CampaignConfig, CheckpointSpec, EngineError, FaultyModel, KernelChoice,
-    LayerBudget, QuantFaultyModel, RunControl, RunMeta, ShardError, ShardPlan,
+    run_layerwise_controlled, run_layerwise_shard, run_sweep_controlled, run_sweep_shard,
+    CampaignConfig, CheckpointSpec, EngineError, FaultyModel, KernelChoice, LayerBudget,
+    QuantFaultyModel, RunControl, RunMeta, ShardError, ShardPlan,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
@@ -258,7 +257,7 @@ fn shard_journals_are_worker_count_invariant() {
     let scratch = Scratch::new("workers");
     // At least 4 engine threads even on a single-core host: the invariant
     // under test is that neither the scheduling nor the journal
-    // fingerprint (which pins `workers` via `fingerprint_form`) depends on
+    // fingerprint (which pins `workers` via `journal_fingerprint`) depends on
     // the configured worker count.
     let host = host_workers().max(4);
     let index = 1;
@@ -347,7 +346,7 @@ fn sweep_quant_shards_merge_byte_identically() {
     let scratch = Scratch::new("sweep_quant");
 
     let whole_path = scratch.path("whole.ckpt");
-    run_sweep_quant_controlled(
+    run_sweep_controlled(
         &qm,
         &eval,
         &SiteSpec::AllParams,
@@ -362,7 +361,7 @@ fn sweep_quant_shards_merge_byte_identically() {
     let mut shard_paths = Vec::new();
     for index in 0..count {
         let path = scratch.path(&format!("shard{index}.ckpt"));
-        run_sweep_quant_shard(
+        run_sweep_shard(
             &qm,
             &eval,
             &SiteSpec::AllParams,
@@ -437,7 +436,7 @@ fn layerwise_quant_shards_merge_byte_identically() {
     let scratch = Scratch::new("layerwise_quant");
 
     let whole_path = scratch.path("whole.ckpt");
-    run_layerwise_quant_controlled(
+    run_layerwise_controlled(
         &qm,
         &eval,
         &layers,
@@ -452,7 +451,7 @@ fn layerwise_quant_shards_merge_byte_identically() {
     let mut shard_paths = Vec::new();
     for index in 0..count {
         let path = scratch.path(&format!("shard{index}.ckpt"));
-        run_layerwise_quant_shard(
+        run_layerwise_shard(
             &qm,
             &eval,
             &layers,
