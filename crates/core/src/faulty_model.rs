@@ -20,7 +20,8 @@ use std::sync::Arc;
 ///
 /// Cloning a `FaultyModel` clones the network (each MCMC chain owns one),
 /// while the evaluation data, fault model and golden prefix-activation
-/// cache are shared.
+/// cache are shared. [`crate::FaultWorkload::rescoped`] moves the same
+/// golden run to other sites without repeating it.
 #[derive(Clone)]
 pub struct FaultyModel {
     model: Sequential,
@@ -83,8 +84,7 @@ impl FaultyModel {
         // Transient sites resample faults inside every forward pass, so no
         // prefix of the network is reusable; only build the cache when all
         // sites are (persistent) parameter faults.
-        let transient = !sites.activations.is_empty() || sites.input;
-        let (golden_logits, prefix) = if transient {
+        let (golden_logits, prefix) = if is_transient(&sites) {
             let logits = predict_batched(&mut model, eval.inputs(), batch_size, &mut |_, _| {});
             (logits, None)
         } else {
@@ -106,6 +106,34 @@ impl FaultyModel {
             delta_stats: Arc::new(DeltaStats::default()),
             delta_enabled: true,
         }
+    }
+
+    /// [`crate::FaultWorkload::rescoped`]: the prefix cache is shared,
+    /// dropped for transient sites, and built only when a transient
+    /// binding is rescoped to parameter sites; the delta gate is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec resolves to nothing.
+    pub(crate) fn rescoped(&self, spec: &SiteSpec, fault_model: Arc<dyn FaultModel>) -> Self {
+        let sites = resolve_sites(&self.model, spec);
+        assert!(
+            !sites.is_empty(),
+            "site spec resolved to no injection sites"
+        );
+        let mut fm = FaultyModel {
+            sites,
+            fault_model,
+            delta_stats: Arc::new(DeltaStats::default()),
+            ..self.clone()
+        };
+        if is_transient(&fm.sites) {
+            fm.prefix = None;
+        } else if fm.prefix.is_none() {
+            let cache = PrefixCache::build(&mut fm.model, fm.eval.inputs(), fm.batch_size);
+            fm.prefix = Some(Arc::new(cache));
+        }
+        fm
     }
 
     /// Enables or disables the sparse-delta path (on by default). With it
@@ -256,6 +284,11 @@ impl FaultyModel {
             .map(|(f, &g)| f != g)
             .collect()
     }
+}
+
+/// Whether `sites` include transient (activation or input) sites.
+fn is_transient(sites: &ResolvedSites) -> bool {
+    !sites.activations.is_empty() || sites.input
 }
 
 #[cfg(test)]

@@ -222,9 +222,10 @@ fn layerwise_fingerprint<N: GoldenModel>(
     journal_fingerprint("layerwise", namespace, &(cfg, layers, budget))
 }
 
-/// Checks a layerwise study's preconditions and returns its journaled
-/// task, shared by the whole and the sharded runner: the campaign over
-/// `layers[task_id]` at depth `task_id`.
+/// Checks a layerwise study's preconditions, binds the golden network
+/// once, and returns the journaled task shared by the whole and the
+/// sharded runner: the campaign over `layers[task_id]` at depth `task_id`,
+/// on a rescoping of that one binding.
 fn layer_task<'a, N: GoldenModel>(
     net: &'a N,
     eval: &'a Arc<Dataset>,
@@ -242,6 +243,11 @@ fn layer_task<'a, N: GoldenModel>(
             "flip probability must be in [0, 1]"
         );
     }
+    let golden = net.clone().bind(
+        Arc::clone(eval),
+        &SiteSpec::AllParams,
+        Arc::new(BernoulliBitFlip::new(0.0)),
+    );
     move |(), ctx| {
         let depth = ctx.task_id;
         let layer = layers[depth].to_string();
@@ -254,9 +260,7 @@ fn layer_task<'a, N: GoldenModel>(
         let elements = sites.total_param_elements();
         let bits: u64 = sites.params.iter().map(|s| s.injectable_bits()).sum();
         let p = budget.probability_for_bits(bits);
-        let fm = net
-            .clone()
-            .bind(Arc::clone(eval), &spec, Arc::new(BernoulliBitFlip::new(p)));
+        let fm = golden.rescoped(&spec, Arc::new(BernoulliBitFlip::new(p)));
         Ok(LayerResult {
             depth,
             layer,

@@ -23,7 +23,9 @@
 //!   implementation (built on `bdlfi-quant`), with representation-aware
 //!   bit flips in int8 weights, i32 biases and f32 scales;
 //!   [`GoldenModel`] binds either golden network into its workload, so
-//!   every driver has one body for both representations;
+//!   every driver has one body for both representations, and
+//!   [`FaultWorkload::rescoped`] moves one binding's golden run to each
+//!   task's sites;
 //! * [`engine`] — the shared fault-evaluation executor: one bounded
 //!   worker pool, SplitMix64 per-task seed streams and ordered streaming
 //!   sinks that every campaign driver (and the baseline FI drivers) runs

@@ -201,8 +201,9 @@ fn sweep_fingerprint<N: GoldenModel>(ps: &[f64], cfg: &CampaignConfig) -> String
     )
 }
 
-/// Checks a sweep's preconditions and returns its journaled task, shared
-/// by the whole and the sharded runner: the campaign at `ps[task_id]`.
+/// Checks a sweep's preconditions, binds the golden network once, and
+/// returns the journaled task shared by the whole and the sharded runner:
+/// the campaign at `ps[task_id]`, on a rescoping of that one binding.
 fn point_task<'a, N: GoldenModel>(
     net: &'a N,
     eval: &'a Arc<Dataset>,
@@ -215,11 +216,12 @@ fn point_task<'a, N: GoldenModel>(
         ps.iter().all(|p| (0.0..=1.0).contains(p)),
         "probabilities must be in [0, 1]"
     );
+    let golden = net
+        .clone()
+        .bind(Arc::clone(eval), spec, Arc::new(BernoulliBitFlip::new(0.0)));
     move |(), ctx| {
         let p = ps[ctx.task_id];
-        let fm = net
-            .clone()
-            .bind(Arc::clone(eval), spec, Arc::new(BernoulliBitFlip::new(p)));
+        let fm = golden.rescoped(spec, Arc::new(BernoulliBitFlip::new(p)));
         Ok(SweepPoint {
             p,
             report: run_campaign(&fm, cfg).journal_form(),

@@ -8,9 +8,10 @@
 //! unchanged over the f32 [`FaultyModel`] and the int8
 //! [`QuantFaultyModel`] — the quantized-deployment workload of the paper's
 //! "memory units storing NN parameters" fault model. [`GoldenModel`] is
-//! the same split one level up: the drivers that bind a fresh workload per
-//! task (sweep, layerwise, exhaustive) take any golden network that knows
-//! how to bind one.
+//! the same split one level up: the drivers that run many tasks over one
+//! golden network (sweep, layerwise, exhaustive) take any network that
+//! knows how to bind a workload and bind it once per run; sweep and
+//! layerwise give each task a [`FaultWorkload::rescoped`] copy.
 
 use crate::delta::{forward_delta_quant, DeltaStats, DENSIFY_THRESHOLD};
 use crate::FaultyModel;
@@ -59,6 +60,18 @@ pub trait FaultWorkload: Clone + Send + Sync {
     /// Enables or disables the sparse-delta path; results are
     /// bit-identical either way.
     fn set_delta_enabled(&mut self, enabled: bool);
+
+    /// The same golden run bound to the sites `spec` selects under
+    /// `fault_model`: network, evaluation set, golden predictions and
+    /// error and the shared golden prefix are kept, the sites are resolved
+    /// afresh and the sparse-delta counters start at zero. Evaluations are
+    /// bit-identical to a fresh [`GoldenModel::bind`] of the golden
+    /// network over `spec`, without repeating its golden pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics where binding the golden network over `spec` would.
+    fn rescoped(&self, spec: &SiteSpec, fault_model: Arc<dyn FaultModel>) -> Self;
 
     /// Classification error (vs. true labels) under one fault
     /// configuration.
@@ -122,17 +135,23 @@ impl FaultWorkload for FaultyModel {
         FaultyModel::set_delta_enabled(self, enabled);
     }
 
+    fn rescoped(&self, spec: &SiteSpec, fault_model: Arc<dyn FaultModel>) -> Self {
+        FaultyModel::rescoped(self, spec, fault_model)
+    }
+
     fn delta_counters(&self) -> (u64, u64) {
         FaultyModel::delta_counters(self)
     }
 }
 
 /// A golden network the per-task drivers ([`crate::run_sweep`],
-/// [`crate::run_layerwise`], the exhaustive baseline) bind into a fresh
-/// [`FaultWorkload`] for every task: [`Sequential`] binds a
+/// [`crate::run_layerwise`], the exhaustive baseline) bind into a
+/// [`FaultWorkload`] once per run (sweep and layerwise then rescope it per
+/// task, [`FaultWorkload::rescoped`]): [`Sequential`] binds a
 /// [`FaultyModel`], [`QuantModel`] a [`QuantFaultyModel`]. One generic
-/// driver body therefore serves both representations, and the bound
-/// workload's [`FaultWorkload::NAMESPACE`] keeps their journals apart.
+/// driver body
+/// therefore serves both representations, and the bound workload's
+/// [`FaultWorkload::NAMESPACE`] keeps their journals apart.
 pub trait GoldenModel: Clone + Sync {
     /// The workload this network binds into.
     type Workload: FaultWorkload;
@@ -194,7 +213,8 @@ impl GoldenModel for QuantModel {
 /// incremental path: XOR the faults in, resume inference at the first
 /// dirty stage from the shared [`QPrefixCache`], XOR them back out.
 /// Cloning shares the evaluation data, prefix cache and fault model;
-/// each clone owns its quantized storage.
+/// each clone owns its quantized storage. [`FaultWorkload::rescoped`]
+/// moves the same golden run to other sites without repeating it.
 #[derive(Clone)]
 pub struct QuantFaultyModel {
     model: QuantModel,
@@ -384,6 +404,20 @@ impl FaultWorkload for QuantFaultyModel {
         self.delta_enabled = enabled;
     }
 
+    fn rescoped(&self, spec: &SiteSpec, fault_model: Arc<dyn FaultModel>) -> Self {
+        let sites = self.model.sites_matching(spec);
+        assert!(
+            !sites.is_empty(),
+            "site spec resolved to no injection sites"
+        );
+        QuantFaultyModel {
+            sites,
+            fault_model,
+            delta_stats: Arc::new(DeltaStats::default()),
+            ..self.clone()
+        }
+    }
+
     fn delta_counters(&self) -> (u64, u64) {
         QuantFaultyModel::delta_counters(self)
     }
@@ -394,13 +428,14 @@ mod tests {
     use super::*;
     use bdlfi_data::gaussian_blobs;
     use bdlfi_faults::{BernoulliBitFlip, BitRange, Repr};
-    use bdlfi_nn::mlp;
+    use bdlfi_nn::{mlp, optim::Sgd, resnet18, ResNetConfig, TrainConfig, Trainer};
     use bdlfi_quant::{quantize_model, CalibConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup(p: f64) -> (QuantFaultyModel, StdRng) {
-        use bdlfi_nn::{optim::Sgd, TrainConfig, Trainer};
+    /// The 2-[16]-3 MLP trained on Gaussian blobs, its data, and the RNG
+    /// as training left it.
+    fn trained_mlp() -> (Sequential, Arc<Dataset>, StdRng) {
         let mut rng = StdRng::seed_from_u64(0);
         let data = Arc::new(gaussian_blobs(100, 3, 0.5, &mut rng));
         let mut model = mlp(2, &[16], 3, &mut rng);
@@ -413,6 +448,35 @@ mod tests {
             },
         );
         trainer.fit(&mut model, data.inputs(), data.labels(), &mut rng);
+        (model, data, rng)
+    }
+
+    /// A width-2 ResNet-18 over 8×8 single-channel images, trained one
+    /// epoch so its batch norms carry running statistics.
+    fn trained_resnet() -> (Sequential, Arc<Dataset>) {
+        let mut rng = StdRng::seed_from_u64(5);
+        let config = ResNetConfig {
+            in_channels: 1,
+            base_width: 2,
+            classes: 3,
+        };
+        let mut model = resnet18(config, &mut rng);
+        let inputs = Tensor::rand_normal([6, 1, 8, 8], 0.0, 1.0, &mut rng);
+        let data = Arc::new(Dataset::new(inputs, (0..6).map(|i| i % 3).collect(), 3));
+        let mut trainer = Trainer::new(
+            Sgd::new(0.05),
+            TrainConfig {
+                epochs: 1,
+                batch_size: 3,
+                ..TrainConfig::default()
+            },
+        );
+        trainer.fit(&mut model, data.inputs(), data.labels(), &mut rng);
+        (model, data)
+    }
+
+    fn setup(p: f64) -> (QuantFaultyModel, StdRng) {
+        let (model, data, rng) = trained_mlp();
         let qm = quantize_model(&model, data.inputs(), &CalibConfig::default());
         let qfm = QuantFaultyModel::new(
             qm,
@@ -421,6 +485,132 @@ mod tests {
             Arc::new(BernoulliBitFlip::with_bits(p, BitRange::all_for(Repr::I8))),
         );
         (qfm, rng)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Binds `net` once over all its parameters, rescopes that binding to
+    /// each spec at about four expected flips, and checks it against a
+    /// fresh bind over the spec: equal sites, golden error and golden
+    /// predictions; bit-identical logits on sampled configurations with
+    /// the sparse-delta path on and off; and delta counters of its own
+    /// that start at zero and leave the base's untouched.
+    fn assert_rescoped_matches_bind<N: GoldenModel>(
+        net: &N,
+        eval: &Arc<Dataset>,
+        specs: &[SiteSpec],
+    ) {
+        let base = net.clone().bind(
+            Arc::clone(eval),
+            &SiteSpec::AllParams,
+            Arc::new(BernoulliBitFlip::new(0.0)),
+        );
+        let mut rng = StdRng::seed_from_u64(31);
+        for spec in specs {
+            let bits_in_scope: u64 = net
+                .resolve_sites(spec)
+                .params
+                .iter()
+                .map(|s| s.injectable_bits())
+                .sum();
+            let fault: Arc<dyn FaultModel> =
+                Arc::new(BernoulliBitFlip::new(4.0 / bits_in_scope as f64));
+            let mut fresh = net.clone().bind(Arc::clone(eval), spec, Arc::clone(&fault));
+            let mut rescoped = base.rescoped(spec, fault);
+            assert_eq!(rescoped.sites(), fresh.sites(), "{spec:?}");
+            assert_eq!(
+                rescoped.golden_error().to_bits(),
+                fresh.golden_error().to_bits()
+            );
+            assert_eq!(rescoped.golden_preds(), fresh.golden_preds());
+            assert_eq!(rescoped.delta_counters(), (0, 0));
+            for delta in [true, false] {
+                fresh.set_delta_enabled(delta);
+                rescoped.set_delta_enabled(delta);
+                for round in 0..5 {
+                    let cfg = fresh.sample_config(&mut rng);
+                    let want = fresh.eval_logits(&cfg, &mut StdRng::seed_from_u64(round));
+                    let got = rescoped.eval_logits(&cfg, &mut StdRng::seed_from_u64(round));
+                    assert_eq!(bits(&got), bits(&want), "{spec:?}, delta {delta}");
+                }
+            }
+            assert_eq!(rescoped.delta_counters(), fresh.delta_counters());
+            assert_eq!(base.delta_counters(), (0, 0));
+        }
+    }
+
+    /// Rescoping a parameter-only binding to the transient `activation`
+    /// site drops its prefix and matches a fresh transient bind under the
+    /// same RNG seed; rescoping that back to all parameters rebuilds the
+    /// prefix and matches a fresh parameter bind.
+    fn assert_transient_rescoping_matches_bind(
+        net: &Sequential,
+        eval: &Arc<Dataset>,
+        activation: &str,
+    ) {
+        let params = SiteSpec::AllParams;
+        let transient = SiteSpec::Activations(vec![activation.to_string()]);
+        let fault: Arc<dyn FaultModel> = Arc::new(BernoulliBitFlip::new(0.01));
+        let mut golden = net
+            .clone()
+            .bind(Arc::clone(eval), &params, Arc::clone(&fault));
+        let mut fresh = net
+            .clone()
+            .bind(Arc::clone(eval), &transient, Arc::clone(&fault));
+        let mut rescoped = golden.rescoped(&transient, Arc::clone(&fault));
+        assert_eq!(rescoped.sites(), fresh.sites());
+        assert_eq!(rescoped.golden_preds(), fresh.golden_preds());
+        let clean = FaultConfig::clean();
+        let golden_logits = golden.eval_logits(&clean, &mut StdRng::seed_from_u64(0));
+        let mut faulted = false;
+        for round in 0..5 {
+            let want = fresh.eval_logits(&clean, &mut StdRng::seed_from_u64(round));
+            let got = rescoped.eval_logits(&clean, &mut StdRng::seed_from_u64(round));
+            assert_eq!(bits(&got), bits(&want), "transient round {round}");
+            faulted |= bits(&got) != bits(&golden_logits);
+        }
+        assert!(faulted, "transient faults never reached the logits");
+
+        let mut back = rescoped.rescoped(&params, Arc::clone(&fault));
+        let mut rng = StdRng::seed_from_u64(32);
+        for _ in 0..5 {
+            let cfg = golden.sample_config(&mut rng);
+            let want = golden.eval_logits(&cfg, &mut StdRng::seed_from_u64(0));
+            let got = back.eval_logits(&cfg, &mut StdRng::seed_from_u64(0));
+            assert_eq!(bits(&got), bits(&want), "parameters after transient");
+        }
+    }
+
+    fn layer(prefix: &str) -> SiteSpec {
+        SiteSpec::LayerParams {
+            prefix: prefix.to_string(),
+        }
+    }
+
+    #[test]
+    fn rescoped_f32_mlp_matches_a_fresh_bind() {
+        let (model, data, _) = trained_mlp();
+        let specs = [SiteSpec::AllParams, layer("fc1"), layer("fc2")];
+        assert_rescoped_matches_bind(&model, &data, &specs);
+        assert_transient_rescoping_matches_bind(&model, &data, "relu1");
+    }
+
+    #[test]
+    fn rescoped_resnet_matches_a_fresh_bind() {
+        let (model, data) = trained_resnet();
+        let specs = [layer("conv1"), layer("layer2_0"), layer("fc")];
+        assert_rescoped_matches_bind(&model, &data, &specs);
+        assert_transient_rescoping_matches_bind(&model, &data, "relu");
+    }
+
+    #[test]
+    fn rescoped_int8_mlp_matches_a_fresh_bind() {
+        let (model, data, _) = trained_mlp();
+        let qm = quantize_model(&model, data.inputs(), &CalibConfig::default());
+        let specs = [SiteSpec::AllParams, layer("fc1"), layer("fc2")];
+        assert_rescoped_matches_bind(&qm, &data, &specs);
     }
 
     #[test]

@@ -95,9 +95,11 @@ impl<'a> ForwardCtx<'a> {
 /// A differentiable network component.
 ///
 /// Layers own their parameters and the caches needed to run a backward pass
-/// for the most recent forward pass. Composite layers (e.g.
-/// [`crate::Sequential`], [`crate::layers::BasicBlock`]) contain children and
-/// forward the parameter visitors with extended paths.
+/// for the most recent train-mode forward pass; `backward` consumes those
+/// caches, so a trained network carries only its parameters. Composite
+/// layers (e.g. [`crate::Sequential`], [`crate::layers::BasicBlock`])
+/// contain children and forward the parameter visitors with extended
+/// paths.
 pub trait Layer: Send + Sync {
     /// Short machine-readable layer kind, e.g. `"dense"`.
     fn kind(&self) -> &'static str;
@@ -106,12 +108,13 @@ pub trait Layer: Send + Sync {
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx) -> Tensor;
 
     /// Propagates `grad_out = ∂L/∂output` to `∂L/∂input`, accumulating
-    /// parameter gradients.
+    /// parameter gradients, and releases the cache of the train-mode
+    /// forward it differentiates.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called before any [`Layer::forward`] in
-    /// [`Mode::Train`].
+    /// Implementations may panic unless a [`Layer::forward`] in
+    /// [`Mode::Train`] ran since the last `backward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
     /// Visits every parameter with its full dotted path under `path`.

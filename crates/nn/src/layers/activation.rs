@@ -37,11 +37,11 @@ impl Layer for Sigmoid {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let y = self
             .cached_output
-            .as_ref()
+            .take()
             // bdlfi-lint: allow(BD010) -- train-mode contract: Trainer::fit always runs forward before backward; the message names the missing cache
             .expect("sigmoid backward before train-mode forward");
         // dy/dx = y (1 - y)
-        grad_out.zip_map(y, |g, y| g * y * (1.0 - y))
+        grad_out.zip_map(&y, |g, y| g * y * (1.0 - y))
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -80,11 +80,11 @@ impl Layer for Tanh {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let y = self
             .cached_output
-            .as_ref()
+            .take()
             // bdlfi-lint: allow(BD010) -- train-mode contract: Trainer::fit always runs forward before backward; the message names the missing cache
             .expect("tanh backward before train-mode forward");
         // dy/dx = 1 - y^2
-        grad_out.zip_map(y, |g, y| g * (1.0 - y * y))
+        grad_out.zip_map(&y, |g, y| g * (1.0 - y * y))
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -18,9 +18,9 @@ pub struct BatchNorm2d {
     running_var: Param,
     eps: f32,
     momentum: f32,
-    // Caches for backward (train-mode forward only).
-    cached_xhat: Option<Tensor>,
-    cached_std_inv: Option<Tensor>,
+    // Normalised activations and per-channel inverse std of the last
+    // train-mode forward, consumed by backward.
+    cached: Option<(Tensor, Tensor)>,
 }
 
 impl BatchNorm2d {
@@ -34,8 +34,7 @@ impl BatchNorm2d {
             running_var: Param::frozen("running_var", Tensor::ones([channels])),
             eps: 1e-5,
             momentum: 0.1,
-            cached_xhat: None,
-            cached_std_inv: None,
+            cached: None,
         }
     }
 
@@ -128,8 +127,7 @@ impl Layer for BatchNorm2d {
                         }
                     }
                 }
-                self.cached_xhat = Some(xhat);
-                self.cached_std_inv = Some(std_inv);
+                self.cached = Some((xhat, std_inv));
                 out
             }
             Mode::Eval => {
@@ -140,13 +138,11 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let xhat = self
-            .cached_xhat
-            .as_ref()
+        let (xhat, std_inv) = self
+            .cached
+            .take()
             // bdlfi-lint: allow(BD010) -- train-mode contract: Trainer::fit always runs forward before backward; the message names the missing cache
             .expect("batchnorm backward before train-mode forward");
-        // bdlfi-lint: allow(BD010) -- same forward-first contract as the line above, for the batch statistics cache
-        let std_inv = self.cached_std_inv.as_ref().unwrap();
         let (n, c, h, w) = (xhat.dim(0), xhat.dim(1), xhat.dim(2), xhat.dim(3));
         let plane = h * w;
         let count = (n * plane) as f32;

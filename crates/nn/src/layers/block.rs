@@ -20,7 +20,6 @@ pub struct BasicBlock {
     bn2: BatchNorm2d,
     relu2: Relu,
     downsample: Option<(Conv2d, BatchNorm2d)>,
-    cached_shortcut_identity: bool,
 }
 
 impl std::fmt::Debug for BasicBlock {
@@ -60,7 +59,6 @@ impl BasicBlock {
             bn2: BatchNorm2d::new(out_c),
             relu2: Relu::new(),
             downsample,
-            cached_shortcut_identity: true,
         }
     }
 
@@ -117,14 +115,10 @@ impl Layer for BasicBlock {
 
         let shortcut = match self.downsample.as_mut() {
             Some((conv, bn)) => {
-                self.cached_shortcut_identity = false;
                 let s = Self::run_child(conv, "down_conv", input, ctx);
                 Self::run_child(bn, "down_bn", &s, ctx)
             }
-            None => {
-                self.cached_shortcut_identity = true;
-                input.clone()
-            }
+            None => input.clone(),
         };
 
         let sum = z.add_t(&shortcut);

@@ -93,10 +93,10 @@ impl Layer for Conv2d {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self
             .cached_input
-            .as_ref()
+            .take()
             // bdlfi-lint: allow(BD010) -- train-mode contract: Trainer::fit always runs forward before backward; the message names the missing cache
             .expect("conv2d backward before train-mode forward");
-        let (gi, gw, gb) = conv2d_backward(input, &self.weight.value, grad_out, self.spec);
+        let (gi, gw, gb) = conv2d_backward(&input, &self.weight.value, grad_out, self.spec);
         self.weight.grad.add_assign_t(&gw);
         if let Some(b) = self.bias.as_mut() {
             b.grad.add_assign_t(&gb);

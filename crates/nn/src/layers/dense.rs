@@ -132,7 +132,7 @@ impl Layer for Dense {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self
             .cached_input
-            .as_ref()
+            .take()
             // bdlfi-lint: allow(BD010) -- train-mode contract: Trainer::fit always runs forward before backward; the message names the missing cache
             .expect("dense backward before train-mode forward");
         // dW += xᵀ · dY ; db += column sums of dY ; dX = dY · Wᵀ

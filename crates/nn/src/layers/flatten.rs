@@ -37,10 +37,10 @@ impl Layer for Flatten {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let dims = self
             .cached_input_dims
-            .as_ref()
+            .take()
             // bdlfi-lint: allow(BD010) -- train-mode contract: Trainer::fit always runs forward before backward; the message names the missing cache
             .expect("flatten backward before train-mode forward");
-        grad_out.reshape(dims.clone())
+        grad_out.reshape(dims)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -9,18 +9,15 @@ use bdlfi_tensor::{
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     spec: Pool2dSpec,
-    cached_argmax: Option<Vec<usize>>,
-    cached_input_dims: Option<Vec<usize>>,
+    // Argmax indices and input dims of the last train-mode forward,
+    // consumed by backward.
+    cached: Option<(Vec<usize>, Vec<usize>)>,
 }
 
 impl MaxPool2d {
     /// Creates a max-pool layer with the given window geometry.
     pub fn new(spec: Pool2dSpec) -> Self {
-        MaxPool2d {
-            spec,
-            cached_argmax: None,
-            cached_input_dims: None,
-        }
+        MaxPool2d { spec, cached: None }
     }
 
     /// The pooling geometry.
@@ -37,21 +34,18 @@ impl Layer for MaxPool2d {
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
         let (out, argmax) = maxpool2d(input, self.spec);
         if ctx.mode() == Mode::Train {
-            self.cached_argmax = Some(argmax);
-            self.cached_input_dims = Some(input.dims().to_vec());
+            self.cached = Some((argmax, input.dims().to_vec()));
         }
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let argmax = self
-            .cached_argmax
-            .as_ref()
+        let (argmax, dims) = self
+            .cached
+            .take()
             // bdlfi-lint: allow(BD010) -- train-mode contract: Trainer::fit always runs forward before backward; the message names the missing cache
             .expect("maxpool backward before train-mode forward");
-        // bdlfi-lint: allow(BD010) -- same forward-first contract as the line above, for the argmax cache
-        let dims = self.cached_input_dims.as_ref().unwrap();
-        maxpool2d_backward(grad_out, argmax, dims)
+        maxpool2d_backward(grad_out, &argmax, &dims)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -89,10 +83,10 @@ impl Layer for GlobalAvgPool {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let dims = self
             .cached_input_dims
-            .as_ref()
+            .take()
             // bdlfi-lint: allow(BD010) -- train-mode contract: Trainer::fit always runs forward before backward; the message names the missing cache
             .expect("global_avg_pool backward before train-mode forward");
-        global_avg_pool_backward(grad_out, dims)
+        global_avg_pool_backward(grad_out, &dims)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -32,10 +32,10 @@ impl Layer for Relu {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mask = self
             .mask
-            .as_ref()
+            .take()
             // bdlfi-lint: allow(BD010) -- train-mode contract: Trainer::fit always runs forward before backward; the message names the missing cache
             .expect("relu backward before train-mode forward");
-        grad_out.mul_t(mask)
+        grad_out.mul_t(&mask)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

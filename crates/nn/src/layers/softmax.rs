@@ -40,20 +40,19 @@ impl Layer for Softmax {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         // dL/dx_i = y_i * (g_i - sum_j g_j y_j) per row.
-        let y = self
+        let mut grad_in = self
             .cached_output
-            .as_ref()
+            .take()
             // bdlfi-lint: allow(BD010) -- train-mode contract: Trainer::fit always runs forward before backward; the message names the missing cache
             .expect("softmax backward before train-mode forward");
-        let (n, k) = (y.dim(0), y.dim(1));
-        let mut grad_in = y.clone();
-        for i in 0..n {
-            let yr = y.row(i);
+        // The cached output becomes the input gradient row by row: each
+        // row's dot product is taken before the row is overwritten.
+        for i in 0..grad_in.dim(0) {
             let gr = grad_out.row(i);
+            let yr = grad_in.row_mut(i);
             let dot: f32 = yr.iter().zip(gr.iter()).map(|(a, b)| a * b).sum();
-            let out = grad_in.row_mut(i);
-            for j in 0..k {
-                out[j] = yr[j] * (gr[j] - dot);
+            for (y, &g) in yr.iter_mut().zip(gr.iter()) {
+                *y *= g - dot;
             }
         }
         grad_in
