@@ -46,7 +46,12 @@ pub struct BadRequest(pub String);
 ///
 /// [`BadRequest`] on oversized, truncated, or malformed input (including
 /// I/O errors and read timeouts mid-request — from the daemon's view a
-/// half-sent request is a bad request).
+/// half-sent request is a bad request), and on any request whose body
+/// length is ambiguous: one carrying `Transfer-Encoding`, two
+/// `Content-Length` headers that disagree, or a header name with
+/// whitespace around it (`Content-Length : 5`, a folded line). The
+/// caller must close the connection after an error, since the rest of the
+/// stream cannot be framed.
 pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, BadRequest> {
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
@@ -80,22 +85,45 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, BadReques
         .ok_or_else(|| BadRequest("missing request target".to_string()))?;
     let path = target.split('?').next().unwrap_or(target).to_string();
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut close = false;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
+        if name.trim() != name {
+            // RFC 7230 §3.2.4: whitespace before the colon (or a folded
+            // line) must draw a 400, since servers that disagree on
+            // whether such a header counts can be fed a smuggled request.
+            return Err(BadRequest(format!(
+                "whitespace around header name {name:?}"
+            )));
+        }
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            // Bodies are framed by Content-Length only. Reading a chunked
+            // body as an empty one would leave its chunks on the
+            // connection, to be parsed as the next request.
+            return Err(BadRequest(
+                "Transfer-Encoding is not supported; send Content-Length".to_string(),
+            ));
+        }
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
+            let len = value
                 .parse::<usize>()
-                .map_err(|_| BadRequest("bad content-length".to_string()))?;
+                .ok()
+                .filter(|_| value.bytes().all(|b| b.is_ascii_digit()))
+                .ok_or_else(|| BadRequest("bad content-length".to_string()))?;
+            if content_length.is_some_and(|seen| seen != len) {
+                return Err(BadRequest("conflicting content-length headers".to_string()));
+            }
+            content_length = Some(len);
         }
         if name.eq_ignore_ascii_case("connection") {
-            close = value.trim().eq_ignore_ascii_case("close");
+            close = value.eq_ignore_ascii_case("close");
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY {
         return Err(BadRequest(format!(
             "body of {content_length} bytes exceeds the {MAX_BODY} byte limit"
@@ -226,5 +254,110 @@ impl<'s> ChunkedWriter<'s> {
     pub fn finish(self) -> std::io::Result<()> {
         self.stream.write_all(b"0\r\n\r\n")?;
         self.stream.flush()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{Shutdown, TcpListener};
+    use std::time::Duration;
+
+    /// Sends `bytes` from a client socket that then hangs up, and returns
+    /// the accepted server end to read requests from.
+    fn serve(bytes: &[u8]) -> TcpStream {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        client.write_all(bytes).unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        server
+    }
+
+    fn error_of(stream: &mut TcpStream) -> String {
+        match read_request(stream) {
+            Err(BadRequest(msg)) => msg,
+            Ok(req) => panic!("expected a bad request, read {req:?}"),
+        }
+    }
+
+    #[test]
+    fn chunked_request_is_one_error_not_two_requests() {
+        let mut s = serve(
+            b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        );
+        assert!(error_of(&mut s).contains("Transfer-Encoding"));
+        // The chunk bytes are still unread, and a caller that closes on
+        // error never parses them.
+        let mut rest = Vec::new();
+        s.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest, b"5\r\nhello\r\n0\r\n\r\n");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        let mut s =
+            serve(b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc");
+        assert!(error_of(&mut s).contains("conflicting"));
+        // Repeating the same length is unambiguous and accepted.
+        let mut s =
+            serve(b"POST /jobs HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc");
+        let req = read_request(&mut s).unwrap().unwrap();
+        assert_eq!(req.body, b"abc");
+        let mut s = serve(b"POST /jobs HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc");
+        assert!(error_of(&mut s).contains("bad content-length"));
+        // A name with whitespace before the colon, or a folded line, is
+        // neither read nor ignored.
+        for head in [
+            &b"POST /jobs HTTP/1.1\r\nContent-Length : 3\r\n\r\nabc"[..],
+            b"POST /jobs HTTP/1.1\r\nTransfer-Encoding\t: chunked\r\n\r\nabc",
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\n Content-Length: 3\r\n\r\nabc",
+        ] {
+            let mut s = serve(head);
+            assert!(error_of(&mut s).contains("whitespace around header name"));
+        }
+    }
+
+    #[test]
+    fn head_over_the_limit_is_rejected() {
+        let mut head = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+        head.resize(MAX_HEAD + 16, b'a');
+        let mut s = serve(&head);
+        assert!(error_of(&mut s).contains("head too large"));
+    }
+
+    #[test]
+    fn body_over_the_limit_is_rejected_before_it_is_read() {
+        let head = format!(
+            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        let mut s = serve(head.as_bytes());
+        assert!(error_of(&mut s).contains("exceeds"));
+    }
+
+    #[test]
+    fn truncated_body_is_rejected() {
+        let mut s = serve(b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc");
+        assert!(error_of(&mut s).contains("truncated body"));
+    }
+
+    #[test]
+    fn clean_eof_between_keep_alive_requests_ends_the_connection() {
+        let mut s = serve(
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        );
+        let first = read_request(&mut s).unwrap().unwrap();
+        assert_eq!(
+            (first.method.as_str(), first.path.as_str()),
+            ("POST", "/jobs")
+        );
+        assert_eq!((first.body.as_slice(), first.close), (&b"{}"[..], false));
+        let second = read_request(&mut s).unwrap().unwrap();
+        assert_eq!((second.path.as_str(), second.close), ("/healthz", true));
+        assert!(read_request(&mut s).unwrap().is_none());
     }
 }

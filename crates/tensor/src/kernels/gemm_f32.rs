@@ -11,17 +11,20 @@
 //! in [`super`] may therefore pick any variant per shape without changing
 //! a single output bit; `tests::variants_are_bit_identical` proves it.
 //!
-//! The packed variants share the GEBP decomposition of the original
-//! blocked kernel: `A` packed into [`MR`]-row micro-panels, `B` into
-//! [`NR`]-column micro-panels, an `MR × NR` register-resident accumulator
-//! tile. The oracle for approximate correctness is
-//! [`gemm_f32_reference`], a straight f64-accumulating triple loop.
+//! The packed variants share one GEBP driver (`blocked`): `A` packed once
+//! per call into [`MR`]-row micro-panels (`PackedA`), `B` packed per cache
+//! block into [`NR`]-column micro-panels, an `MR × NR` register-resident
+//! accumulator tile. The driver takes its `B` panels from a
+//! `PanelSource`: a plain GEMM packs them from a strided matrix, while a
+//! convolution packs them straight from the input image (`ops::conv`), so
+//! no im2col matrix is ever built for it. The
+//! oracle for approximate correctness is [`gemm_f32_reference`], a
+//! straight f64-accumulating triple loop.
 
 use super::{Selection, Tile, Variant, KC, MR, NR};
-use crate::scratch;
+use crate::scratch::{self, ScratchBuf};
 
-/// Runs the selected variant. Dimensions must be non-zero (the public
-/// entry point in `ops::gemm` early-outs empty products).
+/// Runs the selected variant; an empty product leaves `c` untouched.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     sel: Selection,
@@ -34,13 +37,16 @@ pub(crate) fn run(
     b_str: (usize, usize),
     c: &mut [f32],
 ) {
-    // f32 bit-identity pins the reduction split; a table row that varied
-    // `kc` would silently change results between shape classes.
-    assert_eq!(sel.tile.kc, KC, "f32 kernels require the pinned KC block");
-    match sel.variant {
-        Variant::Scalar => scalar(m, n, k, a, a_str, b, b_str, c),
-        Variant::Autovec => blocked(Micro::Autovec, sel.tile, m, n, k, a, a_str, b, b_str, c),
-        Variant::Avx2 => blocked(Micro::Avx2, sel.tile, m, n, k, a, a_str, b, b_str, c),
+    match Micro::of(sel.variant) {
+        None => scalar(m, n, k, a, a_str, b, b_str, c),
+        Some(micro) => {
+            let b = Strided {
+                data: b,
+                rs: b_str.0,
+                cs: b_str.1,
+            };
+            blocked(micro, sel.tile, n, &PackedA::new(m, k, a, a_str), &b, c);
+        }
     }
 }
 
@@ -117,46 +123,152 @@ fn scalar(
 
 /// Which micro-kernel the packed driver runs per register tile.
 #[derive(Clone, Copy)]
-enum Micro {
+pub(crate) enum Micro {
     Autovec,
     Avx2,
 }
 
-/// Packed GEBP driver shared by the autovec and AVX2 variants; only the
-/// inner register-tile kernel differs.
-#[allow(clippy::too_many_arguments)]
-fn blocked(
+impl Micro {
+    /// The micro-kernel of a packed variant; `None` for [`Variant::Scalar`],
+    /// which never packs.
+    pub(crate) fn of(variant: Variant) -> Option<Micro> {
+        match variant {
+            Variant::Scalar => None,
+            Variant::Autovec => Some(Micro::Autovec),
+            Variant::Avx2 => Some(Micro::Avx2),
+        }
+    }
+}
+
+/// Where the packed driver takes its `B` micro-panels from.
+pub(crate) trait PanelSource {
+    /// Packs the `kc × nc` block of `B'` whose top-left element is
+    /// `(row0, col0)` into `NR`-column micro-panels, k-major within each
+    /// panel: row `l` of panel `p` is `dst[p·kc·NR + l·NR..][..NR]`.
+    /// Columns past `nc` are written as `0.0`. Every float of the
+    /// `nc.div_ceil(NR)` panels is written, because the driver reuses
+    /// `dst` across blocks.
+    fn pack(&self, dst: &mut [f32], row0: usize, kc: usize, col0: usize, nc: usize);
+}
+
+/// A strided `B'` operand, `B'(l, j) = data[l·rs + j·cs]`: the panel
+/// source of a plain GEMM.
+struct Strided<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl PanelSource for Strided<'_> {
+    fn pack(&self, dst: &mut [f32], row0: usize, kc: usize, col0: usize, nc: usize) {
+        for (p, panel) in dst.chunks_mut(kc * NR).take(nc.div_ceil(NR)).enumerate() {
+            let (j0, cols) = (col0 + p * NR, NR.min(nc - p * NR));
+            for (l, row) in panel.chunks_exact_mut(NR).enumerate() {
+                let base = (row0 + l) * self.rs + j0 * self.cs;
+                let (data, pad) = row.split_at_mut(cols);
+                if self.cs == 1 {
+                    data.copy_from_slice(&self.data[base..base + cols]);
+                } else {
+                    for (q, x) in data.iter_mut().enumerate() {
+                        *x = self.data[base + q * self.cs];
+                    }
+                }
+                pad.fill(0.0);
+            }
+        }
+    }
+}
+
+/// `A'` packed whole, once, into the `MR`-row micro-panels the driver
+/// reads, so several products against the same `A'` (a convolution's
+/// images) share one pack. The `KC` block starting at column `lc` holds
+/// `⌈m/MR⌉` panels of `kc × MR` floats from offset `lc·⌈m/MR⌉·MR`, k-major
+/// within each panel; rows past `m` are zero-padded so the micro-kernel
+/// never branches on the row count.
+pub(crate) struct PackedA {
+    buf: ScratchBuf,
+    m: usize,
+    k: usize,
+}
+
+impl PackedA {
+    /// Packs the `m × k` operand `A'(i, l) = a[i·a_rs + l·a_cs]`.
+    pub(crate) fn new(m: usize, k: usize, a: &[f32], (a_rs, a_cs): (usize, usize)) -> PackedA {
+        let rows = m.div_ceil(MR) * MR;
+        let mut buf = scratch::take(rows * k);
+        for lc in (0..k).step_by(KC) {
+            let kc = KC.min(k - lc);
+            let block = &mut buf[lc * rows..(lc + kc) * rows];
+            for (p, panel) in block.chunks_exact_mut(kc * MR).enumerate() {
+                for r in 0..MR {
+                    let i = p * MR + r;
+                    if i >= m {
+                        // `take` hands out zeroed storage: the padding rows
+                        // are already 0.0.
+                        break;
+                    }
+                    let base = i * a_rs + lc * a_cs;
+                    let dst = panel.iter_mut().skip(r).step_by(MR);
+                    if a_cs == 1 {
+                        for (x, &v) in dst.zip(&a[base..base + kc]) {
+                            *x = v;
+                        }
+                    } else {
+                        for (l, x) in dst.enumerate() {
+                            *x = a[base + l * a_cs];
+                        }
+                    }
+                }
+            }
+        }
+        PackedA { buf, m, k }
+    }
+
+    /// The panels of the `KC` block at column `lc` (width `kc`), from row
+    /// `row0` on; `row0` is a multiple of `MR`.
+    fn panels(&self, lc: usize, kc: usize, row0: usize) -> &[f32] {
+        let rows = self.m.div_ceil(MR) * MR;
+        &self.buf[lc * rows + (row0 / MR) * kc * MR..(lc + kc) * rows]
+    }
+}
+
+/// The packed GEBP driver of the autovec and AVX2 variants: `C += A'·B'`
+/// for a packed `A'` (`m × k`) and `B'` (`k × n`) taken block by block
+/// from `b`, into row-major `C` (`m × n`). Only the inner register-tile
+/// kernel differs between the variants.
+pub(crate) fn blocked(
     micro: Micro,
     tile: Tile,
-    m: usize,
     n: usize,
-    k: usize,
-    a: &[f32],
-    (a_rs, a_cs): (usize, usize),
-    b: &[f32],
-    (b_rs, b_cs): (usize, usize),
+    a: &PackedA,
+    b: &impl PanelSource,
     c: &mut [f32],
 ) {
+    // f32 bit-identity pins the reduction split; a table row that varied
+    // `kc` would silently change results between shape classes.
+    assert_eq!(tile.kc, KC, "f32 kernels require the pinned KC block");
+    let (m, k) = (a.m, a.k);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    // Blocks are clamped to the actual shape before sizing the pooled pack
-    // buffers: `take` zero-fills what it hands out, and a full-tile buffer
-    // for a small GEMM costs more in memset than the product itself. The
-    // clamp cannot change results — it only shrinks the scratch area, never
-    // the KC reduction split the bit-identity contract pins.
-    let (kc_blk, mc_blk, nc_blk) = (tile.kc.min(k), tile.mc.min(m), tile.nc.min(n));
-    let mut apack = scratch::take(mc_blk.div_ceil(MR) * MR * kc_blk);
-    let mut bpack = scratch::take(nc_blk.div_ceil(NR) * NR * kc_blk);
+    // The B block is clamped to the actual shape before sizing the pooled
+    // pack buffer: `take` zero-fills what it hands out, and a full-tile
+    // buffer for a small GEMM costs more in memset than the product
+    // itself. MC blocks start on panel boundaries. Neither choice can
+    // change results: both only partition independent output elements,
+    // never the KC reduction split the bit-identity contract pins.
+    let nc_blk = tile.nc.min(n);
+    let mc_blk = tile.mc.next_multiple_of(MR);
+    let mut bpack = scratch::take(nc_blk.div_ceil(NR) * NR * KC.min(k));
 
-    for lc in (0..k).step_by(kc_blk) {
-        let kc = kc_blk.min(k - lc);
+    for lc in (0..k).step_by(KC) {
+        let kc = KC.min(k - lc);
         for jc in (0..n).step_by(nc_blk) {
             let nc = nc_blk.min(n - jc);
-            pack_b(&mut bpack, b, b_rs, b_cs, lc, kc, jc, nc);
+            b.pack(&mut bpack, lc, kc, jc, nc);
             for ic in (0..m).step_by(mc_blk) {
                 let mc = mc_blk.min(m - ic);
-                pack_a(&mut apack, a, a_rs, a_cs, ic, mc, lc, kc);
+                let apack = a.panels(lc, kc, ic);
                 for jr in (0..nc).step_by(NR) {
                     let nr = NR.min(nc - jr);
                     let bp = &bpack[(jr / NR) * kc * NR..][..kc * NR];
@@ -171,61 +283,6 @@ fn blocked(
                         }
                     }
                 }
-            }
-        }
-    }
-}
-
-/// Packs an `mc × kc` block of `A'` into `MR`-row micro-panels, k-major
-/// within each panel. Rows past `mc` are zero-padded so the micro-kernel
-/// never branches on the row count.
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
-    dst: &mut [f32],
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    row0: usize,
-    mc: usize,
-    col0: usize,
-    kc: usize,
-) {
-    for (p, panel) in dst.chunks_mut(kc * MR).take(mc.div_ceil(MR)).enumerate() {
-        for l in 0..kc {
-            for r in 0..MR {
-                let i = p * MR + r;
-                panel[l * MR + r] = if i < mc {
-                    a[(row0 + i) * a_rs + (col0 + l) * a_cs]
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-}
-
-/// Packs a `kc × nc` block of `B'` into `NR`-column micro-panels, k-major
-/// within each panel, zero-padding columns past `nc`.
-#[allow(clippy::too_many_arguments)]
-fn pack_b(
-    dst: &mut [f32],
-    b: &[f32],
-    b_rs: usize,
-    b_cs: usize,
-    row0: usize,
-    kc: usize,
-    col0: usize,
-    nc: usize,
-) {
-    for (p, panel) in dst.chunks_mut(kc * NR).take(nc.div_ceil(NR)).enumerate() {
-        for l in 0..kc {
-            for q in 0..NR {
-                let j = p * NR + q;
-                panel[l * NR + q] = if j < nc {
-                    b[(row0 + l) * b_rs + (col0 + j) * b_cs]
-                } else {
-                    0.0
-                };
             }
         }
     }

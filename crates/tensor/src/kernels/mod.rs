@@ -138,8 +138,9 @@ pub enum ShapeClass {
     Gemv,
     /// `m·n·k` below the packing break-even point.
     Tiny,
-    /// Wide output (`n ≥ 256`): conv im2col and large batch layers; a
-    /// larger `B` panel amortises each `A` pack.
+    /// Wide output (`n ≥ 256`): convolutions, whose `B` panels are
+    /// packed straight from the image, and large batch layers; a larger
+    /// `B` block means fewer passes over the packed `A`.
     Wide,
     /// Everything else: the blocked default.
     Blocked,

@@ -13,7 +13,8 @@
 //! * element-wise arithmetic and broadcasts ([`ops::elementwise`]);
 //! * cache-friendly matrix multiplication in the three transpose variants
 //!   backpropagation needs ([`ops::matmul`]);
-//! * im2col convolution with exact gradients ([`ops::conv`]);
+//! * convolution as an im2col GEMM, its forward packing image pixels
+//!   straight into GEMM panels, with exact gradients ([`ops::conv`]);
 //! * max / global-average pooling ([`ops::pool`]);
 //! * reductions and argmax ([`ops::reduce`]);
 //! * fault-tolerant softmax ([`ops::softmax`]) that keeps campaign statistics

@@ -1,16 +1,30 @@
-//! 2-D convolution via im2col + matrix multiplication, with the full
+//! 2-D convolution as a GEMM over the im2col matrix, with the full
 //! backward pass needed for training (ResNet-18 substrate).
 //!
 //! All image tensors are NCHW (batch, channels, height, width); weights are
 //! `(out_channels, in_channels, kh, kw)`.
 //!
-//! The forward and backward loops are allocation-free on the steady state:
-//! im2col matrices and matmul temporaries live in [`crate::scratch`]
-//! buffers that are recycled across images and across calls, and the
-//! blocked GEMM ([`super::gemm`]) writes straight into the output (or
-//! accumulates straight into the gradient) instead of materialising
-//! per-image product tensors.
+//! Each image's output is `W_mat · cols`, the `(oc, c·kh·kw)` weight matrix
+//! times the image's im2col matrix. The packed forward never builds that
+//! matrix: [`ImagePanels`] packs each image's receptive fields straight
+//! into the `KC × NR` panels the GEMM micro-kernel reads, writing padding
+//! positions as `0.0`, and the weights are packed once per call for the
+//! whole batch. The micro-kernel therefore sees the same panels and sums
+//! in the same order as it would over a materialised im2col matrix, so the
+//! output bits do not change. The scalar kernel variant never packs: it
+//! runs over a materialised im2col matrix and is the reference the packed
+//! forward is pinned against. The backward pass materialises im2col and
+//! folds gradients back with col2im.
+//!
+//! The forward and backward loops are allocation-free on the steady state
+//! apart from their output tensors: im2col matrices, packed panels and
+//! matmul temporaries live in [`crate::scratch`] buffers that are recycled
+//! across images and across calls, and the GEMM writes straight into the
+//! output (or accumulates straight into the gradient) instead of
+//! materialising per-image product tensors.
 
+use crate::kernels::gemm_f32::{self, Micro, PackedA, PanelSource};
+use crate::kernels::{self, Selection, NR};
 use crate::ops::gemm::gemm_strided;
 use crate::scratch;
 use crate::tensor::Tensor;
@@ -179,6 +193,97 @@ fn col2im_into(src: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec, dst:
     }
 }
 
+/// One CHW image read as its im2col matrix `B'`, packed straight into the
+/// GEMM's micro-panels. `B'(l, q)` is the pixel under kernel tap
+/// `l = (ch, ki, kj)` at output position `q = (oi, oj)`, or `0.0` where
+/// the tap falls in the padding. Padding is multiplied, not skipped: a
+/// faulted weight can be ±inf or NaN, and `0.0 · inf = NaN` is part of the
+/// output bits.
+struct ImagePanels<'a> {
+    src: &'a [f32],
+    h: usize,
+    w: usize,
+    ow: usize,
+    spec: Conv2dSpec,
+}
+
+impl ImagePanels<'_> {
+    /// Writes `B'(l, q)` for tap `(ch, ki, kj)` and the positions
+    /// `q = (oi, oj), (oi, oj + 1), …` into `out`, one output-row run at a
+    /// time.
+    fn fill(
+        &self,
+        mut out: &mut [f32],
+        (ch, ki, kj): (usize, usize, usize),
+        (oi, oj): (usize, usize),
+    ) {
+        let (sh, sw) = self.spec.stride;
+        let (ph, pw) = self.spec.padding;
+        let (mut oi, mut oj) = (oi, oj);
+        while !out.is_empty() {
+            let len = out.len().min(self.ow - oj);
+            let (run, rest) = std::mem::take(&mut out).split_at_mut(len);
+            out = rest;
+            // Tap position in padded coordinates; the image starts at
+            // (ph, pw).
+            let (si, sj) = (oi * sh + ki, oj * sw + kj);
+            oi += 1;
+            oj = 0;
+            if si < ph || si - ph >= self.h {
+                run.fill(0.0);
+                continue;
+            }
+            let row = &self.src[(ch * self.h + si - ph) * self.w..][..self.w];
+            if sw == 1 {
+                // Output positions lo..hi of the run read image columns
+                // sj + lo - pw ..; the rest fall in the padding. A run that
+                // lies wholly in the padding has lo == hi.
+                let lo = pw.saturating_sub(sj).min(run.len());
+                let hi = (pw + self.w).saturating_sub(sj).min(run.len());
+                run[..lo].fill(0.0);
+                if lo < hi {
+                    run[lo..hi].copy_from_slice(&row[sj + lo - pw..sj + hi - pw]);
+                }
+                run[hi..].fill(0.0);
+            } else {
+                for (t, x) in run.iter_mut().enumerate() {
+                    let col = sj + t * sw;
+                    *x = if col >= pw && col - pw < self.w {
+                        row[col - pw]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+    }
+}
+
+impl PanelSource for ImagePanels<'_> {
+    fn pack(&self, dst: &mut [f32], row0: usize, kc: usize, col0: usize, nc: usize) {
+        let (kh, kw) = self.spec.kernel;
+        for (p, panel) in dst.chunks_mut(kc * NR).take(nc.div_ceil(NR)).enumerate() {
+            let (j0, cols) = (col0 + p * NR, NR.min(nc - p * NR));
+            let (oi, oj) = (j0 / self.ow, j0 % self.ow);
+            let (mut ch, mut ki, mut kj) = (row0 / (kh * kw), (row0 / kw) % kh, row0 % kw);
+            for row in panel.chunks_exact_mut(NR) {
+                let (data, pad) = row.split_at_mut(cols);
+                self.fill(data, (ch, ki, kj), (oi, oj));
+                pad.fill(0.0);
+                kj += 1;
+                if kj == kw {
+                    kj = 0;
+                    ki += 1;
+                    if ki == kh {
+                        ki = 0;
+                        ch += 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Batched 2-D convolution forward pass.
 ///
 /// `input` is `(n, c, h, w)`, `weight` is `(oc, c, kh, kw)`, optional `bias`
@@ -188,6 +293,18 @@ fn col2im_into(src: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec, dst:
 ///
 /// Panics on rank or dimension mismatches.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Tensor {
+    conv2d_with(kernels::select_f32, input, weight, bias, spec)
+}
+
+/// [`conv2d`] with the kernel chosen by `select(m, n, k)` for the per-image
+/// `(oc, oh·ow, c·kh·kw)` GEMM shape.
+fn conv2d_with(
+    select: impl FnOnce(usize, usize, usize) -> Selection,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+) -> Tensor {
     assert_eq!(input.rank(), 4, "conv2d expects NCHW input");
     assert_eq!(weight.rank(), 4, "conv2d expects OIHW weights");
     let (n, c, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
@@ -211,26 +328,43 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv
     let chw = c * h * w;
     let wm = weight.data(); // (oc, kdim) viewed row-major
     let mut out = vec![0.0f32; n * oc * plane];
-    let mut cols = scratch::take(kdim * plane);
-
-    for img in 0..n {
-        im2col_into(
-            &input.data()[img * chw..(img + 1) * chw],
-            c,
-            h,
-            w,
-            spec,
-            &mut cols,
-        );
-        let dst = &mut out[img * oc * plane..(img + 1) * oc * plane];
-        // (oc, plane) = (oc, kdim) · (kdim, plane), written in place.
-        gemm_strided(oc, plane, kdim, wm, (kdim, 1), &cols, (plane, 1), dst);
+    let image = |img: usize| &input.data()[img * chw..(img + 1) * chw];
+    let add_bias = |dst: &mut [f32]| {
         if let Some(b) = bias {
-            for och in 0..oc {
-                let bv = b.data()[och];
-                for x in &mut dst[och * plane..(och + 1) * plane] {
-                    *x += bv;
-                }
+            for (chan, &bv) in dst.chunks_exact_mut(plane).zip(b.data()) {
+                chan.iter_mut().for_each(|x| *x += bv);
+            }
+        }
+    };
+    // (oc, plane) = (oc, kdim) · (kdim, plane) per image, written in place.
+    let sel = select(oc, plane, kdim);
+    match Micro::of(sel.variant) {
+        // The reference: a materialised im2col matrix, never packed.
+        None => {
+            let mut cols = scratch::take(kdim * plane);
+            for img in 0..n {
+                let dst = &mut out[img * oc * plane..(img + 1) * oc * plane];
+                im2col_into(image(img), c, h, w, spec, &mut cols);
+                gemm_f32::run(sel, oc, plane, kdim, wm, (kdim, 1), &cols, (plane, 1), dst);
+                add_bias(dst);
+            }
+        }
+        // The weights are packed once for the whole batch, each image
+        // straight into the B panels.
+        Some(micro) => {
+            let weights = PackedA::new(oc, kdim, wm, (kdim, 1));
+            for img in 0..n {
+                let dst = &mut out[img * oc * plane..(img + 1) * oc * plane];
+                let src = image(img);
+                let panels = ImagePanels {
+                    src,
+                    h,
+                    w,
+                    ow,
+                    spec,
+                };
+                gemm_f32::blocked(micro, sel.tile, plane, &weights, &panels, dst);
+                add_bias(dst);
             }
         }
     }
@@ -321,6 +455,7 @@ pub fn conv2d_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::Variant;
 
     #[test]
     fn output_geometry() {
@@ -446,6 +581,159 @@ mod tests {
                 "grad_bias[{idx}]: fd={fd}, analytic={}",
                 gb.data()[idx]
             );
+        }
+    }
+
+    /// Deterministic values in [-1, 1].
+    fn fill(len: usize, salt: u32) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                let x = (i as u32).wrapping_mul(2654435761).wrapping_add(salt);
+                (x % 2001) as f32 / 1000.0 - 1.0
+            })
+            .collect()
+    }
+
+    /// The forward as it ran before panels were packed from the image:
+    /// each image's materialised im2col matrix through `sel`'s GEMM, then
+    /// the bias.
+    fn im2col_forward(
+        sel: Selection,
+        input: &Tensor,
+        weight: &Tensor,
+        bias: &Tensor,
+        spec: Conv2dSpec,
+    ) -> Tensor {
+        let (n, c, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
+        let oc = weight.dim(0);
+        let kdim = weight.len() / oc;
+        let (oh, ow) = spec.output_hw(h, w);
+        let plane = oh * ow;
+        let mut out = vec![0.0f32; n * oc * plane];
+        for (image, dst) in input
+            .data()
+            .chunks_exact(c * h * w)
+            .zip(out.chunks_exact_mut(oc * plane))
+        {
+            let cols = im2col(&Tensor::from_vec(image.to_vec(), [c, h, w]), spec);
+            let wm = weight.data();
+            gemm_f32::run(
+                sel,
+                oc,
+                plane,
+                kdim,
+                wm,
+                (kdim, 1),
+                cols.data(),
+                (plane, 1),
+                dst,
+            );
+            for (chan, &bv) in dst.chunks_exact_mut(plane).zip(bias.data()) {
+                chan.iter_mut().for_each(|x| *x += bv);
+            }
+        }
+        Tensor::from_vec(out, [n, oc, oh, ow])
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// [`bits`] with every NaN mapped to one pattern.
+    fn bits_nan_as_one(t: &Tensor) -> Vec<u32> {
+        let nan = f32::NAN.to_bits();
+        let one = |x: &f32| if x.is_nan() { nan } else { x.to_bits() };
+        t.data().iter().map(one).collect()
+    }
+
+    #[test]
+    fn packed_forward_is_bitwise_im2col_plus_gemm() {
+        // (n, c, h, w, oc, kernel, stride, padding). Every kernel / stride /
+        // padding combination on output rows both narrower than NR and
+        // wider but not a multiple of it (panels span output rows), a 1x1
+        // case whose rows are all narrower than NR, and one shape with two
+        // NC blocks (plane 529 > 512), two KC blocks (c·kh·kw = 261 > 256)
+        // and two MC blocks (oc = 67 > 64, not a multiple of MR). Padding 2
+        // also makes runs that lie wholly in the right padding (the 5x5
+        // image's last, one-column panel) and one-column runs at the start
+        // of a row that lie wholly in the left padding (13x13, ow = 15).
+        let mut cases = vec![
+            (3, 3, 5, 7, 5, 1, 1, 0),
+            (3, 29, 23, 23, 67, 3, 1, 1),
+            (1, 8, 5, 5, 8, 3, 1, 2),
+            (3, 2, 13, 13, 5, 3, 1, 2),
+            (3, 3, 11, 11, 6, 5, 1, 2),
+            (3, 3, 11, 11, 6, 5, 2, 2),
+        ];
+        for kernel in [1, 3] {
+            for stride in [1, 2] {
+                for padding in [0, 1, 2] {
+                    cases.push((3, 3, 9, 19, 6, kernel, stride, padding));
+                }
+            }
+        }
+        for (n, c, h, w, oc, kernel, stride, padding) in cases {
+            let spec = Conv2dSpec::new(kernel)
+                .with_stride(stride)
+                .with_padding(padding);
+            let (oh, ow) = spec.output_hw(h, w);
+            let tile = kernels::select_f32(oc, oh * ow, c * kernel * kernel).tile;
+            let finite_in = fill(n * c * h * w, 1);
+            let finite_w = fill(oc * c * kernel * kernel, 2);
+            // Non-finite weights spread over taps, channels and outputs.
+            let mut bad_w = finite_w.clone();
+            for (i, v) in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN]
+                .into_iter()
+                .cycle()
+                .take(6)
+                .enumerate()
+            {
+                let at = (i * 7919 + 3) % bad_w.len();
+                bad_w[at] = v;
+            }
+            // Non-finite pixels on every image's border.
+            let mut bad_in = finite_in.clone();
+            for img in 0..n {
+                let base = (img * c + img % c) * h * w;
+                bad_in[base] = f32::INFINITY;
+                bad_in[base + w - 1] = f32::NAN;
+                bad_in[base + (h - 1) * w] = f32::NEG_INFINITY;
+                bad_in[base + h * w - 1 - w / 2] = f32::NAN;
+            }
+            let bias = Tensor::from_vec(fill(oc, 3), [oc]);
+            for (label, x, wt) in [
+                ("finite", &finite_in, &finite_w),
+                ("non-finite weights", &finite_in, &bad_w),
+                ("non-finite border pixels", &bad_in, &finite_w),
+            ] {
+                let input = Tensor::from_vec(x.clone(), [n, c, h, w]);
+                let weight = Tensor::from_vec(wt.clone(), [oc, c, kernel, kernel]);
+                let scalar = Selection {
+                    variant: Variant::Scalar,
+                    tile,
+                };
+                let reference = im2col_forward(scalar, &input, &weight, &bias, spec);
+                for variant in [Variant::Scalar, Variant::Autovec, Variant::Avx2] {
+                    let variant = if variant == Variant::Avx2 && !kernels::avx2_available() {
+                        Variant::Autovec
+                    } else {
+                        variant
+                    };
+                    let sel = Selection { variant, tile };
+                    let got = conv2d_with(|_, _, _| sel, &input, &weight, Some(&bias), spec);
+                    let at = format!(
+                        "{variant:?}, {label}: n{n} c{c} {h}x{w} oc{oc} k{kernel} s{stride} p{padding}"
+                    );
+                    // Every bit, NaN payloads included, equals the same
+                    // kernel run over a materialised im2col matrix.
+                    let same_kernel = im2col_forward(sel, &input, &weight, &bias, spec);
+                    assert_eq!(bits(&got), bits(&same_kernel), "{at}");
+                    // And every bit equals the scalar reference, except that
+                    // the kernels may disagree on which NaN a sum of two
+                    // different NaNs (say 0·inf and a NaN weight) keeps.
+                    assert_eq!(bits_nan_as_one(&got), bits_nan_as_one(&reference), "{at}");
+                }
+            }
         }
     }
 

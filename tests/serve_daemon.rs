@@ -413,3 +413,51 @@ fn bad_submissions_and_unknown_jobs_get_typed_http_errors() {
     assert_eq!(resp.status, 200);
     drop(handle);
 }
+
+#[test]
+fn chunked_submission_draws_one_400_and_a_closed_connection() {
+    use std::io::{Read, Write};
+    let scratch = Scratch::new("chunked");
+    let handle = start_daemon(scratch.path(), 1);
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let body = spec_json(&slow_spec(3));
+    let request = format!(
+        "POST /jobs HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{body}\r\n0\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(request.as_bytes()).unwrap();
+    // The daemon answers once and closes; it must neither start a job
+    // from an empty body nor parse the chunks as a second request. It
+    // closes with the chunks unread, so the end of its reply may arrive
+    // as a connection reset rather than as EOF.
+    let mut replies = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => replies.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("reading the reply: {e}"),
+        }
+    }
+    let replies = String::from_utf8_lossy(&replies);
+    assert_eq!(replies.matches("HTTP/1.1 ").count(), 1, "{replies}");
+    assert!(replies.starts_with("HTTP/1.1 400 "), "{replies}");
+    let resp = client::request(
+        &handle.addr().to_string(),
+        "GET",
+        "/jobs",
+        None,
+        Duration::from_secs(10),
+    )
+    .unwrap();
+    assert!(
+        !resp.body.contains("job-"),
+        "no job was created: {}",
+        resp.body
+    );
+    drop(handle);
+}
