@@ -18,7 +18,7 @@
 
 use crate::estimator::{estimate_proportion, ProportionEstimate};
 use bdlfi::checkpoint::journal_fingerprint;
-use bdlfi::engine::{CheckpointSpec, EngineError, EvalEngine, EvalSink, RunControl, RunMeta};
+use bdlfi::engine::{EngineError, EvalEngine, EvalSink, RunControl, RunMeta};
 use bdlfi::{FaultWorkload, GoldenModel};
 use bdlfi_data::Dataset;
 use bdlfi_faults::{BernoulliBitFlip, FaultConfig, FaultMask, SiteSpec};
@@ -122,41 +122,10 @@ impl EvalSink<(u8, bool, f64)> for Agg {
 /// complete 8-bit sweep). `by_bit` keeps its 32 rows; positions a
 /// representation does not have simply record zero injections.
 ///
-/// # Panics
-///
-/// Panics if the spec resolves to no parameter sites or the dataset is
-/// empty.
-pub fn run_exhaustive<N: GoldenModel>(
-    net: &N,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-) -> ExhaustiveResult {
-    run_exhaustive_with(net, eval, spec, 0)
-}
-
-/// [`run_exhaustive`] with an explicit engine worker count (0 = all
-/// available cores). The enumeration is deterministic, so the result is
-/// identical at every worker count.
-///
-/// # Panics
-///
-/// Panics if the spec resolves to no parameter sites or the dataset is
-/// empty.
-pub fn run_exhaustive_with<N: GoldenModel>(
-    net: &N,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-    workers: usize,
-) -> ExhaustiveResult {
-    match run_exhaustive_controlled(net, eval, spec, workers, &RunControl::default(), None) {
-        Ok(res) => res,
-        Err(e) => panic!("exhaustive study failed: {e}"),
-    }
-}
-
-/// [`run_exhaustive_with`] with cooperative cancellation and an optional
-/// checkpoint journal (one entry per `(element, bit)` injection, in
-/// enumeration order).
+/// `workers` is the engine worker count (0 = all available cores); the
+/// enumeration is deterministic, so the result is identical at every
+/// worker count. With a journal in `ctl`, each `(element, bit)` injection
+/// is one entry, in enumeration order.
 ///
 /// # Errors
 ///
@@ -165,14 +134,14 @@ pub fn run_exhaustive_with<N: GoldenModel>(
 ///
 /// # Panics
 ///
-/// Same preconditions as [`run_exhaustive_with`].
-pub fn run_exhaustive_controlled<N: GoldenModel>(
+/// Panics if the spec resolves to no parameter sites or the dataset is
+/// empty.
+pub fn run_exhaustive<N: GoldenModel>(
     net: &N,
     eval: &Arc<Dataset>,
     spec: &SiteSpec,
     workers: usize,
     ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
 ) -> Result<ExhaustiveResult, EngineError> {
     assert!(!eval.is_empty(), "evaluation set must not be empty");
     // Every injection is one explicit bit, so the bound fault model is
@@ -211,8 +180,7 @@ pub fn run_exhaustive_controlled<N: GoldenModel>(
         })
         .collect();
     let identity = (site_shape, golden_error);
-    let ckpt =
-        ckpt.map(|s| s.or_fingerprint(|| journal_fingerprint("exhaustive", namespace, &identity)));
+    let ctl = ctl.or_fingerprint(|| journal_fingerprint("exhaustive", namespace, &identity));
     let run_meta = engine.run_checkpointed(
         total_tasks,
         || workload.clone(),
@@ -239,8 +207,7 @@ pub fn run_exhaustive_controlled<N: GoldenModel>(
             Ok((bit, corrupted, error))
         },
         &mut agg,
-        ctl,
-        ckpt.as_ref(),
+        &ctl,
     )?;
 
     Ok(agg.into_result(golden_error, run_meta))
@@ -283,7 +250,10 @@ mod tests {
             &SiteSpec::LayerParams {
                 prefix: "fc1".into(),
             },
-        );
+            0,
+            &RunControl::new(),
+        )
+        .unwrap();
         assert_eq!(res.injections, 384);
         assert_eq!(res.by_bit.iter().map(|b| b.injections).sum::<u64>(), 384);
         for b in &res.by_bit {
@@ -296,7 +266,7 @@ mod tests {
     fn prefix_resume_matches_a_cold_enumeration() {
         let (mut model, eval) = tiny_trained();
         let spec = SiteSpec::AllParams;
-        let res = run_exhaustive(&model, &eval, &spec);
+        let res = run_exhaustive(&model, &eval, &spec, 0, &RunControl::new()).unwrap();
 
         // The same enumeration, every injection a cold full inference.
         let golden = predict_all(&mut model, eval.inputs(), 64).argmax_rows();
@@ -336,7 +306,8 @@ mod tests {
     #[test]
     fn exponent_bits_corrupt_more_than_low_mantissa() {
         let (model, eval) = tiny_trained();
-        let res = run_exhaustive(&model, &eval, &SiteSpec::AllParams);
+        let res =
+            run_exhaustive(&model, &eval, &SiteSpec::AllParams, 0, &RunControl::new()).unwrap();
         let sdc_rate = |bit: usize| {
             let b = &res.by_bit[bit];
             b.sdc as f64 / b.injections.max(1) as f64
@@ -358,15 +329,20 @@ mod tests {
         let spec = SiteSpec::LayerParams {
             prefix: "fc2".into(),
         };
-        let exact = run_exhaustive(&model, &eval, &spec);
+        let exact = run_exhaustive(&model, &eval, &spec, 0, &RunControl::new()).unwrap();
 
         let fi = RandomFi::new(model, eval, &spec);
-        let sampled = fi.run(&RandomFiConfig {
-            injections: 800,
-            seed: 4,
-            level: 0.95,
-            workers: 0,
-        });
+        let sampled = fi
+            .run(
+                &RandomFiConfig {
+                    injections: 800,
+                    seed: 4,
+                    level: 0.95,
+                    workers: 0,
+                },
+                &RunControl::new(),
+            )
+            .unwrap();
         assert!(
             (sampled.sdc.rate - exact.sdc.rate).abs() < 0.07,
             "sampled {} vs exact {}",
@@ -385,8 +361,8 @@ mod tests {
         let spec = SiteSpec::LayerParams {
             prefix: "fc2".into(),
         };
-        let serial = run_exhaustive_with(&model, &eval, &spec, 1);
-        let parallel = run_exhaustive_with(&model, &eval, &spec, 4);
+        let serial = run_exhaustive(&model, &eval, &spec, 1, &RunControl::new()).unwrap();
+        let parallel = run_exhaustive(&model, &eval, &spec, 4, &RunControl::new()).unwrap();
         assert_eq!(serial.injections, parallel.injections);
         assert_eq!(serial.sdc.successes, parallel.sdc.successes);
         assert_eq!(serial.mean_error, parallel.mean_error);
@@ -403,7 +379,14 @@ mod tests {
         let (model, eval) = tiny_trained();
         let qm = quantize_model(&model, eval.inputs(), &CalibConfig::default());
         // fc1.weight only: 2*4 int8 elements * 8 bits = 64 injections.
-        let res = run_exhaustive(&qm, &eval, &SiteSpec::Params(vec!["fc1.weight".into()]));
+        let res = run_exhaustive(
+            &qm,
+            &eval,
+            &SiteSpec::Params(vec!["fc1.weight".into()]),
+            0,
+            &RunControl::new(),
+        )
+        .unwrap();
         assert_eq!(res.injections, 64);
         for b in &res.by_bit[..8] {
             assert_eq!(b.injections, 8, "bit {} injections", b.bit);
@@ -423,11 +406,11 @@ mod tests {
         let spec = SiteSpec::LayerParams {
             prefix: "fc2".into(),
         };
-        let serial = run_exhaustive_with(&qm, &eval, &spec, 1);
+        let serial = run_exhaustive(&qm, &eval, &spec, 1, &RunControl::new()).unwrap();
         // fc2: 4*2 i8 weights * 8 + 2 i32 biases * 32 + 2 per-channel
         // w_scales * 32 + out_zp * 32 = 64 + 64 + 64 + 32 = 224 injections.
         assert_eq!(serial.injections, 224);
-        let parallel = run_exhaustive_with(&qm, &eval, &spec, 4);
+        let parallel = run_exhaustive(&qm, &eval, &spec, 4, &RunControl::new()).unwrap();
         assert_eq!(serial.sdc.successes, parallel.sdc.successes);
         assert_eq!(serial.mean_error, parallel.mean_error);
         for (a, b) in serial.by_bit.iter().zip(&parallel.by_bit) {
@@ -445,7 +428,10 @@ mod tests {
             &qm,
             &eval,
             &SiteSpec::Params(vec!["fc1.weight".into(), "fc2.weight".into()]),
-        );
+            0,
+            &RunControl::new(),
+        )
+        .unwrap();
         let sdc_rate = |bit: usize| {
             let b = &res.by_bit[bit];
             b.sdc as f64 / b.injections.max(1) as f64
@@ -466,7 +452,7 @@ mod tests {
         let spec = SiteSpec::LayerParams {
             prefix: "fc2".into(),
         };
-        let exact = run_exhaustive(&model, &eval, &spec);
+        let exact = run_exhaustive(&model, &eval, &spec, 0, &RunControl::new()).unwrap();
         let fi = RandomFi::new(model, eval, &spec);
         assert_eq!(exact.golden_error, fi.golden_error());
     }

@@ -8,7 +8,7 @@
 
 use crate::random_fi::{RandomFi, RandomFiConfig, RandomFiResult};
 use bdlfi::checkpoint::journal_fingerprint;
-use bdlfi::engine::{CheckpointSpec, CollectSink, EngineError, EvalEngine, RunControl, RunMeta};
+use bdlfi::engine::{CollectSink, EngineError, EvalEngine, RunControl, RunMeta};
 use bdlfi::stats::spearman;
 use bdlfi_bayes::seed_stream;
 use bdlfi_data::Dataset;
@@ -40,7 +40,13 @@ pub struct LayerFiStudy {
 }
 
 /// Runs one single-bit-flip campaign per layer with `cfg.injections`
-/// injections each.
+/// injections each. With a journal in `ctl`, each completed layer is one
+/// entry, in depth order.
+///
+/// # Errors
+///
+/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
+/// failures and those of the per-layer campaigns.
 ///
 /// # Panics
 ///
@@ -50,31 +56,7 @@ pub fn run_layer_fi(
     eval: &Arc<Dataset>,
     layers: &[&str],
     cfg: &RandomFiConfig,
-) -> LayerFiStudy {
-    match run_layer_fi_controlled(model, eval, layers, cfg, &RunControl::default(), None) {
-        Ok(study) => study,
-        Err(e) => panic!("per-layer FI study failed: {e}"),
-    }
-}
-
-/// [`run_layer_fi`] with cooperative cancellation and an optional
-/// checkpoint journal (one entry per completed layer, in depth order).
-///
-/// # Errors
-///
-/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
-/// failures.
-///
-/// # Panics
-///
-/// Same preconditions as [`run_layer_fi`].
-pub fn run_layer_fi_controlled(
-    model: &Sequential,
-    eval: &Arc<Dataset>,
-    layers: &[&str],
-    cfg: &RandomFiConfig,
     ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
 ) -> Result<LayerFiStudy, EngineError> {
     assert!(!layers.is_empty(), "study needs at least one layer");
     // Fan the per-layer campaigns out through the engine. Layer `depth`
@@ -82,8 +64,7 @@ pub fn run_layer_fi_controlled(
     // decorrelates layers without the collision risk of additive offsets.
     let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt =
-        ckpt.map(|s| s.or_fingerprint(|| journal_fingerprint("layer_fi", "", &(cfg, &names))));
+    let ctl = ctl.or_fingerprint(|| journal_fingerprint("layer_fi", "", &(cfg, &names)));
     let mut sink = CollectSink::new();
     let run_meta = engine.run_checkpointed(
         names.len(),
@@ -103,12 +84,11 @@ pub fn run_layer_fi_controlled(
             Ok(LayerFiResult {
                 depth,
                 layer,
-                result: fi.run(&layer_cfg),
+                result: fi.run(&layer_cfg, &RunControl::new())?,
             })
         },
         &mut sink,
-        ctl,
-        ckpt.as_ref(),
+        &ctl,
     )?;
     let layers = sink.into_inner();
 
@@ -160,7 +140,9 @@ mod tests {
                 level: 0.95,
                 workers: 0,
             },
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         assert_eq!(study.layers.len(), 3);
         for (i, l) in study.layers.iter().enumerate() {
             assert_eq!(l.depth, i);
@@ -185,7 +167,9 @@ mod tests {
                 level: 0.95,
                 workers: 0,
             },
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         let b = run_layer_fi(
             &model,
             &eval,
@@ -196,7 +180,9 @@ mod tests {
                 level: 0.95,
                 workers: 0,
             },
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         let rates =
             |s: &LayerFiStudy| -> Vec<f64> { s.layers.iter().map(|l| l.result.sdc.rate).collect() };
         // Not asserting instability (it is probabilistic), but the runs must
@@ -217,7 +203,9 @@ mod tests {
                 level: 0.95,
                 workers: 0,
             },
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         // Same model + same seed would give identical error sequences only
         // if the layers coincidentally behave identically; the decorrelated
         // seeds plus enough injections for at least one damaging flip make

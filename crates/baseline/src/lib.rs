@@ -13,6 +13,7 @@
 //! # Examples
 //!
 //! ```
+//! use bdlfi::RunControl;
 //! use bdlfi_baseline::{RandomFi, RandomFiConfig};
 //! use bdlfi_faults::SiteSpec;
 //! use rand::SeedableRng;
@@ -23,8 +24,10 @@
 //! let model = bdlfi_nn::mlp(2, &[8], 2, &mut rng);
 //!
 //! let fi = RandomFi::new(model, data, &SiteSpec::AllParams);
-//! let result = fi.run(&RandomFiConfig { injections: 20, seed: 1, level: 0.95, workers: 0 });
+//! let cfg = RandomFiConfig { injections: 20, seed: 1, level: 0.95, workers: 0 };
+//! let result = fi.run(&cfg, &RunControl::new())?;
 //! assert_eq!(result.injections, 20);
+//! # Ok::<(), bdlfi::EngineError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -35,9 +38,6 @@ mod layer_fi;
 mod random_fi;
 
 pub use estimator::{estimate_proportion, normal_quantile, ProportionEstimate};
-pub use exhaustive::{
-    run_exhaustive, run_exhaustive_controlled, run_exhaustive_with, BitPositionStats,
-    ExhaustiveResult,
-};
-pub use layer_fi::{run_layer_fi, run_layer_fi_controlled, LayerFiResult, LayerFiStudy};
+pub use exhaustive::{run_exhaustive, BitPositionStats, ExhaustiveResult};
+pub use layer_fi::{run_layer_fi, LayerFiResult, LayerFiStudy};
 pub use random_fi::{RandomFi, RandomFiConfig, RandomFiResult};

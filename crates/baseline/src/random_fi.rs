@@ -10,7 +10,7 @@
 
 use crate::estimator::{estimate_proportion, ProportionEstimate};
 use bdlfi::checkpoint::journal_fingerprint;
-use bdlfi::engine::{CheckpointSpec, EngineError, EvalEngine, EvalSink, RunControl, RunMeta};
+use bdlfi::engine::{EngineError, EvalEngine, EvalSink, RunControl, RunMeta};
 use bdlfi_data::Dataset;
 use bdlfi_faults::{resolve_sites, FaultConfig, FaultModel, SingleBitFlip, SiteSpec};
 use bdlfi_nn::predict_all;
@@ -133,18 +133,9 @@ impl RandomFi {
     /// Runs the campaign through the shared evaluation engine: each worker
     /// injects into its own clone of the model, injection `i` samples its
     /// fault from seed-stream `i`, and results aggregate in injection
-    /// order — so the report is identical at every worker count.
-    pub fn run(&self, cfg: &RandomFiConfig) -> RandomFiResult {
-        match self.run_controlled(cfg, &RunControl::default(), None) {
-            Ok(res) => res,
-            // bdlfi-lint: allow(BD010) -- `run` is the documented panicking convenience wrapper (see `# Panics`); fallible callers use `run_controlled`
-            Err(e) => panic!("random-FI campaign failed: {e}"),
-        }
-    }
-
-    /// [`RandomFi::run`] with cooperative cancellation and an optional
-    /// checkpoint journal (one entry per completed injection, in
-    /// injection order).
+    /// order — so the report is identical at every worker count. With a
+    /// journal in `ctl`, each completed injection is one entry, in
+    /// injection order.
     ///
     /// # Errors
     ///
@@ -154,11 +145,10 @@ impl RandomFi {
     /// # Panics
     ///
     /// Panics if `cfg.injections == 0`.
-    pub fn run_controlled(
+    pub fn run(
         &self,
         cfg: &RandomFiConfig,
         ctl: &RunControl,
-        ckpt: Option<&CheckpointSpec>,
     ) -> Result<RandomFiResult, EngineError> {
         assert!(cfg.injections > 0, "campaign needs at least one injection");
 
@@ -183,10 +173,8 @@ impl RandomFi {
             errors: Vec::with_capacity(cfg.injections),
         };
         let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-        let ckpt = ckpt.map(|s| {
-            s.or_fingerprint(|| {
-                journal_fingerprint("random_fi", "", &(cfg, self.single_bit, self.golden_error))
-            })
+        let ctl = ctl.or_fingerprint(|| {
+            journal_fingerprint("random_fi", "", &(cfg, self.single_bit, self.golden_error))
         });
         let run_meta = engine.run_checkpointed(
             cfg.injections,
@@ -206,8 +194,7 @@ impl RandomFi {
                 Ok((corrupted, error))
             },
             &mut tally,
-            ctl,
-            ckpt.as_ref(),
+            &ctl,
         )?;
 
         Ok(RandomFiResult {
@@ -282,12 +269,17 @@ mod tests {
     fn campaign_reports_consistent_counts() {
         let (model, eval) = trained();
         let fi = RandomFi::new(model, eval, &SiteSpec::AllParams);
-        let res = fi.run(&RandomFiConfig {
-            injections: 50,
-            seed: 1,
-            level: 0.95,
-            workers: 0,
-        });
+        let res = fi
+            .run(
+                &RandomFiConfig {
+                    injections: 50,
+                    seed: 1,
+                    level: 0.95,
+                    workers: 0,
+                },
+                &RunControl::new(),
+            )
+            .unwrap();
         assert_eq!(res.injections, 50);
         assert_eq!(res.errors.len(), 50);
         assert_eq!(res.sdc.trials, 50);
@@ -301,12 +293,17 @@ mod tests {
         let (model, eval) = trained();
         let mut fi = RandomFi::new(model, eval, &SiteSpec::AllParams);
         let golden = fi.golden_error();
-        let _ = fi.run(&RandomFiConfig {
-            injections: 30,
-            seed: 2,
-            level: 0.95,
-            workers: 0,
-        });
+        let _ = fi
+            .run(
+                &RandomFiConfig {
+                    injections: 30,
+                    seed: 2,
+                    level: 0.95,
+                    workers: 0,
+                },
+                &RunControl::new(),
+            )
+            .unwrap();
         // Rerunning the golden evaluation must give the same error.
         let logits = predict_all(&mut fi.model, fi.eval.inputs(), 64);
         let err = bdlfi_nn::metrics::classification_error(&logits, fi.eval.labels());
@@ -317,19 +314,29 @@ mod tests {
     fn campaign_is_reproducible_under_seed() {
         let (model, eval) = trained();
         let fi = RandomFi::new(model.clone(), Arc::clone(&eval), &SiteSpec::AllParams);
-        let a = fi.run(&RandomFiConfig {
-            injections: 25,
-            seed: 3,
-            level: 0.95,
-            workers: 0,
-        });
+        let a = fi
+            .run(
+                &RandomFiConfig {
+                    injections: 25,
+                    seed: 3,
+                    level: 0.95,
+                    workers: 0,
+                },
+                &RunControl::new(),
+            )
+            .unwrap();
         let fi2 = RandomFi::new(model, eval, &SiteSpec::AllParams);
-        let b = fi2.run(&RandomFiConfig {
-            injections: 25,
-            seed: 3,
-            level: 0.95,
-            workers: 0,
-        });
+        let b = fi2
+            .run(
+                &RandomFiConfig {
+                    injections: 25,
+                    seed: 3,
+                    level: 0.95,
+                    workers: 0,
+                },
+                &RunControl::new(),
+            )
+            .unwrap();
         assert_eq!(a.errors, b.errors);
         assert_eq!(a.sdc.successes, b.sdc.successes);
     }
@@ -339,12 +346,16 @@ mod tests {
         let (model, eval) = trained();
         let fi = RandomFi::new(model, eval, &SiteSpec::AllParams);
         let run_with = |workers: usize| {
-            fi.run(&RandomFiConfig {
-                injections: 25,
-                seed: 6,
-                level: 0.95,
-                workers,
-            })
+            fi.run(
+                &RandomFiConfig {
+                    injections: 25,
+                    seed: 6,
+                    level: 0.95,
+                    workers,
+                },
+                &RunControl::new(),
+            )
+            .unwrap()
         };
         let serial = run_with(1);
         let parallel = run_with(3);
@@ -365,12 +376,17 @@ mod tests {
             &SiteSpec::AllParams,
             Arc::new(BernoulliBitFlip::new(1e-6)),
         );
-        let res = bern.run(&RandomFiConfig {
-            injections: 40,
-            seed: 4,
-            level: 0.95,
-            workers: 0,
-        });
+        let res = bern
+            .run(
+                &RandomFiConfig {
+                    injections: 40,
+                    seed: 4,
+                    level: 0.95,
+                    workers: 0,
+                },
+                &RunControl::new(),
+            )
+            .unwrap();
         assert!((res.mean_error - res.golden_error).abs() < 0.05);
     }
 

@@ -3,7 +3,7 @@
 //! whole small campaign — the numbers behind "specialised hardware
 //! accelerates inference and hence the fault injection campaigns".
 
-use bdlfi::{run_campaign, CampaignConfig, FaultyModel, KernelChoice};
+use bdlfi::{run_campaign, CampaignConfig, FaultyModel, KernelChoice, RunControl};
 use bdlfi_bayes::ChainConfig;
 use bdlfi_data::{gaussian_blobs, synth_cifar, SynthCifarConfig};
 use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
@@ -89,7 +89,7 @@ fn bench_small_campaign(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign");
     group.sample_size(10).sampling_mode(SamplingMode::Flat);
     group.bench_function("mlp_2x25_prior", |b| {
-        b.iter(|| black_box(run_campaign(&fm, &cfg)));
+        b.iter(|| black_box(run_campaign(&fm, &cfg, &RunControl::new()).expect("campaign runs")));
     });
     group.finish();
 }

@@ -12,8 +12,8 @@
 //! Run with `cargo run --release -p bdlfi-bench --bin exp5_completeness`.
 
 use bdlfi::{
-    assess, run_campaign, samples_to_certify, CampaignConfig, CompletenessCriteria, FaultyModel,
-    KernelChoice,
+    assess, run_campaign, samples_to_certify, CampaignConfig, CompletenessCriteria, EngineError,
+    FaultyModel, KernelChoice, RunControl,
 };
 use bdlfi_baseline::{RandomFi, RandomFiConfig};
 use bdlfi_bayes::{ChainConfig, Trace};
@@ -21,7 +21,7 @@ use bdlfi_bench::harness::{golden_mlp, pct, Scale};
 use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let scale = Scale::from_env();
     let (model, _train, test) = golden_mlp();
     let p = 3e-3;
@@ -47,7 +47,7 @@ fn main() {
     println!("# E5: campaign completeness via MCMC mixing (MLP, p = {p})");
     println!();
 
-    let report = run_campaign(&fm, &cfg);
+    let report = run_campaign(&fm, &cfg, &RunControl::new())?;
     let criteria = CompletenessCriteria::default();
 
     println!("| samples/chain | R-hat | ESS | MCSE | certified | running mean error % |");
@@ -100,12 +100,15 @@ fn main() {
             &SiteSpec::AllParams,
             Arc::new(BernoulliBitFlip::new(p)),
         );
-        let res = fi.run(&RandomFiConfig {
-            injections: budget,
-            seed: 6,
-            level: 0.95,
-            workers: 0,
-        });
+        let res = fi.run(
+            &RandomFiConfig {
+                injections: budget,
+                seed: 6,
+                level: 0.95,
+                workers: 0,
+            },
+            &RunControl::new(),
+        )?;
         println!(
             "| {} | {:.3} | {:.3} |",
             budget,
@@ -118,4 +121,5 @@ fn main() {
         "paper reading: the CI narrows smoothly but gives no principled stopping point; \
          BDLFI's mixing criteria define one"
     );
+    Ok(())
 }

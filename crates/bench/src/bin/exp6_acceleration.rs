@@ -15,13 +15,13 @@
 //!
 //! Run with `cargo run --release -p bdlfi-bench --bin exp6_acceleration`.
 
-use bdlfi::{run_campaign, CampaignConfig, FaultyModel, KernelChoice};
+use bdlfi::{run_campaign, CampaignConfig, EngineError, FaultyModel, KernelChoice, RunControl};
 use bdlfi_bayes::ChainConfig;
 use bdlfi_bench::harness::{golden_mlp, Scale};
 use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let scale = Scale::from_env();
     let (model, _train, test) = golden_mlp();
     let p = 2e-5; // rare-error regime: E[flips] ~ 0.08 per configuration
@@ -69,7 +69,7 @@ fn main() {
                 seed,
                 ..CampaignConfig::default()
             };
-            let rep = run_campaign(&fm, &cfg);
+            let rep = run_campaign(&fm, &cfg, &RunControl::new())?;
             estimates.push(rep.mean_error - rep.golden_error);
             let hits = rep
                 .traces
@@ -119,7 +119,7 @@ fn main() {
         seed: 21,
         ..CampaignConfig::default()
     };
-    let rep = run_campaign(&fm, &cfg);
+    let rep = run_campaign(&fm, &cfg, &RunControl::new())?;
     let hits = rep
         .traces
         .iter()
@@ -132,4 +132,5 @@ fn main() {
         hits as f64 / rep.total_samples() as f64
     );
     println!("mean flips while exploring: {:.2}", rep.mean_flips);
+    Ok(())
 }

@@ -10,13 +10,13 @@
 //!
 //! Run with `cargo run --release -p bdlfi-bench --bin exp7_bit_ablation`.
 
-use bdlfi::{run_campaign, CampaignConfig, FaultyModel, KernelChoice};
+use bdlfi::{run_campaign, CampaignConfig, EngineError, FaultyModel, KernelChoice, RunControl};
 use bdlfi_bayes::ChainConfig;
 use bdlfi_bench::harness::{golden_mlp, pct, Scale};
 use bdlfi_faults::{BernoulliBitFlip, BitRange, FaultModel, SiteSpec};
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let scale = Scale::from_env();
     let (model, _train, test) = golden_mlp();
     let p = 3e-3;
@@ -53,7 +53,7 @@ fn main() {
             &SiteSpec::AllParams,
             fault_model,
         );
-        let rep = run_campaign(&fm, &cfg);
+        let rep = run_campaign(&fm, &cfg, &RunControl::new())?;
         println!(
             "| {} | {} | {} | {:.2} |",
             name,
@@ -88,7 +88,7 @@ fn main() {
             &spec,
             Arc::new(BernoulliBitFlip::new(p)),
         );
-        let rep = run_campaign(&fm, &cfg);
+        let rep = run_campaign(&fm, &cfg, &RunControl::new())?;
         println!(
             "| {} | {} | {:.2} |",
             name,
@@ -101,4 +101,5 @@ fn main() {
         "paper reading: the Bernoulli-AVF formalism extends unchanged across bit fields \
          and sites — only the prior changes, the inference machinery does not"
     );
+    Ok(())
 }

@@ -10,13 +10,13 @@
 //!
 //! Run with `cargo run --release -p bdlfi-bench --bin exp8_kernels`.
 
-use bdlfi::{run_campaign, CampaignConfig, FaultyModel, KernelChoice};
+use bdlfi::{run_campaign, CampaignConfig, EngineError, FaultyModel, KernelChoice, RunControl};
 use bdlfi_bayes::ChainConfig;
 use bdlfi_bench::harness::{golden_mlp, pct, Scale};
 use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let scale = Scale::from_env();
     let (model, _train, test) = golden_mlp();
     let p = 3e-3;
@@ -72,7 +72,7 @@ fn main() {
             seed: 8,
             ..CampaignConfig::default()
         };
-        let rep = run_campaign(&fm, &cfg);
+        let rep = run_campaign(&fm, &cfg, &RunControl::new())?;
         let total = rep.total_samples() as f64;
         let mean_acc = rep.acceptance_rates.iter().sum::<f64>() / rep.acceptance_rates.len() as f64;
         println!(
@@ -101,4 +101,5 @@ fn main() {
          unconverged campaign. The mixture's occasional prior refreshes restore \
          mobility at a modest ESS cost."
     );
+    Ok(())
 }

@@ -10,7 +10,8 @@
 //! Run with `cargo run --release -p bdlfi-bench --bin exp9_adaptive`.
 
 use bdlfi::{
-    run_campaign_adaptive, CampaignConfig, CompletenessCriteria, FaultyModel, KernelChoice,
+    run_campaign_adaptive, CampaignConfig, CompletenessCriteria, EngineError, FaultyModel,
+    KernelChoice, RunControl,
 };
 use bdlfi_bayes::ChainConfig;
 use bdlfi_bench::harness::{golden_mlp, pct, Scale};
@@ -18,7 +19,7 @@ use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
 use std::sync::Arc;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let scale = Scale::from_env();
     let (model, _train, test) = golden_mlp();
 
@@ -48,7 +49,7 @@ fn main() {
             workers: 0,
         };
         let start = Instant::now();
-        let rep = run_campaign_adaptive(&fm, &cfg, 2000);
+        let rep = run_campaign_adaptive(&fm, &cfg, 2000, &RunControl::new())?;
         let wall = start.elapsed();
         println!(
             "| {:.0e} | {} | {} | {:.3} | {:.0} | {:.4} | {} | {} | {:.1?} |",
@@ -73,4 +74,5 @@ fn main() {
          regimes certify within a segment or two, hard regimes keep sampling until the \
          MCSE criterion is met or the cap is reached"
     );
+    Ok(())
 }

@@ -9,12 +9,12 @@
 //!
 //! Run with `cargo run --release -p bdlfi-bench --bin fig1_boundary`.
 
-use bdlfi::{boundary_map, BoundaryConfig};
+use bdlfi::{boundary_map, BoundaryConfig, EngineError, RunControl};
 use bdlfi_bench::harness::{artifacts_dir, golden_mlp, pct, Scale};
 use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let scale = Scale::from_env();
     let (model, _train, _test) = golden_mlp();
     let p = 2e-3;
@@ -35,7 +35,8 @@ fn main() {
             seed: 1,
             workers: 0,
         },
-    );
+        &RunControl::new(),
+    )?;
 
     println!("log10(error probability) map ('@' = most error-prone):");
     println!("{}", map.render_ascii());
@@ -74,4 +75,5 @@ fn main() {
     let out = artifacts_dir().join("fig1_boundary.json");
     std::fs::write(&out, serde_json::to_string_pretty(&map).unwrap()).unwrap();
     eprintln!("[fig1] map saved to {}", out.display());
+    Ok(())
 }

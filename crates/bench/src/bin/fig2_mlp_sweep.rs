@@ -8,12 +8,14 @@
 //!
 //! Run with `cargo run --release -p bdlfi-bench --bin fig2_mlp_sweep`.
 
-use bdlfi::{log_spaced_probabilities, run_sweep, CampaignConfig, KernelChoice};
+use bdlfi::{
+    log_spaced_probabilities, run_sweep, CampaignConfig, EngineError, KernelChoice, RunControl,
+};
 use bdlfi_bayes::ChainConfig;
 use bdlfi_bench::harness::{artifacts_dir, golden_mlp, pct, Scale};
 use bdlfi_faults::SiteSpec;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let scale = Scale::from_env();
     let (model, _train, test) = golden_mlp();
 
@@ -37,7 +39,14 @@ fn main() {
     );
     println!();
 
-    let sweep = run_sweep(&model, &test, &SiteSpec::AllParams, &ps, &cfg);
+    let sweep = run_sweep(
+        &model,
+        &test,
+        &SiteSpec::AllParams,
+        &ps,
+        &cfg,
+        &RunControl::new(),
+    )?;
 
     println!("| p | error % (mean) | q05 % | q95 % | R-hat | ESS | certified |");
     println!("|---|---|---|---|---|---|---|");
@@ -74,4 +83,5 @@ fn main() {
     let out = artifacts_dir().join("fig2_mlp_sweep.json");
     std::fs::write(&out, serde_json::to_string_pretty(&sweep.points).unwrap()).unwrap();
     eprintln!("[fig2] sweep saved to {}", out.display());
+    Ok(())
 }

@@ -10,13 +10,13 @@
 //!
 //! Run with `cargo run --release -p bdlfi-bench --bin fig3_resnet_layers`.
 
-use bdlfi::{run_layerwise, CampaignConfig, KernelChoice, LayerBudget};
+use bdlfi::{run_layerwise, CampaignConfig, EngineError, KernelChoice, LayerBudget, RunControl};
 use bdlfi_baseline::{run_layer_fi, RandomFiConfig};
 use bdlfi_bayes::ChainConfig;
 use bdlfi_bench::harness::{artifacts_dir, golden_resnet, pct, Scale};
 use bdlfi_nn::resnet18_layer_positions;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let scale = Scale::from_env();
     let (model, _train, eval) = golden_resnet(scale.resnet_eval);
     let layers = resnet18_layer_positions();
@@ -50,7 +50,8 @@ fn main() {
         &layers,
         LayerBudget::ExpectedFlips(flips),
         &cfg,
-    );
+        &RunControl::new(),
+    )?;
     for l in &res.layers {
         println!(
             "| {} | {} | {} | {:.2e} | {} | {} | {:.3} | {} |",
@@ -90,7 +91,8 @@ fn main() {
                 level: 0.95,
                 workers: 0,
             },
-        );
+            &RunControl::new(),
+        )?;
         let rates: Vec<String> = study
             .layers
             .iter()
@@ -112,4 +114,5 @@ fn main() {
     let out = artifacts_dir().join("fig3_resnet_layers.json");
     std::fs::write(&out, serde_json::to_string_pretty(&res.layers).unwrap()).unwrap();
     eprintln!("[fig3] results saved to {}", out.display());
+    Ok(())
 }

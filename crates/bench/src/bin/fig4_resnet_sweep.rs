@@ -15,12 +15,14 @@
 //!
 //! Run with `cargo run --release -p bdlfi-bench --bin fig4_resnet_sweep`.
 
-use bdlfi::{log_spaced_probabilities, run_sweep, CampaignConfig, KernelChoice};
+use bdlfi::{
+    log_spaced_probabilities, run_sweep, CampaignConfig, EngineError, KernelChoice, RunControl,
+};
 use bdlfi_bayes::ChainConfig;
 use bdlfi_bench::harness::{artifacts_dir, golden_resnet, pct, Scale};
 use bdlfi_faults::SiteSpec;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let scale = Scale::from_env();
     let (model, _train, eval) = golden_resnet(scale.resnet_eval);
 
@@ -46,7 +48,14 @@ fn main() {
     );
     println!();
 
-    let sweep = run_sweep(&model, &eval, &SiteSpec::AllParams, &ps, &cfg);
+    let sweep = run_sweep(
+        &model,
+        &eval,
+        &SiteSpec::AllParams,
+        &ps,
+        &cfg,
+        &RunControl::new(),
+    )?;
 
     println!("| p | E[flips] | error % (mean) | q05 % | q95 % | R-hat | certified |");
     println!("|---|---|---|---|---|---|---|");
@@ -80,4 +89,5 @@ fn main() {
     let out = artifacts_dir().join("fig4_resnet_sweep.json");
     std::fs::write(&out, serde_json::to_string_pretty(&sweep.points).unwrap()).unwrap();
     eprintln!("[fig4] sweep saved to {}", out.display());
+    Ok(())
 }

@@ -1,52 +1,20 @@
-//! Performance smoke test for the fault-evaluation pipeline. Two
-//! scenarios, both written to `BENCH_campaign.json`:
+//! Smoke drivers for the fault-evaluation pipeline's exactness and
+//! crash-safety contracts. Every mode is a CI job; throughput is measured
+//! by the `perfbench` benchmark, not here.
 //!
-//! 1. **Incremental inference** — campaign throughput (fault
-//!    configurations evaluated per second) for a layerwise campaign on a
-//!    deep MLP, cold vs. incremental. The scenario mirrors the paper's
-//!    per-layer experiment (E3/Fig. 3): all faults confined to the final
-//!    dense layer of an 8-hidden-layer MLP. The *cold* path applies each
-//!    configuration and re-runs the whole network; the *incremental* path
-//!    (what `FaultyModel::eval_logits` does) resumes from the cached
-//!    golden activation just before the dirty layer. Both produce
-//!    bit-identical logits — verified per configuration here — so the
-//!    speedup is pure redundancy elimination.
-//! 2. **Sparse-delta evaluation** — the same deep MLP with faults
-//!    confined to a *middle* dense layer (fc5), comparing the incremental
-//!    path (resume at the dirty layer, dense suffix) against the
-//!    sparse-delta path (recompute the touched columns, forward only the
-//!    rows that still deviate after ReLU gating). Both are bit-identical;
-//!    the additional speedup is pure suffix sparsity. `perf_smoke
-//!    --delta` runs just this scenario in quick mode and fails if the
-//!    paths diverge or the delta path never fires.
-//! 3. **Baseline-FI parallelism** — the traditional random-FI campaign
-//!    run serially (`workers: 1`) and through the `EvalEngine` worker
-//!    pool sized to the host's available parallelism. The per-injection
-//!    RNG streams are derived from `seed_stream(seed, injection)`, so the
-//!    two runs must agree bit-for-bit; the speedup is pure parallelism
-//!    (and is only asserted when the host actually has ≥ 4 workers).
-//! 4. **Quantized workload** — the same trained MLP run as a BDLFI
-//!    campaign in f32 (`FaultyModel`) and int8 (`QuantFaultyModel`) on
-//!    identical configs, comparing campaign throughput and asserting the
-//!    int8 report is bit-identical at `workers: 1` and at full
-//!    parallelism (`perf_smoke --quant` runs just this scenario). The
-//!    report records which micro-kernel the selector resolved; when that
-//!    is the AVX2 maddubs kernel, int8 throughput must be at least 1.0×
-//!    f32 (recorded-only on hosts without AVX2 or under a forced
-//!    `BDLFI_KERNEL`).
-//! 5. **Sharded campaign** — the checkpointed reference campaign run as
-//!    one process versus split into N shard *processes* (each re-spawns
-//!    this binary with `--shard-campaign`), merged back with the strict
-//!    journal-merge verifier. The merged journal must be byte-identical
-//!    to the single-process journal — that assertion is mandatory; the
-//!    speedup is recorded (it only exceeds 1 on hosts with free cores,
-//!    since each side pays its own training + startup cost).
+//! # Sparse-delta mode
 //!
-//! Run with `cargo run --release -p bdlfi-bench --bin perf_smoke`.
+//! `perf_smoke --delta` runs the sparse-delta scenario: a trained deep MLP
+//! with single weight-bit flips confined to its hidden dense layers,
+//! comparing the incremental path (resume at the dirty layer, dense
+//! suffix) against the sparse-delta path (recompute the touched columns,
+//! forward only the rows that still deviate after ReLU gating). It fails
+//! if the two paths' logits are not bit-identical or if the delta path
+//! never fires (the CI `delta-smoke` job).
 //!
 //! # Checkpointed campaign mode
 //!
-//! `perf_smoke --campaign` instead runs one deterministic BDLFI campaign,
+//! `perf_smoke --campaign` runs one deterministic BDLFI campaign,
 //! for exercising the crash-safe checkpoint/resume path end to end (the CI
 //! `checkpoint-resume` job drives it):
 //!
@@ -75,34 +43,19 @@
 
 use bdlfi::engine::{CheckpointSpec, EngineError, RunControl, RunMeta};
 use bdlfi::{
-    merge_shards, read_journal, run_campaign, run_campaign_controlled, run_campaign_shard,
-    CampaignConfig, CampaignReport, FaultyModel, KernelChoice, QuantFaultyModel, ShardError,
-    ShardPlan,
+    merge_shards, read_journal, run_campaign, run_campaign_shard, CampaignConfig, FaultyModel,
+    KernelChoice, ShardError, ShardPlan,
 };
-use bdlfi_baseline::{RandomFi, RandomFiConfig};
 use bdlfi_bayes::ChainConfig;
 use bdlfi_data::gaussian_blobs;
 use bdlfi_faults::{BernoulliBitFlip, FaultConfig, SiteSpec};
-use bdlfi_nn::{mlp, optim::Sgd, predict_all, TrainConfig, Trainer};
-use bdlfi_quant::{quantize_model, CalibConfig};
+use bdlfi_nn::{mlp, optim::Sgd, TrainConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-
-#[derive(Serialize)]
-struct IncrementalReport {
-    scenario: String,
-    network: String,
-    eval_examples: usize,
-    configs: usize,
-    cold_samples_per_sec: f64,
-    incremental_samples_per_sec: f64,
-    speedup: f64,
-    bitwise_identical: bool,
-}
 
 #[derive(Serialize)]
 struct SparseDeltaReport {
@@ -116,116 +69,6 @@ struct SparseDeltaReport {
     bitwise_identical: bool,
     delta_hits: u64,
     delta_fallbacks: u64,
-}
-
-#[derive(Serialize)]
-struct BaselineFiReport {
-    scenario: String,
-    network: String,
-    eval_examples: usize,
-    injections: usize,
-    workers: usize,
-    serial_injections_per_sec: f64,
-    parallel_injections_per_sec: f64,
-    speedup: f64,
-    identical_results: bool,
-}
-
-#[derive(Serialize)]
-struct QuantReport {
-    scenario: String,
-    network: String,
-    eval_examples: usize,
-    campaign_samples: usize,
-    f32_samples_per_sec: f64,
-    int8_samples_per_sec: f64,
-    int8_relative_throughput: f64,
-    int8_worker_invariant: bool,
-    /// The micro-kernel variant the selector resolves for the campaign's
-    /// blocked int8 hidden-layer shape (honors `BDLFI_KERNEL`).
-    kernel_variant: String,
-    avx2_detected: bool,
-}
-
-#[derive(Serialize)]
-struct ShardMergeBenchReport {
-    scenario: String,
-    network: String,
-    chains: usize,
-    shards: usize,
-    single_process_secs: f64,
-    sharded_secs: f64,
-    speedup: f64,
-    merged_byte_identical: bool,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    incremental: IncrementalReport,
-    sparse_delta: SparseDeltaReport,
-    baseline_fi: BaselineFiReport,
-    quant: QuantReport,
-    shard_merge: ShardMergeBenchReport,
-}
-
-fn incremental_bench() -> IncrementalReport {
-    let mut rng = StdRng::seed_from_u64(0);
-    let hidden = [64usize; 8];
-    let data = Arc::new(gaussian_blobs(256, 3, 1.0, &mut rng));
-    let model = mlp(2, &hidden, 3, &mut rng);
-    let last_layer = format!("fc{}", hidden.len() + 1);
-
-    let mut fm = FaultyModel::new(
-        model.clone(),
-        Arc::clone(&data),
-        &SiteSpec::LayerParams {
-            prefix: last_layer.clone(),
-        },
-        Arc::new(BernoulliBitFlip::new(1e-3)),
-    );
-    // This scenario measures the *incremental* path in isolation; the
-    // sparse-delta path has its own scenario below.
-    fm.set_delta_enabled(false);
-
-    // Fixed workload: the same configurations for both paths.
-    let configs: Vec<FaultConfig> = (0..200).map(|_| fm.sample_config(&mut rng)).collect();
-
-    // Warm both paths once (page in weights, fill the scratch arena).
-    let mut cold_model = model.clone();
-    let _ = predict_all(&mut cold_model, data.inputs(), 64);
-    let _ = fm.eval_logits(&configs[0], &mut rng);
-
-    let t0 = Instant::now();
-    let cold_logits: Vec<_> = configs
-        .iter()
-        .map(|cfg| cfg.with_applied(&mut cold_model, |m| predict_all(m, data.inputs(), 64)))
-        .collect();
-    let cold_secs = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let inc_logits: Vec<_> = configs
-        .iter()
-        .map(|cfg| fm.eval_logits(cfg, &mut rng))
-        .collect();
-    let inc_secs = t1.elapsed().as_secs_f64();
-
-    let bitwise_identical = cold_logits.iter().zip(&inc_logits).all(|(a, b)| {
-        a.data()
-            .iter()
-            .map(|v| v.to_bits())
-            .eq(b.data().iter().map(|v| v.to_bits()))
-    });
-
-    IncrementalReport {
-        scenario: format!("layerwise campaign, faults in {last_layer} only"),
-        network: format!("mlp 2 -> {hidden:?} -> 3"),
-        eval_examples: data.len(),
-        configs: configs.len(),
-        cold_samples_per_sec: configs.len() as f64 / cold_secs,
-        incremental_samples_per_sec: configs.len() as f64 / inc_secs,
-        speedup: cold_secs / inc_secs,
-        bitwise_identical,
-    }
 }
 
 /// The sparse-delta scenario: the 1-flip layerwise sweep. Single random
@@ -338,137 +181,6 @@ fn report_delta(delta: &SparseDeltaReport) {
     );
 }
 
-fn baseline_fi_bench() -> BaselineFiReport {
-    let mut rng = StdRng::seed_from_u64(1);
-    let hidden = [48usize; 4];
-    let data = Arc::new(gaussian_blobs(256, 3, 1.0, &mut rng));
-    let model = mlp(2, &hidden, 3, &mut rng);
-
-    let fi = RandomFi::new(model, Arc::clone(&data), &SiteSpec::AllParams);
-    let injections = 200;
-    let cfg = |workers: usize| RandomFiConfig {
-        injections,
-        seed: 7,
-        level: 0.95,
-        workers,
-    };
-
-    // Warm caches, then time serial vs engine-parallel. The parallel side
-    // is pinned to the host's real parallelism (not `0`, which on a
-    // single-core runner silently collapses to one worker while the row
-    // still reads as a parallelism comparison).
-    let host_workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let _ = fi.run(&RandomFiConfig {
-        injections: 8,
-        ..cfg(1)
-    });
-    let serial = fi.run(&cfg(1));
-    let parallel = fi.run(&cfg(host_workers));
-
-    // seed_stream-derived per-injection RNGs make worker count irrelevant
-    // to the statistics: the runs must agree exactly.
-    let identical_results = serial.errors == parallel.errors
-        && serial.sdc.successes == parallel.sdc.successes
-        && serial.mean_error == parallel.mean_error;
-
-    BaselineFiReport {
-        scenario: format!(
-            "traditional random FI, all parameters, serial vs engine pool of {host_workers}"
-        ),
-        network: format!("mlp 2 -> {hidden:?} -> 3"),
-        eval_examples: data.len(),
-        injections,
-        workers: parallel.run_meta.workers,
-        serial_injections_per_sec: serial.run_meta.tasks_per_sec,
-        parallel_injections_per_sec: parallel.run_meta.tasks_per_sec,
-        speedup: serial.run_meta.elapsed_secs / parallel.run_meta.elapsed_secs,
-        identical_results,
-    }
-}
-
-/// Reports from different worker counts must agree on everything except
-/// execution metadata; normalize that away before comparing bytes.
-fn normalized_report_bytes(report: &CampaignReport) -> String {
-    let mut normalized = report.clone();
-    normalized.run_meta = RunMeta::default();
-    normalized.config.workers = 0;
-    serde_json::to_string(&normalized).expect("report serialises")
-}
-
-fn quant_bench() -> QuantReport {
-    let mut rng = StdRng::seed_from_u64(2);
-    let hidden = [128usize; 3];
-    let data = gaussian_blobs(512, 3, 0.9, &mut rng);
-    let (train, test) = data.split(0.5, &mut rng);
-    let test = Arc::new(test);
-    let mut model = mlp(2, &hidden, 3, &mut rng);
-    let mut trainer = Trainer::new(
-        Sgd::new(0.1).with_momentum(0.9),
-        TrainConfig {
-            epochs: 10,
-            batch_size: 32,
-            ..TrainConfig::default()
-        },
-    );
-    trainer.fit(&mut model, train.inputs(), train.labels(), &mut rng);
-    let qm = quantize_model(&model, train.inputs(), &CalibConfig::default());
-
-    let fault_model = Arc::new(BernoulliBitFlip::new(1e-3));
-    let fm = FaultyModel::new(
-        model,
-        Arc::clone(&test),
-        &SiteSpec::AllParams,
-        Arc::clone(&fault_model) as _,
-    );
-    let qfm = QuantFaultyModel::new(qm, Arc::clone(&test), &SiteSpec::AllParams, fault_model);
-
-    let cfg = |workers: usize| CampaignConfig {
-        chains: 8,
-        chain: ChainConfig {
-            burn_in: 0,
-            samples: 50,
-            thin: 1,
-        },
-        kernel: KernelChoice::Prior,
-        seed: 13,
-        criteria: Default::default(),
-        workers,
-    };
-    let samples = 8 * 50;
-
-    // Warm both workloads, then time full-parallelism campaigns.
-    let _ = run_campaign(&fm, &cfg(1));
-    let f32_report = run_campaign(&fm, &cfg(0));
-    let _ = run_campaign(&qfm, &cfg(1));
-    let int8_report = run_campaign(&qfm, &cfg(0));
-
-    // Seed discipline makes the worker count irrelevant to the result:
-    // the int8 campaign must be bit-identical serial vs pooled.
-    let int8_serial = run_campaign(&qfm, &cfg(1));
-    let int8_worker_invariant =
-        normalized_report_bytes(&int8_serial) == normalized_report_bytes(&int8_report);
-
-    let f32_rate = samples as f64 / f32_report.run_meta.elapsed_secs;
-    let int8_rate = samples as f64 / int8_report.run_meta.elapsed_secs;
-    // The (batch, 128, 128) hidden-layer GEMM dominates the int8 campaign;
-    // record which micro-kernel the selector resolves for it.
-    let selection = bdlfi_tensor::kernels::select_i8(64, hidden[0], hidden[0]);
-    QuantReport {
-        scenario: "BDLFI campaign, f32 vs int8 deployment of the same MLP".into(),
-        network: format!("mlp 2 -> {hidden:?} -> 3"),
-        eval_examples: test.len(),
-        campaign_samples: samples,
-        f32_samples_per_sec: f32_rate,
-        int8_samples_per_sec: int8_rate,
-        int8_relative_throughput: int8_rate / f32_rate,
-        int8_worker_invariant,
-        kernel_variant: selection.variant.as_str().to_string(),
-        avx2_detected: bdlfi_tensor::kernels::avx2_available(),
-    }
-}
-
 struct CampaignArgs {
     checkpoint: Option<PathBuf>,
     resume: bool,
@@ -517,17 +229,7 @@ fn shard_campaign(args: &CampaignArgs) -> Result<(), ShardError> {
     let (fm, cfg) = checkpointed_workload(args.workers);
     let count = args.count.expect("--shard-campaign requires --count");
     let index = args.index.expect("--shard-campaign requires --index");
-    let path = args
-        .checkpoint
-        .clone()
-        .expect("--shard-campaign requires --checkpoint");
-    let ctl = match args.stop_after {
-        Some(n) => RunControl::stop_after(n),
-        None => RunControl::new(),
-    };
-    let spec = CheckpointSpec::new(path, String::new());
-    let spec = if args.resume { spec.resuming() } else { spec };
-    let meta = run_campaign_shard(&fm, &cfg, count, index, &ctl, &spec)?;
+    let meta = run_campaign_shard(&fm, &cfg, count, index, &run_control(args))?;
     println!(
         "shard {index}/{count} complete: {} chains journaled",
         meta.tasks
@@ -601,7 +303,7 @@ fn shard_merge(args: &ShardMergeArgs) -> Result<(), ShardError> {
     if let Some(path) = &args.report {
         let (fm, cfg) = checkpointed_workload(args.workers);
         let spec = CheckpointSpec::new(args.out.clone(), String::new()).finalizing();
-        let mut report = run_campaign_controlled(&fm, &cfg, &RunControl::new(), Some(&spec))?;
+        let mut report = run_campaign(&fm, &cfg, &RunControl::new().checkpointed(spec))?;
         assert_eq!(
             report.run_meta.resumed_from,
             Some(cfg.chains),
@@ -616,89 +318,6 @@ fn shard_merge(args: &ShardMergeArgs) -> Result<(), ShardError> {
         );
     }
     Ok(())
-}
-
-/// The sharded-campaign scenario of the default bench run: the reference
-/// campaign as one process versus `SHARDS` child processes of this same
-/// binary, merged back and checked byte-for-byte against the
-/// single-process journal.
-fn shard_merge_bench() -> ShardMergeBenchReport {
-    const SHARDS: usize = 4;
-    let exe = std::env::current_exe().expect("current_exe resolves");
-    let dir = std::env::temp_dir().join(format!("bdlfi_shard_bench_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let single = dir.join("single.jsonl");
-
-    // Both sides pay training + process startup, so the comparison is
-    // end-to-end: child processes only, no in-process shortcut.
-    let t0 = Instant::now();
-    let status = std::process::Command::new(&exe)
-        .args(["--campaign", "--workers", "1", "--checkpoint"])
-        .arg(&single)
-        .stdout(std::process::Stdio::null())
-        .status()
-        .expect("single-process campaign spawns");
-    assert!(status.success(), "single-process campaign failed");
-    let single_secs = t0.elapsed().as_secs_f64();
-
-    let shard_paths: Vec<PathBuf> = (0..SHARDS)
-        .map(|i| dir.join(format!("shard{i}.jsonl")))
-        .collect();
-    let t1 = Instant::now();
-    let children: Vec<_> = shard_paths
-        .iter()
-        .enumerate()
-        .map(|(i, path)| {
-            std::process::Command::new(&exe)
-                .args([
-                    "--shard-campaign",
-                    "--workers",
-                    "1",
-                    "--count",
-                    &SHARDS.to_string(),
-                    "--index",
-                    &i.to_string(),
-                    "--checkpoint",
-                ])
-                .arg(path)
-                .stdout(std::process::Stdio::null())
-                .spawn()
-                .expect("shard process spawns")
-        })
-        .collect();
-    for mut child in children {
-        let status = child.wait().expect("shard process completes");
-        assert!(status.success(), "shard process failed");
-    }
-    let sharded_secs = t1.elapsed().as_secs_f64();
-
-    let whole = read_journal(&single).expect("single-process journal reads");
-    let plan = ShardPlan::new(
-        whole.header.fingerprint.clone(),
-        whole.header.seed,
-        whole.header.tasks,
-        SHARDS,
-    )
-    .expect("shard plan is valid");
-    let merged = dir.join("merged.jsonl");
-    merge_shards(&plan, &shard_paths, &merged).expect("shard merge succeeds");
-    let merged_byte_identical = std::fs::read(&merged).expect("merged journal reads")
-        == std::fs::read(&single).expect("single journal reads");
-    let chains = whole.header.tasks;
-    std::fs::remove_dir_all(&dir).ok();
-
-    ShardMergeBenchReport {
-        scenario: format!(
-            "checkpointed campaign, 1 process vs {SHARDS} shard processes + strict merge"
-        ),
-        network: "trained mlp 2 -> [16, 16] -> 3".into(),
-        chains,
-        shards: SHARDS,
-        single_process_secs: single_secs,
-        sharded_secs,
-        speedup: single_secs / sharded_secs,
-        merged_byte_identical,
-    }
 }
 
 /// The deterministic campaign the checkpoint and shard modes run: a
@@ -740,23 +359,25 @@ fn checkpointed_workload(workers: usize) -> (FaultyModel, CampaignConfig) {
     (fm, cfg)
 }
 
-fn checkpointed_campaign(args: &CampaignArgs) -> Result<(), EngineError> {
-    let (fm, cfg) = checkpointed_workload(args.workers);
-
+/// The stop watermark and journal (`--checkpoint`, `--resume`) the
+/// campaign and shard modes run under.
+fn run_control(args: &CampaignArgs) -> RunControl {
     let ctl = match args.stop_after {
         Some(n) => RunControl::stop_after(n),
         None => RunControl::new(),
     };
-    let ckpt = args.checkpoint.as_ref().map(|path| {
-        let spec = CheckpointSpec::new(path.clone(), String::new());
-        if args.resume {
-            spec.resuming()
-        } else {
-            spec
+    match &args.checkpoint {
+        Some(path) => {
+            let spec = CheckpointSpec::new(path.clone(), String::new());
+            ctl.checkpointed(if args.resume { spec.resuming() } else { spec })
         }
-    });
+        None => ctl,
+    }
+}
 
-    let mut report = run_campaign_controlled(&fm, &cfg, &ctl, ckpt.as_ref())?;
+fn checkpointed_campaign(args: &CampaignArgs) -> Result<(), EngineError> {
+    let (fm, cfg) = checkpointed_workload(args.workers);
+    let mut report = run_campaign(&fm, &cfg, &run_control(args))?;
     // Normalize execution metadata so reports from different interrupt
     // schedules (and worker counts) compare byte-for-byte.
     report.run_meta = RunMeta::default();
@@ -771,152 +392,50 @@ fn checkpointed_campaign(args: &CampaignArgs) -> Result<(), EngineError> {
     Ok(())
 }
 
-fn report_quant(quant: &QuantReport) {
-    assert!(
-        quant.int8_worker_invariant,
-        "int8 campaign diverged between workers=1 and the full pool"
-    );
-    // The headline gate: with the AVX2 maddubs kernel selected, the int8
-    // deployment must not be slower than f32. On hosts without AVX2 (or
-    // with a variant forced via BDLFI_KERNEL) the ratio is recorded only.
-    if quant.avx2_detected && quant.kernel_variant == "avx2" {
-        assert!(
-            quant.int8_relative_throughput >= 1.0,
-            "int8 campaign below f32 throughput ({:.2}x) with the avx2 kernel selected",
-            quant.int8_relative_throughput
-        );
-    }
-    println!(
-        "int8 campaign runs at {:.2}x f32 throughput ({:.0} vs {:.0} samples/sec) \
-         on the `{}` kernel, worker-count invariant",
-        quant.int8_relative_throughput,
-        quant.int8_samples_per_sec,
-        quant.f32_samples_per_sec,
-        quant.kernel_variant
-    );
-}
-
 fn main() {
     let mut args = std::env::args();
     let _bin = args.next();
-    if let Some(first) = args.next() {
-        match first.as_str() {
-            "--campaign" => match checkpointed_campaign(&parse_campaign_args(args)) {
-                Ok(()) => return,
-                Err(EngineError::Interrupted { completed, tasks }) => {
-                    eprintln!("interrupted after {completed}/{tasks} chains (journal flushed)");
-                    std::process::exit(3);
-                }
-                Err(e) => {
-                    eprintln!("campaign failed: {e}");
-                    std::process::exit(1);
-                }
-            },
-            "--shard-campaign" => match shard_campaign(&parse_campaign_args(args)) {
-                Ok(()) => return,
-                Err(ShardError::Engine(EngineError::Interrupted { completed, tasks })) => {
-                    eprintln!("interrupted after {completed}/{tasks} chains (journal flushed)");
-                    std::process::exit(3);
-                }
-                Err(e) => {
-                    eprintln!("shard campaign failed: {e}");
-                    std::process::exit(1);
-                }
-            },
-            "--shard-merge" => match shard_merge(&parse_shard_merge_args(args)) {
-                Ok(()) => return,
-                Err(e) => {
-                    eprintln!("shard merge failed: {e}");
-                    std::process::exit(1);
-                }
-            },
-            "--quant" => {
-                let quant = quant_bench();
-                let json = serde_json::to_string_pretty(&quant).expect("report serialises");
-                println!("{json}");
-                report_quant(&quant);
-                return;
+    let mode = args.next().unwrap_or_default();
+    match mode.as_str() {
+        "--campaign" => match checkpointed_campaign(&parse_campaign_args(args)) {
+            Ok(()) => {}
+            Err(EngineError::Interrupted { completed, tasks }) => {
+                eprintln!("interrupted after {completed}/{tasks} chains (journal flushed)");
+                std::process::exit(3);
             }
-            "--delta" => {
-                // Quick mode for CI: a reduced workload, but the exactness
-                // and liveness gates are identical to the full bench.
-                let delta = delta_bench(60);
-                let json = serde_json::to_string_pretty(&delta).expect("report serialises");
-                println!("{json}");
-                report_delta(&delta);
-                return;
+            Err(e) => {
+                eprintln!("campaign failed: {e}");
+                std::process::exit(1);
             }
-            other => panic!(
-                "unknown mode {other}; try --campaign, --shard-campaign, \
-                 --shard-merge, --quant or --delta"
-            ),
+        },
+        "--shard-campaign" => match shard_campaign(&parse_campaign_args(args)) {
+            Ok(()) => {}
+            Err(ShardError::Engine(EngineError::Interrupted { completed, tasks })) => {
+                eprintln!("interrupted after {completed}/{tasks} chains (journal flushed)");
+                std::process::exit(3);
+            }
+            Err(e) => {
+                eprintln!("shard campaign failed: {e}");
+                std::process::exit(1);
+            }
+        },
+        "--shard-merge" => {
+            if let Err(e) = shard_merge(&parse_shard_merge_args(args)) {
+                eprintln!("shard merge failed: {e}");
+                std::process::exit(1);
+            }
+        }
+        "--delta" => {
+            let delta = delta_bench(60);
+            let json = serde_json::to_string_pretty(&delta).expect("report serialises");
+            println!("{json}");
+            report_delta(&delta);
+        }
+        other => {
+            eprintln!(
+                "unknown mode {other:?}; try --campaign, --shard-campaign, --shard-merge or --delta"
+            );
+            std::process::exit(2);
         }
     }
-
-    let report = BenchReport {
-        incremental: incremental_bench(),
-        sparse_delta: delta_bench(300),
-        baseline_fi: baseline_fi_bench(),
-        quant: quant_bench(),
-        shard_merge: shard_merge_bench(),
-    };
-
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write("BENCH_campaign.json", &json).expect("cannot write BENCH_campaign.json");
-    println!("{json}");
-
-    let inc = &report.incremental;
-    assert!(
-        inc.bitwise_identical,
-        "incremental logits diverged from cold logits"
-    );
-    assert!(
-        inc.speedup >= 3.0,
-        "expected >= 3x layerwise speedup, measured {:.2}x",
-        inc.speedup
-    );
-    println!(
-        "incremental path is {:.1}x faster ({:.0} vs {:.0} configs/sec), logits bit-identical",
-        inc.speedup, inc.incremental_samples_per_sec, inc.cold_samples_per_sec
-    );
-
-    let delta = &report.sparse_delta;
-    assert!(
-        delta.speedup_vs_incremental >= 4.0,
-        "expected >= 4x sparse-delta speedup over incremental, measured {:.2}x",
-        delta.speedup_vs_incremental
-    );
-    report_delta(delta);
-
-    let fi = &report.baseline_fi;
-    assert!(
-        fi.identical_results,
-        "parallel baseline FI diverged from serial"
-    );
-    // The parallel-speedup floor only makes sense with real cores behind
-    // the pool; on small runners just require parity with serial.
-    if fi.workers >= 4 {
-        assert!(
-            fi.speedup >= 1.0,
-            "expected the engine pool on {} workers to at least match serial, measured {:.2}x",
-            fi.workers,
-            fi.speedup
-        );
-    }
-    println!(
-        "baseline FI on {} workers is {:.1}x faster ({:.0} vs {:.0} injections/sec), results identical",
-        fi.workers, fi.speedup, fi.parallel_injections_per_sec, fi.serial_injections_per_sec
-    );
-
-    report_quant(&report.quant);
-
-    let sm = &report.shard_merge;
-    assert!(
-        sm.merged_byte_identical,
-        "merged shard journals diverged from the single-process journal"
-    );
-    println!(
-        "{} shard processes vs 1: {:.2}x ({:.1}s vs {:.1}s), merged journal byte-identical",
-        sm.shards, sm.speedup, sm.sharded_secs, sm.single_process_secs
-    );
 }

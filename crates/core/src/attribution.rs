@@ -10,7 +10,7 @@
 //! exists to inform.
 
 use crate::checkpoint::journal_fingerprint;
-use crate::engine::{CheckpointSpec, CollectSink, EngineError, EvalEngine, RunControl};
+use crate::engine::{CollectSink, EngineError, EvalEngine, RunControl};
 use crate::faulty_model::FaultyModel;
 use bdlfi_bayes::{mh_step, seed_stream};
 use bdlfi_faults::{BitRange, FaultConfig};
@@ -68,10 +68,16 @@ impl AttributionReport {
 /// The sample budget is split over several independent restarts (the
 /// tempered target is highly multimodal — one error-causing bit per mode —
 /// and a single local chain would report only the first mode it finds).
+/// With a journal in `ctl`, each completed restart chain is one entry.
 ///
 /// `beta` defaults (when `None`) to `ln((1−p)/p) + 2` computed from the
 /// expected-flip rate of the fault model — just above the prior barrier, so
 /// local moves can climb into the error region.
+///
+/// # Errors
+///
+/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
+/// failures.
 ///
 /// # Panics
 ///
@@ -81,31 +87,7 @@ pub fn attribute_faults(
     samples: usize,
     beta: Option<f64>,
     seed: u64,
-) -> AttributionReport {
-    match attribute_faults_controlled(fm, samples, beta, seed, &RunControl::default(), None) {
-        Ok(report) => report,
-        Err(e) => panic!("attribution failed: {e}"),
-    }
-}
-
-/// [`attribute_faults`] with cooperative cancellation and an optional
-/// checkpoint journal (one entry per completed restart chain).
-///
-/// # Errors
-///
-/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
-/// failures.
-///
-/// # Panics
-///
-/// Same preconditions as [`attribute_faults`].
-pub fn attribute_faults_controlled(
-    fm: &FaultyModel,
-    samples: usize,
-    beta: Option<f64>,
-    seed: u64,
     ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
 ) -> Result<AttributionReport, EngineError> {
     assert!(samples > 0, "attribution needs at least one sample");
     let restarts = 8.min(samples);
@@ -114,11 +96,9 @@ pub fn attribute_faults_controlled(
     // (restart `r` draws from seed-stream lanes 2r and 2r+1) and merge the
     // reports in restart order, so the result is worker-count invariant.
     let engine = EvalEngine::new(seed);
-    let ckpt = ckpt.map(|s| {
-        s.or_fingerprint(|| {
-            let identity = (samples, beta.unwrap_or(f64::NAN), seed, fm.golden_error());
-            journal_fingerprint("attribution", "", &identity)
-        })
+    let ctl = ctl.or_fingerprint(|| {
+        let identity = (samples, beta.unwrap_or(f64::NAN), seed, fm.golden_error());
+        journal_fingerprint("attribution", "", &identity)
     });
     let mut sink = CollectSink::new();
     engine.run_checkpointed(
@@ -134,8 +114,7 @@ pub fn attribute_faults_controlled(
             ))
         },
         &mut sink,
-        ctl,
-        ckpt.as_ref(),
+        &ctl,
     )?;
     Ok(sink
         .into_inner()
@@ -343,7 +322,7 @@ mod tests {
     #[test]
     fn attribution_finds_error_causing_sites() {
         let fm = trained_fm(2e-5);
-        let report = attribute_faults(&fm, 150, None, 3);
+        let report = attribute_faults(&fm, 150, None, 3, &RunControl::new()).unwrap();
         assert!(report.samples > 30, "too few hits: {}", report.samples);
         assert!(report.hit_rate > 0.1, "hit rate {}", report.hit_rate);
         // Site shares are ordered and bounded.
@@ -359,7 +338,7 @@ mod tests {
     #[test]
     fn errors_are_attributed_to_exponent_bits() {
         let fm = trained_fm(2e-5);
-        let report = attribute_faults(&fm, 150, None, 4);
+        let report = attribute_faults(&fm, 150, None, 4, &RunControl::new()).unwrap();
         // Error-conditioned flips concentrate in the exponent field (8 of
         // 32 positions -> uniform share would be 0.25).
         assert!(
@@ -372,7 +351,7 @@ mod tests {
     #[test]
     fn top_sites_is_bounded() {
         let fm = trained_fm(2e-5);
-        let report = attribute_faults(&fm, 60, None, 5);
+        let report = attribute_faults(&fm, 60, None, 5, &RunControl::new()).unwrap();
         assert_eq!(report.top_sites(2).len(), 2);
         assert_eq!(report.top_sites(100).len(), report.sites.len());
     }

@@ -5,7 +5,7 @@
 
 use crate::campaign::delta_accounted;
 use crate::checkpoint::journal_fingerprint;
-use crate::engine::{CheckpointSpec, EngineError, EvalEngine, EvalSink, RunControl, RunMeta};
+use crate::engine::{EngineError, EvalEngine, EvalSink, RunControl, RunMeta};
 use crate::faulty_model::FaultyModel;
 use crate::stats::spearman;
 use bdlfi_bayes::BetaBernoulli;
@@ -151,7 +151,12 @@ impl BoundaryMap {
 ///
 /// Every fault sample evaluates the entire grid in one batched forward
 /// pass; the per-point mismatch counts feed Jeffreys Beta–Bernoulli
-/// posteriors.
+/// posteriors. With a journal in `ctl`, each fault sample is one entry.
+///
+/// # Errors
+///
+/// [`EngineError::Interrupted`] on a cooperative stop (resume with the
+/// same config to finish), plus journal/sink failures.
 ///
 /// # Panics
 ///
@@ -162,31 +167,7 @@ pub fn boundary_map(
     spec: &SiteSpec,
     fault_model: Arc<dyn FaultModel>,
     cfg: &BoundaryConfig,
-) -> BoundaryMap {
-    match boundary_map_controlled(model, spec, fault_model, cfg, &RunControl::default(), None) {
-        Ok(map) => map,
-        Err(e) => panic!("boundary map failed: {e}"),
-    }
-}
-
-/// [`boundary_map`] with cooperative cancellation and an optional
-/// checkpoint journal (one entry per fault sample).
-///
-/// # Errors
-///
-/// [`EngineError::Interrupted`] on a cooperative stop (resume with the
-/// same config to finish), plus journal/sink failures.
-///
-/// # Panics
-///
-/// Same preconditions as [`boundary_map`].
-pub fn boundary_map_controlled(
-    model: &Sequential,
-    spec: &SiteSpec,
-    fault_model: Arc<dyn FaultModel>,
-    cfg: &BoundaryConfig,
     ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
 ) -> Result<BoundaryMap, EngineError> {
     assert!(cfg.resolution >= 2, "resolution must be at least 2");
     assert!(cfg.fault_samples > 0, "need at least one fault sample");
@@ -257,7 +238,7 @@ pub fn boundary_map_controlled(
         counts: vec![0u64; n],
     };
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.map(|s| s.or_fingerprint(|| journal_fingerprint("boundary_map", "", cfg)));
+    let ctl = ctl.or_fingerprint(|| journal_fingerprint("boundary_map", "", cfg));
     let run_meta = delta_accounted(&fm, || {
         engine.run_checkpointed(
             cfg.fault_samples,
@@ -267,8 +248,7 @@ pub fn boundary_map_controlled(
                 Ok(fm.eval_mismatch(&fault_cfg, &mut ctx.rng))
             },
             &mut sink,
-            ctl,
-            ckpt.as_ref(),
+            &ctl,
         )
     })?;
     let mismatch_counts = sink.counts;
@@ -335,7 +315,9 @@ mod tests {
                 seed: 9,
                 ..BoundaryConfig::default()
             },
+            &RunControl::new(),
         )
+        .unwrap()
     }
 
     #[test]
@@ -395,7 +377,9 @@ mod tests {
                     workers,
                     ..BoundaryConfig::default()
                 },
+                &RunControl::new(),
             )
+            .unwrap()
         };
         let serial = map_with(1);
         let parallel = map_with(3);

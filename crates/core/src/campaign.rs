@@ -470,22 +470,11 @@ fn advance_all<W: FaultWorkload>(
 /// Generic over the [`FaultWorkload`]: pass a [`crate::FaultyModel`] for
 /// the f32 workload or a [`crate::QuantFaultyModel`] for the int8 one.
 ///
-/// # Panics
-///
-/// Panics if `cfg.chains == 0` or the chain schedule records no samples.
-pub fn run_campaign<W: FaultWorkload>(fm: &W, cfg: &CampaignConfig) -> CampaignReport {
-    match run_campaign_controlled(fm, cfg, &RunControl::default(), None) {
-        Ok(rep) => rep,
-        // bdlfi-lint: allow(BD010) -- `run_campaign` is the documented panicking convenience wrapper (see `# Panics`); fallible callers use `run_campaign_controlled`
-        Err(e) => panic!("campaign failed: {e}"),
-    }
-}
-
-/// [`run_campaign`] with cooperative cancellation and an optional
-/// checkpoint journal (one entry per finished chain, holding the chain's
-/// complete outcome). An interrupted campaign resumes bit-identically:
-/// journaled chains are replayed, the rest run from scratch — every chain
-/// is a pure function of `(cfg.seed, chain_index)`.
+/// `ctl` carries cooperative cancellation and an optional checkpoint
+/// journal (one entry per finished chain, holding the chain's complete
+/// outcome). An interrupted campaign resumes bit-identically: journaled
+/// chains are replayed, the rest run from scratch — every chain is a pure
+/// function of `(cfg.seed, chain_index)`.
 ///
 /// # Errors
 ///
@@ -494,25 +483,17 @@ pub fn run_campaign<W: FaultWorkload>(fm: &W, cfg: &CampaignConfig) -> CampaignR
 ///
 /// # Panics
 ///
-/// Same preconditions as [`run_campaign`].
-pub fn run_campaign_controlled<W: FaultWorkload>(
+/// Panics if `cfg.chains == 0` or the chain schedule records no samples.
+pub fn run_campaign<W: FaultWorkload>(
     fm: &W,
     cfg: &CampaignConfig,
     ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
 ) -> Result<CampaignReport, EngineError> {
     let engine = campaign_engine(cfg);
-    let ckpt = ckpt.map(|s| s.or_fingerprint(|| campaign_fingerprint(fm, cfg)));
+    let ctl = ctl.or_fingerprint(|| campaign_fingerprint(fm, cfg));
     let mut sink = CollectSink::new();
     let meta = delta_accounted(fm, || {
-        engine.run_checkpointed(
-            cfg.chains,
-            || fm.clone(),
-            chain_task(cfg),
-            &mut sink,
-            ctl,
-            ckpt.as_ref(),
-        )
+        engine.run_checkpointed(cfg.chains, || fm.clone(), chain_task(cfg), &mut sink, &ctl)
     })?;
     Ok(assemble(fm, cfg, &sink.into_inner(), meta))
 }
@@ -564,20 +545,21 @@ fn campaign_fingerprint<W: FaultWorkload>(fm: &W, cfg: &CampaignConfig) -> Strin
 /// the unsharded campaign fingerprint plus the shard count and index).
 /// The journal *is* the shard's output; merge the completed shards with
 /// [`crate::shard::merge_shards`] and assemble the report by re-running
-/// [`run_campaign_controlled`] over the merged journal with
-/// [`CheckpointSpec::finalizing`].
+/// [`run_campaign`] over the merged journal with
+/// [`CheckpointSpec::finalizing`](crate::CheckpointSpec::finalizing).
 ///
-/// `ckpt.fingerprint` names the **unsharded** campaign fingerprint (empty
-/// — the default — derives it from the workload and config, matching
-/// [`run_campaign_controlled`]); the engine derives the shard fingerprint
-/// from it, so it is never passed in.
+/// `ctl` must carry the shard's journal. Its fingerprint names the
+/// **unsharded** campaign fingerprint (empty — the default — derives it
+/// from the workload and config, matching [`run_campaign`]); the engine
+/// derives the shard fingerprint from it, so it is never passed in.
 ///
 /// # Errors
 ///
-/// [`ShardError::Plan`] / [`ShardError::IndexOutOfRange`] for an unusable
-/// split; [`ShardError::Engine`] wrapping [`EngineError::Interrupted`] on
-/// a cooperative stop (resume by rerunning with `ckpt.resume` set), and
-/// engine/journal failures otherwise.
+/// [`ShardError::Plan`] when `ctl` carries no journal or the split is
+/// unusable; [`ShardError::IndexOutOfRange`] for an index outside it;
+/// [`ShardError::Engine`] wrapping [`EngineError::Interrupted`] on a
+/// cooperative stop (resume by rerunning with the journal's `resume`
+/// set), and engine/journal failures otherwise.
 ///
 /// # Panics
 ///
@@ -588,11 +570,11 @@ pub fn run_campaign_shard<W: FaultWorkload>(
     count: usize,
     index: usize,
     ctl: &RunControl,
-    ckpt: &CheckpointSpec,
 ) -> Result<RunMeta, ShardError> {
+    let ctl = ctl.or_fingerprint(|| campaign_fingerprint(fm, cfg));
+    let base = ctl.shard_journal()?.fingerprint.clone();
     let engine = campaign_engine(cfg);
-    let base = ckpt.or_fingerprint(|| campaign_fingerprint(fm, cfg));
-    let plan = ShardPlan::new(base.fingerprint, cfg.seed, cfg.chains, count)?;
+    let plan = ShardPlan::new(base, cfg.seed, cfg.chains, count)?;
     delta_accounted(fm, || {
         engine.run_shard_checkpointed(
             &plan,
@@ -600,8 +582,7 @@ pub fn run_campaign_shard<W: FaultWorkload>(
             || fm.clone(),
             chain_task(cfg),
             &mut NullSink,
-            ctl,
-            ckpt,
+            &ctl,
         )
     })
 }
@@ -615,36 +596,13 @@ pub fn run_campaign_shard<W: FaultWorkload>(
 /// The returned report reflects all recorded samples; inspect
 /// `report.completeness.certified` to see whether the budget sufficed.
 ///
-/// # Panics
-///
-/// Panics if `cfg.chains == 0`, the segment size is zero, or
-/// `max_samples_per_chain < cfg.chain.samples`.
-pub fn run_campaign_adaptive<W: FaultWorkload>(
-    fm: &W,
-    cfg: &CampaignConfig,
-    max_samples_per_chain: usize,
-) -> CampaignReport {
-    match run_campaign_adaptive_controlled(
-        fm,
-        cfg,
-        max_samples_per_chain,
-        &RunControl::default(),
-        None,
-    ) {
-        Ok(rep) => rep,
-        Err(e) => panic!("adaptive campaign failed: {e}"),
-    }
-}
-
-/// [`run_campaign_adaptive`] with cooperative cancellation and an optional
-/// checkpoint journal.
-///
-/// The adaptive driver journals at *segment* granularity: after each
-/// segment, one open-ended journal entry records every chain's cumulative
-/// [`ChainOutcome`] (statistics, Markov state, exact RNG positions). A
-/// resumed run restores the chains from the last entry and continues
-/// bit-identically; at most one in-flight segment of work is recomputed.
-/// `ctl.stop_after` counts *segments* for this driver.
+/// With a journal in `ctl`, the adaptive driver journals at *segment*
+/// granularity: after each segment, one open-ended journal entry records
+/// every chain's cumulative [`ChainOutcome`] (statistics, Markov state,
+/// exact RNG positions). A resumed run restores the chains from the last
+/// entry and continues bit-identically; at most one in-flight segment of
+/// work is recomputed. `ctl.stop_after` counts *segments* for this
+/// driver.
 ///
 /// # Errors
 ///
@@ -655,13 +613,13 @@ pub fn run_campaign_adaptive<W: FaultWorkload>(
 ///
 /// # Panics
 ///
-/// Same preconditions as [`run_campaign_adaptive`].
-pub fn run_campaign_adaptive_controlled<W: FaultWorkload>(
+/// Panics if `cfg.chains == 0`, the segment size is zero, or
+/// `max_samples_per_chain < cfg.chain.samples`.
+pub fn run_campaign_adaptive<W: FaultWorkload>(
     fm: &W,
     cfg: &CampaignConfig,
     max_samples_per_chain: usize,
     ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
 ) -> Result<CampaignReport, EngineError> {
     assert!(cfg.chains > 0, "campaign needs at least one chain");
     assert!(cfg.chain.samples > 0, "segment size must be positive");
@@ -677,18 +635,17 @@ pub fn run_campaign_adaptive_controlled<W: FaultWorkload>(
     // report's meta.
     let (delta_hits0, delta_fb0) = fm.delta_counters();
 
+    let ctl = ctl.or_fingerprint(|| {
+        journal_fingerprint(
+            "campaign_adaptive",
+            W::NAMESPACE,
+            &(cfg, max_samples_per_chain, fm.golden_error()),
+        )
+    });
     // Segment journals are open-ended (`tasks: 0`): the number of entries
     // depends on when the criteria certify.
     let header = |spec: &CheckpointSpec| CheckpointHeader {
-        fingerprint: spec
-            .or_fingerprint(|| {
-                journal_fingerprint(
-                    "campaign_adaptive",
-                    W::NAMESPACE,
-                    &(cfg, max_samples_per_chain, fm.golden_error()),
-                )
-            })
-            .fingerprint,
+        fingerprint: spec.fingerprint.clone(),
         seed: cfg.seed,
         tasks: 0,
         shard: None,
@@ -702,7 +659,7 @@ pub fn run_campaign_adaptive_controlled<W: FaultWorkload>(
     let mut resumed_from = None;
     let mut truncated_tail = false;
 
-    match ckpt {
+    match &ctl.checkpoint {
         Some(spec) if spec.resume => {
             let (w, replay) = CheckpointWriter::resume(&spec.path, &header(spec), spec.sync_every)?;
             let replayed = replay.values;
@@ -828,6 +785,26 @@ pub fn run_campaign_adaptive_controlled<W: FaultWorkload>(
     }
 }
 
+/// [`run_campaign_adaptive`] with the journal passed beside `ctl`.
+#[deprecated(note = "use `run_campaign_adaptive` with `RunControl::checkpointed`")]
+pub fn run_campaign_adaptive_controlled<W: FaultWorkload>(
+    fm: &W,
+    cfg: &CampaignConfig,
+    max_samples_per_chain: usize,
+    ctl: &RunControl,
+    ckpt: Option<&CheckpointSpec>,
+) -> Result<CampaignReport, EngineError> {
+    run_campaign_adaptive(
+        fm,
+        cfg,
+        max_samples_per_chain,
+        &RunControl {
+            checkpoint: ckpt.cloned(),
+            ..ctl.clone()
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -882,7 +859,7 @@ mod tests {
     #[test]
     fn prior_campaign_reports_sane_statistics() {
         let fm = trained_faulty_model(1e-3);
-        let rep = run_campaign(&fm, &quick_cfg(KernelChoice::Prior));
+        let rep = run_campaign(&fm, &quick_cfg(KernelChoice::Prior), &RunControl::new()).unwrap();
         assert_eq!(rep.traces.len(), 2);
         assert_eq!(rep.traces[0].len(), 60);
         // Prior kernel always accepts.
@@ -896,8 +873,18 @@ mod tests {
 
     #[test]
     fn error_grows_with_flip_probability() {
-        let low = run_campaign(&trained_faulty_model(1e-5), &quick_cfg(KernelChoice::Prior));
-        let high = run_campaign(&trained_faulty_model(1e-2), &quick_cfg(KernelChoice::Prior));
+        let low = run_campaign(
+            &trained_faulty_model(1e-5),
+            &quick_cfg(KernelChoice::Prior),
+            &RunControl::new(),
+        )
+        .unwrap();
+        let high = run_campaign(
+            &trained_faulty_model(1e-2),
+            &quick_cfg(KernelChoice::Prior),
+            &RunControl::new(),
+        )
+        .unwrap();
         assert!(
             high.mean_error > low.mean_error + 0.02,
             "low {} high {}",
@@ -911,13 +898,13 @@ mod tests {
         let fm = trained_faulty_model(3e-3);
         let mut cfg = quick_cfg(KernelChoice::Prior);
         cfg.chain.samples = 150;
-        let prior = run_campaign(&fm, &cfg);
+        let prior = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
         let mut cfg = quick_cfg(KernelChoice::Mixture {
             refresh_weight: 0.3,
         });
         cfg.chain.samples = 150;
         cfg.chain.burn_in = 50;
-        let mixed = run_campaign(&fm, &cfg);
+        let mixed = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
         assert!(
             (prior.mean_error - mixed.mean_error).abs() < 0.08,
             "prior {} vs mixture {}",
@@ -931,11 +918,11 @@ mod tests {
         let fm = trained_faulty_model(3e-3);
         let mut cfg = quick_cfg(KernelChoice::Prior);
         cfg.chain.samples = 200;
-        let reference = run_campaign(&fm, &cfg);
+        let reference = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
         let mut cfg = quick_cfg(KernelChoice::Tempered { beta: 3.0 });
         cfg.chain.samples = 200;
         cfg.chain.burn_in = 50;
-        let tempered = run_campaign(&fm, &cfg);
+        let tempered = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
         let iess = tempered.importance_ess.expect("tempered reports IS ESS");
         assert!(iess > 10.0);
         // Tilted raw mean is biased upward; the reweighted estimate is not.
@@ -956,11 +943,11 @@ mod tests {
         let mut cfg = quick_cfg(KernelChoice::Prior);
         cfg.chain.samples = 500;
         cfg.chain.burn_in = 0;
-        let plain = run_campaign(&fm, &cfg);
+        let plain = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
         let mut cfg = quick_cfg(KernelChoice::TiltedPrior { factor: 10.0 });
         cfg.chain.samples = 500;
         cfg.chain.burn_in = 0;
-        let tilted = run_campaign(&fm, &cfg);
+        let tilted = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
 
         // iid from the tilted prior: every proposal accepted.
         assert!(tilted.acceptance_rates.iter().all(|&a| a == 1.0));
@@ -986,7 +973,7 @@ mod tests {
         let mut cfg = quick_cfg(KernelChoice::Gibbs { p: 3e-3 });
         cfg.chain.samples = 150;
         cfg.chain.burn_in = 100;
-        let gibbs = run_campaign(&fm, &cfg);
+        let gibbs = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
         assert!(
             gibbs.acceptance_rates.iter().all(|&a| a > 0.999),
             "{:?}",
@@ -994,7 +981,7 @@ mod tests {
         );
         let mut cfg = quick_cfg(KernelChoice::Prior);
         cfg.chain.samples = 150;
-        let prior = run_campaign(&fm, &cfg);
+        let prior = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
         // Gibbs moves one bit per step, so consecutive samples are highly
         // correlated; the estimates still agree loosely.
         assert!(
@@ -1008,8 +995,8 @@ mod tests {
     #[test]
     fn campaign_is_reproducible_under_seed() {
         let fm = trained_faulty_model(1e-3);
-        let a = run_campaign(&fm, &quick_cfg(KernelChoice::Prior));
-        let b = run_campaign(&fm, &quick_cfg(KernelChoice::Prior));
+        let a = run_campaign(&fm, &quick_cfg(KernelChoice::Prior), &RunControl::new()).unwrap();
+        let b = run_campaign(&fm, &quick_cfg(KernelChoice::Prior), &RunControl::new()).unwrap();
         assert_eq!(a.traces[0].samples(), b.traces[0].samples());
         assert_eq!(a.mean_error, b.mean_error);
     }
@@ -1019,9 +1006,9 @@ mod tests {
         let fm = trained_faulty_model(1e-3);
         let mut cfg = quick_cfg(KernelChoice::Prior);
         cfg.workers = 1;
-        let serial = run_campaign(&fm, &cfg);
+        let serial = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
         cfg.workers = 2;
-        let parallel = run_campaign(&fm, &cfg);
+        let parallel = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
         for (a, b) in serial.traces.iter().zip(&parallel.traces) {
             assert_eq!(a.samples(), b.samples());
         }
@@ -1040,7 +1027,7 @@ mod tests {
             min_ess: 60.0,
             max_mcse: 0.05,
         };
-        let rep = run_campaign_adaptive(&fm, &cfg, 1000);
+        let rep = run_campaign_adaptive(&fm, &cfg, 1000, &RunControl::new()).unwrap();
         assert!(rep.completeness.certified, "{:?}", rep.completeness);
         // Stopped in segments of 50.
         assert_eq!(rep.traces[0].len() % 50, 0);
@@ -1058,7 +1045,7 @@ mod tests {
             min_ess: 1e9,
             max_mcse: 1e-9,
         };
-        let rep = run_campaign_adaptive(&fm, &cfg, 60);
+        let rep = run_campaign_adaptive(&fm, &cfg, 60, &RunControl::new()).unwrap();
         assert!(!rep.completeness.certified);
         assert_eq!(rep.traces[0].len(), 60);
     }
@@ -1074,8 +1061,8 @@ mod tests {
             min_ess: 1.0,
             max_mcse: 10.0,
         };
-        let adaptive = run_campaign_adaptive(&fm, &cfg, 400);
-        let fixed = run_campaign(&fm, &cfg);
+        let adaptive = run_campaign_adaptive(&fm, &cfg, 400, &RunControl::new()).unwrap();
+        let fixed = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
         assert_eq!(adaptive.traces[0].samples(), fixed.traces[0].samples());
     }
 }

@@ -56,9 +56,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Dirty-row fraction above which the evaluator densifies: scatters the
 /// surviving corrections into the golden boundary and finishes with one
-/// dense suffix pass. Benched on the `perf_smoke` layerwise scenario —
-/// above ~3/4 dirty rows the per-layer comparisons cost more than the
-/// GEMM work they save.
+/// dense suffix pass. Benched on a deep-MLP layerwise scenario — above
+/// ~3/4 dirty rows the per-layer comparisons cost more than the GEMM work
+/// they save.
 pub const DENSIFY_THRESHOLD: f64 = 0.75;
 
 /// Shared hit/fallback counters for the sparse-delta path.

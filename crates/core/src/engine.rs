@@ -128,12 +128,14 @@ impl From<CheckpointError> for EngineError {
     }
 }
 
-/// Cooperative cancellation for an engine run (and, transitively, the
-/// campaign driver above it): a shared stop flag a signal handler or
-/// supervisor can raise, plus a deterministic `stop_after` watermark for
-/// tests. The engine checks between tasks and drains cleanly — delivered
-/// results stay delivered (and journaled), and the run returns
-/// [`EngineError::Interrupted`].
+/// How an engine run (and, transitively, the campaign driver above it) is
+/// controlled: a shared stop flag a signal handler or supervisor can
+/// raise, a deterministic `stop_after` watermark for tests, a streaming
+/// observer, and the checkpoint journal the run writes. The engine checks
+/// between tasks and drains cleanly — delivered results stay delivered
+/// (and journaled), and the run returns [`EngineError::Interrupted`].
+/// Every driver takes one `&RunControl` last; [`RunControl::new`] runs
+/// to completion without a journal.
 #[derive(Clone, Default)]
 pub struct RunControl {
     /// Raise to request a stop at the next task boundary.
@@ -146,6 +148,9 @@ pub struct RunControl {
     /// order). `None` — the default — costs nothing: values are only
     /// serialized for observation when an observer is attached.
     pub observer: Option<Arc<dyn RunObserver>>,
+    /// Where the run journals its results. `None` — the default — runs
+    /// without a journal; shard runs require one (it is their output).
+    pub checkpoint: Option<CheckpointSpec>,
 }
 
 impl fmt::Debug for RunControl {
@@ -154,6 +159,7 @@ impl fmt::Debug for RunControl {
             .field("stop", &self.stop)
             .field("stop_after", &self.stop_after)
             .field("observer", &self.observer.is_some())
+            .field("checkpoint", &self.checkpoint)
             .finish()
     }
 }
@@ -188,6 +194,34 @@ impl RunControl {
     pub fn observing(mut self, observer: Arc<dyn RunObserver>) -> Self {
         self.observer = Some(observer);
         self
+    }
+
+    /// The same control, journaling the run to `spec`.
+    #[must_use]
+    pub fn checkpointed(mut self, spec: CheckpointSpec) -> Self {
+        self.checkpoint = Some(spec);
+        self
+    }
+
+    /// The same control, its journal bound to `derive()` when it names no
+    /// fingerprint — how every driver defaults its journal identity.
+    #[must_use]
+    pub fn or_fingerprint(&self, derive: impl FnOnce() -> String) -> Self {
+        let mut ctl = self.clone();
+        if let Some(spec) = &mut ctl.checkpoint {
+            if spec.fingerprint.is_empty() {
+                spec.fingerprint = derive();
+            }
+        }
+        ctl
+    }
+
+    /// The journal of a shard run, which is the shard's whole output: a
+    /// control without one is refused before anything runs.
+    pub(crate) fn shard_journal(&self) -> Result<&CheckpointSpec, ShardError> {
+        self.checkpoint.as_ref().ok_or_else(|| ShardError::Plan {
+            detail: "a shard run needs a checkpoint journal (RunControl::checkpointed)".to_string(),
+        })
     }
 
     fn stop_requested(&self) -> bool {
@@ -261,17 +295,6 @@ impl CheckpointSpec {
         self.resume = true;
         self.allow_complete = true;
         self
-    }
-
-    /// The same spec, bound to `derive()` when no fingerprint was given —
-    /// how every driver defaults its journal identity.
-    #[must_use]
-    pub fn or_fingerprint(&self, derive: impl FnOnce() -> String) -> Self {
-        let mut spec = self.clone();
-        if spec.fingerprint.is_empty() {
-            spec.fingerprint = derive();
-        }
-        spec
     }
 }
 
@@ -705,15 +728,16 @@ impl EvalEngine {
     }
 
     /// [`EvalEngine::run`] with cooperative cancellation and an optional
-    /// durable checkpoint journal.
+    /// durable checkpoint journal, both read from `ctl`.
     ///
-    /// With a [`CheckpointSpec`], every delivered result is appended to a
-    /// crash-safe JSONL journal *in task order* (fsync'd in batches and on
-    /// stop). On `resume`, the journal's fingerprint/seed/task-count are
-    /// verified, the journaled results are replayed into `sink` (marked in
-    /// [`RunMeta::resumed_from`]) and only the remaining tasks execute —
-    /// bit-identical to an uninterrupted run, because each task is a pure
-    /// function of `(engine_seed, task_id)`.
+    /// With a [`RunControl::checkpoint`], every delivered result is
+    /// appended to a crash-safe JSONL journal *in task order* (fsync'd in
+    /// batches and on stop). On `resume`, the journal's
+    /// fingerprint/seed/task-count are verified, the journaled results are
+    /// replayed into `sink` (marked in [`RunMeta::resumed_from`]) and only
+    /// the remaining tasks execute — bit-identical to an uninterrupted
+    /// run, because each task is a pure function of `(engine_seed,
+    /// task_id)`.
     ///
     /// `task` returns a `Result` so nested engine runs (drivers that run a
     /// campaign per task) can surface their own interruptions/failures;
@@ -732,7 +756,6 @@ impl EvalEngine {
         task: F,
         sink: &mut S,
         ctl: &RunControl,
-        ckpt: Option<&CheckpointSpec>,
     ) -> Result<RunMeta, EngineError>
     where
         T: Send + Serialize + Deserialize,
@@ -741,7 +764,7 @@ impl EvalEngine {
         S: EvalSink<T> + Send + ?Sized,
     {
         let started = Instant::now();
-        let Some(spec) = ckpt else {
+        let Some(spec) = &ctl.checkpoint else {
             let mut journal = Observed {
                 inner: NoJournal,
                 observer: ctl.observer.as_ref(),
@@ -756,23 +779,24 @@ impl EvalEngine {
 
     /// Runs shard `index` of `plan`: the shard's global task range
     /// executes with its **global** task ids (so every task draws the same
-    /// seed stream it would in an unsharded run), journaled to a mandatory
-    /// shard journal whose header carries the shard's
-    /// [`ShardInfo`] and binds [`ShardPlan::shard_fingerprint`] — the
-    /// engine writes every per-shard fingerprint, so `ckpt.fingerprint` is
-    /// ignored here (the plan carries the unsharded one). Resume
-    /// semantics — replay, torn-tail truncation, [`RunMeta::resumed_from`]
-    /// — are exactly those of [`EvalEngine::run_checkpointed`], scoped to
-    /// the shard's range. [`RunMeta::tasks`] is the shard length;
-    /// observers see the plan's total as the task count.
+    /// seed stream it would in an unsharded run), journaled to the
+    /// mandatory shard journal `ctl` carries, whose header holds the
+    /// shard's [`ShardInfo`] and binds [`ShardPlan::shard_fingerprint`] —
+    /// the engine writes every per-shard fingerprint, so the journal's own
+    /// fingerprint is ignored here (the plan carries the unsharded one).
+    /// Resume semantics — replay, torn-tail truncation,
+    /// [`RunMeta::resumed_from`] — are exactly those of
+    /// [`EvalEngine::run_checkpointed`], scoped to the shard's range.
+    /// [`RunMeta::tasks`] is the shard length; observers see the plan's
+    /// total as the task count.
     ///
     /// # Errors
     ///
-    /// [`ShardError::IndexOutOfRange`] for an index outside the plan;
-    /// otherwise [`ShardError::Engine`] wrapping the failure modes of
-    /// [`EvalEngine::run_checkpointed`] (`Interrupted::completed` counts
-    /// this shard's delivered results).
-    #[allow(clippy::too_many_arguments)]
+    /// [`ShardError::Plan`] when `ctl` carries no journal (nothing is
+    /// written); [`ShardError::IndexOutOfRange`] for an index outside the
+    /// plan; otherwise [`ShardError::Engine`] wrapping the failure modes
+    /// of [`EvalEngine::run_checkpointed`] (`Interrupted::completed`
+    /// counts this shard's delivered results).
     pub fn run_shard_checkpointed<W, T, I, F, S>(
         &self,
         plan: &ShardPlan,
@@ -781,7 +805,6 @@ impl EvalEngine {
         task: F,
         sink: &mut S,
         ctl: &RunControl,
-        ckpt: &CheckpointSpec,
     ) -> Result<RunMeta, ShardError>
     where
         T: Send + Serialize + Deserialize,
@@ -790,11 +813,12 @@ impl EvalEngine {
         S: EvalSink<T> + Send + ?Sized,
     {
         let started = Instant::now();
+        let journal = ctl.shard_journal()?;
         let shard = plan.info(index)?;
         let range = plan.range(index)?;
         let spec = CheckpointSpec {
             fingerprint: plan.shard_fingerprint(index),
-            ..ckpt.clone()
+            ..journal.clone()
         };
         Ok(self.run_journaled(
             range.start,
@@ -1308,8 +1332,7 @@ mod tests {
                     || (),
                     |(), ctx| Ok(ctx.rng.random::<u64>()),
                     &mut sink,
-                    &RunControl::stop_after(20),
-                    Some(&spec),
+                    &RunControl::stop_after(20).checkpointed(spec.clone()),
                 )
                 .unwrap_err();
             let completed = match err {
@@ -1331,8 +1354,7 @@ mod tests {
                     || (),
                     |(), ctx| Ok(ctx.rng.random::<u64>()),
                     &mut sink,
-                    &RunControl::new(),
-                    Some(&spec.clone().resuming()),
+                    &RunControl::new().checkpointed(spec.clone().resuming()),
                 )
                 .unwrap();
             assert_eq!(meta.resumed_from, Some(completed));
@@ -1353,7 +1375,6 @@ mod tests {
                 |(), ctx| Ok(ctx.task_id),
                 &mut sink,
                 &RunControl::with_stop(flag),
-                None,
             )
             .unwrap_err();
         assert!(matches!(err, EngineError::Interrupted { .. }), "{err}");
@@ -1376,7 +1397,6 @@ mod tests {
                 },
                 &mut sink,
                 &RunControl::new(),
-                None,
             )
             .unwrap_err();
         assert!(matches!(err, EngineError::Task { task_id: 7, .. }), "{err}");
@@ -1396,7 +1416,6 @@ mod tests {
                 },
                 &mut sink,
                 &RunControl::new(),
-                None,
             )
             .unwrap_err();
         assert!(

@@ -277,13 +277,18 @@ impl FaultyModel {
     /// point.
     pub fn eval_mismatch(&mut self, cfg: &FaultConfig, rng: &mut dyn Rng) -> Vec<bool> {
         let logits = self.eval_logits(cfg, rng);
-        logits
-            .argmax_rows()
-            .into_iter()
-            .zip(self.golden_preds.iter())
-            .map(|(f, &g)| f != g)
-            .collect()
+        golden_mismatch(&logits, &self.golden_preds)
     }
+}
+
+/// Per-row indicator that `logits` predicts another class than `golden`.
+fn golden_mismatch(logits: &Tensor, golden: &[usize]) -> Vec<bool> {
+    logits
+        .argmax_rows()
+        .into_iter()
+        .zip(golden)
+        .map(|(f, &g)| f != g)
+        .collect()
 }
 
 /// Whether `sites` include transient (activation or input) sites.
@@ -409,6 +414,60 @@ mod tests {
         );
         let e = clean_fm.eval_error(&FaultConfig::clean(), &mut rng);
         assert_eq!(e, clean_fm.golden_error());
+    }
+
+    #[test]
+    fn logit_statistics_ignore_nan_sign_and_payload() {
+        // The f32 kernel variants may disagree on which NaN survives a sum
+        // of two different NaNs; every statistic a journal records from
+        // logits must read all NaNs alike for journals to stay independent
+        // of `BDLFI_KERNEL`.
+        let nans = [
+            0x7fc0_0000u32,
+            0xffc0_0000,
+            0x7fc0_0001,
+            0xffa0_0000,
+            0x7f80_0001,
+        ]
+        .map(f32::from_bits);
+        let with_nans = |shift: usize| {
+            let mut slot = 0;
+            let data = [
+                [f32::NAN, 1.0, 2.0],
+                [1.0, f32::NAN, 0.5],
+                [0.0, 1.0, f32::NAN],
+                [f32::NAN, f32::NAN, f32::NAN],
+                [f32::NAN, 3.0, f32::NAN],
+                [0.5, f32::INFINITY, 0.25],
+            ]
+            .concat()
+            .into_iter()
+            .map(|v| {
+                if v.is_nan() {
+                    slot += 1;
+                    nans[(slot + shift) % nans.len()]
+                } else {
+                    v
+                }
+            })
+            .collect();
+            Tensor::from_vec(data, [6, 3])
+        };
+        let labels = [2, 0, 1, 0, 1, 1];
+        let golden = [2, 1, 0, 0, 1, 2];
+        let stats = |logits: &Tensor| {
+            (
+                logits.argmax_rows(),
+                bdlfi_nn::metrics::classification_error(logits, &labels).to_bits(),
+                golden_mismatch(logits, &golden),
+            )
+        };
+        let want = stats(&with_nans(0));
+        for shift in 1..nans.len() {
+            let logits = with_nans(shift);
+            assert_ne!(logits.data()[0].to_bits(), with_nans(0).data()[0].to_bits());
+            assert_eq!(stats(&logits), want, "NaN patterns shifted by {shift}");
+        }
     }
 
     #[test]

@@ -101,7 +101,13 @@ pub struct LayerwiseResult {
 /// see [`GoldenModel`]), injecting only into that layer's parameters, with
 /// the fault burden allocated by `budget` over the layer's injectable
 /// *bits* (f32 values contribute 32 bits per element, int8 weight bytes 8,
-/// i32 biases 32).
+/// i32 biases 32). With a journal in `ctl`, each completed layer is one
+/// entry, in depth order.
+///
+/// # Errors
+///
+/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
+/// failures and those of the per-layer campaigns.
 ///
 /// # Panics
 ///
@@ -113,42 +119,16 @@ pub fn run_layerwise<N: GoldenModel>(
     layers: &[&str],
     budget: LayerBudget,
     cfg: &CampaignConfig,
-) -> LayerwiseResult {
-    match run_layerwise_controlled(net, eval, layers, budget, cfg, &RunControl::default(), None) {
-        Ok(res) => res,
-        Err(e) => panic!("layerwise study failed: {e}"),
-    }
-}
-
-/// [`run_layerwise`] with cooperative cancellation and an optional
-/// checkpoint journal (one entry per completed layer, in depth order).
-///
-/// # Errors
-///
-/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
-/// failures.
-///
-/// # Panics
-///
-/// Same preconditions as [`run_layerwise`].
-pub fn run_layerwise_controlled<N: GoldenModel>(
-    net: &N,
-    eval: &Arc<Dataset>,
-    layers: &[&str],
-    budget: LayerBudget,
-    cfg: &CampaignConfig,
     ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
 ) -> Result<LayerwiseResult, EngineError> {
     // One campaign per layer, fanned out through the engine; each
     // campaign is deterministic in (cfg.seed, layer), so the study is
     // worker-count invariant. Task `i` covers `layers[i]` at depth `i`.
     let task = layer_task(net, eval, layers, budget, cfg);
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.map(|s| s.or_fingerprint(|| layerwise_fingerprint::<N>(layers, budget, cfg)));
+    let ctl = ctl.or_fingerprint(|| layerwise_fingerprint::<N>(layers, budget, cfg));
     let mut sink = CollectSink::new();
-    let run_meta =
-        engine.run_checkpointed(layers.len(), || (), task, &mut sink, ctl, ckpt.as_ref())?;
+    let run_meta = engine.run_checkpointed(layers.len(), || (), task, &mut sink, &ctl)?;
     let results = sink.into_inner();
 
     let golden_error = results[0].report.golden_error;
@@ -173,21 +153,47 @@ pub fn run_layerwise_controlled<N: GoldenModel>(
     })
 }
 
+/// [`run_layerwise`] with the journal passed beside `ctl`.
+#[deprecated(note = "use `run_layerwise` with `RunControl::checkpointed`")]
+pub fn run_layerwise_controlled<N: GoldenModel>(
+    net: &N,
+    eval: &Arc<Dataset>,
+    layers: &[&str],
+    budget: LayerBudget,
+    cfg: &CampaignConfig,
+    ctl: &RunControl,
+    ckpt: Option<&CheckpointSpec>,
+) -> Result<LayerwiseResult, EngineError> {
+    run_layerwise(
+        net,
+        eval,
+        layers,
+        budget,
+        cfg,
+        &RunControl {
+            checkpoint: ckpt.cloned(),
+            ..ctl.clone()
+        },
+    )
+}
+
 /// Runs one shard of a layerwise study split `count` ways: the layers in
 /// shard `index`'s contiguous sub-range of `0..layers.len()` (depth
 /// order), journaled with global depth ids under the plan's per-shard
 /// fingerprint. Merge the completed shards with
 /// [`crate::shard::merge_shards`] and assemble the [`LayerwiseResult`]
-/// via [`run_layerwise_controlled`] with [`CheckpointSpec::finalizing`].
+/// via [`run_layerwise`] with [`CheckpointSpec::finalizing`].
 ///
-/// `ckpt.fingerprint` names the **unsharded** layerwise fingerprint
-/// (empty derives it, matching [`run_layerwise_controlled`]).
+/// `ctl` must carry the shard's journal; its fingerprint names the
+/// **unsharded** layerwise fingerprint (empty derives it, matching
+/// [`run_layerwise`]).
 ///
 /// # Errors
 ///
-/// [`ShardError::Plan`] / [`ShardError::IndexOutOfRange`] for an unusable
-/// split; [`ShardError::Engine`] wrapping [`EngineError::Interrupted`] on
-/// a cooperative stop; engine/journal failures otherwise.
+/// [`ShardError::Plan`] when `ctl` carries no journal or the split is
+/// unusable; [`ShardError::IndexOutOfRange`] for an index outside it;
+/// [`ShardError::Engine`] wrapping [`EngineError::Interrupted`] on a
+/// cooperative stop; engine/journal failures otherwise.
 ///
 /// # Panics
 ///
@@ -202,13 +208,13 @@ pub fn run_layerwise_shard<N: GoldenModel>(
     count: usize,
     index: usize,
     ctl: &RunControl,
-    ckpt: &CheckpointSpec,
 ) -> Result<RunMeta, ShardError> {
+    let ctl = ctl.or_fingerprint(|| layerwise_fingerprint::<N>(layers, budget, cfg));
+    let base = ctl.shard_journal()?.fingerprint.clone();
     let task = layer_task(net, eval, layers, budget, cfg);
-    let base = ckpt.or_fingerprint(|| layerwise_fingerprint::<N>(layers, budget, cfg));
-    let plan = ShardPlan::new(base.fingerprint, cfg.seed, layers.len(), count)?;
+    let plan = ShardPlan::new(base, cfg.seed, layers.len(), count)?;
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    engine.run_shard_checkpointed(&plan, index, || (), task, &mut NullSink, ctl, ckpt)
+    engine.run_shard_checkpointed(&plan, index, || (), task, &mut NullSink, &ctl)
 }
 
 /// The journal identity of a layerwise study: driver, representation,
@@ -266,7 +272,7 @@ fn layer_task<'a, N: GoldenModel>(
             layer,
             elements,
             p,
-            report: run_campaign(&fm, cfg).journal_form(),
+            report: run_campaign(&fm, cfg, &RunControl::new())?.journal_form(),
         })
     }
 }
@@ -323,7 +329,9 @@ mod tests {
             &["fc1", "fc2", "fc3"],
             LayerBudget::PerBit(1e-2),
             &quick_cfg(),
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         assert_eq!(res.layers.len(), 3);
         assert_eq!(res.layers[0].layer, "fc1");
         assert_eq!(res.layers[0].depth, 0);
@@ -350,7 +358,9 @@ mod tests {
             &["fc1", "fc2"],
             LayerBudget::ExpectedFlips(4.0),
             &quick_cfg(),
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         // fc1 has 2*32+32 = 96 elements; fc2 has 32*2+2 = 66.
         assert!((res.layers[0].p - 4.0 / (32.0 * 96.0)).abs() < 1e-12);
         assert!((res.layers[1].p - 4.0 / (32.0 * 66.0)).abs() < 1e-12);
@@ -381,7 +391,9 @@ mod tests {
             &["fc1", "fc2"],
             LayerBudget::ExpectedFlips(4.0),
             &quick_cfg(),
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         // fc1: 2*32 int8 weights (8 bits) + 32 i32 biases + 32 per-channel
         // w_scales (f32) + out_zp (i32) = 64*8 + 32*32 + 32*32 + 32 = 2592
         // bits.
@@ -421,6 +433,8 @@ mod tests {
             &["nope"],
             LayerBudget::PerBit(1e-3),
             &quick_cfg(),
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
     }
 }

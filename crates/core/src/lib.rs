@@ -53,8 +53,13 @@
 //!
 //! # Examples
 //!
+//! Every driver has one entry point that takes a [`RunControl`] last and
+//! returns a `Result`: [`RunControl::new`] runs to completion without a
+//! journal; [`RunControl::with_stop`] adds cooperative cancellation and
+//! [`RunControl::checkpointed`] a crash-safe journal to resume from.
+//!
 //! ```
-//! use bdlfi::{CampaignConfig, FaultyModel, run_campaign};
+//! use bdlfi::{CampaignConfig, FaultyModel, RunControl, run_campaign};
 //! use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
 //! use rand::SeedableRng;
 //! use std::sync::Arc;
@@ -68,8 +73,9 @@
 //! let mut cfg = CampaignConfig::default();
 //! cfg.chains = 2;
 //! cfg.chain.samples = 20;
-//! let report = run_campaign(&fm, &cfg);
+//! let report = run_campaign(&fm, &cfg, &RunControl::new())?;
 //! assert!(report.mean_error >= 0.0);
+//! # Ok::<(), bdlfi::EngineError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -93,13 +99,12 @@ mod layerwise;
 mod protection;
 mod workload;
 
-pub use attribution::{
-    attribute_faults, attribute_faults_controlled, AttributionReport, SiteAttribution,
-};
-pub use boundary::{boundary_map, boundary_map_controlled, BoundaryConfig, BoundaryMap};
+pub use attribution::{attribute_faults, AttributionReport, SiteAttribution};
+pub use boundary::{boundary_map, BoundaryConfig, BoundaryMap};
+#[allow(deprecated)]
+pub use campaign::run_campaign_adaptive_controlled;
 pub use campaign::{
-    run_campaign, run_campaign_adaptive, run_campaign_adaptive_controlled, run_campaign_controlled,
-    run_campaign_shard, CampaignConfig, KernelChoice,
+    run_campaign, run_campaign_adaptive, run_campaign_shard, CampaignConfig, KernelChoice,
 };
 pub use checkpoint::{
     fingerprint, journal_fingerprint, read_journal, CheckpointError, CheckpointHeader,
@@ -114,18 +119,15 @@ pub use engine::{
     RunObserver, TaskCtx,
 };
 pub use faulty_model::FaultyModel;
+#[allow(deprecated)]
+pub use layerwise::run_layerwise_controlled;
 pub use layerwise::{
-    run_layerwise, run_layerwise_controlled, run_layerwise_shard, LayerBudget, LayerResult,
-    LayerwiseResult,
+    run_layerwise, run_layerwise_shard, LayerBudget, LayerResult, LayerwiseResult,
 };
-pub use protection::{
-    plan_protection, run_protection_study, run_protection_study_controlled, ProtectionPlan,
-    ProtectionStudy,
-};
+pub use protection::{plan_protection, run_protection_study, ProtectionPlan, ProtectionStudy};
 pub use report::CampaignReport;
 pub use shard::{merge_shards, MergeSummary, ShardError, ShardPlan};
 pub use sweep::{
-    log_spaced_probabilities, run_sweep, run_sweep_controlled, run_sweep_shard, KneeAnalysis,
-    SweepPoint, SweepResult,
+    log_spaced_probabilities, run_sweep, run_sweep_shard, KneeAnalysis, SweepPoint, SweepResult,
 };
 pub use workload::{FaultWorkload, GoldenModel, QuantFaultyModel};

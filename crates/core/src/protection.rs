@@ -8,9 +8,9 @@
 //! those inputs get the expensive mitigations (re-execution, ensembling,
 //! range checks), everything else runs fast.
 
-use crate::boundary::{boundary_map_controlled, BoundaryConfig, BoundaryMap};
+use crate::boundary::{boundary_map, BoundaryConfig, BoundaryMap};
 use crate::checkpoint::journal_fingerprint;
-use crate::engine::{CheckpointSpec, EngineError, RunControl};
+use crate::engine::{EngineError, RunControl};
 use bdlfi_faults::{FaultModel, SiteSpec};
 use bdlfi_nn::Sequential;
 use serde::{Deserialize, Serialize};
@@ -55,7 +55,14 @@ pub struct ProtectionStudy {
 
 /// Maps the feature space under the fault model (through the shared
 /// evaluation engine — see [`boundary_map`]) and derives the protection
-/// plan for `target_error` in one call.
+/// plan for `target_error` in one call. With a journal in `ctl`, the
+/// study journals at the underlying boundary-map granularity — one entry
+/// per fault sample.
+///
+/// # Errors
+///
+/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
+/// failures.
 ///
 /// # Panics
 ///
@@ -67,53 +74,17 @@ pub fn run_protection_study(
     fault_model: Arc<dyn FaultModel>,
     cfg: &BoundaryConfig,
     target_error: f64,
-) -> ProtectionStudy {
-    match run_protection_study_controlled(
-        model,
-        spec,
-        fault_model,
-        cfg,
-        target_error,
-        &RunControl::default(),
-        None,
-    ) {
-        Ok(study) => study,
-        Err(e) => panic!("protection study failed: {e}"),
-    }
-}
-
-/// [`run_protection_study`] with cooperative cancellation and an optional
-/// checkpoint journal (journaled at the underlying boundary-map
-/// granularity — one entry per fault sample).
-///
-/// # Errors
-///
-/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
-/// failures.
-///
-/// # Panics
-///
-/// Same preconditions as [`run_protection_study`].
-pub fn run_protection_study_controlled(
-    model: &Sequential,
-    spec: &SiteSpec,
-    fault_model: Arc<dyn FaultModel>,
-    cfg: &BoundaryConfig,
-    target_error: f64,
     ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
 ) -> Result<ProtectionStudy, EngineError> {
     // Bind this study's own journal fingerprint before delegating: a
     // protection-study journal must not be resume-compatible with a plain
     // boundary-map journal even though the sampled tasks coincide — the
     // study derives a protection plan from the finished map, so the two
     // runs make different claims about the same bytes.
-    let ckpt = ckpt.map(|s| {
-        s.or_fingerprint(|| {
-            journal_fingerprint("protection_study", "", &(cfg, target_error.to_bits()))
-        })
+    let ctl = ctl.or_fingerprint(|| {
+        journal_fingerprint("protection_study", "", &(cfg, target_error.to_bits()))
     });
-    let map = boundary_map_controlled(model, spec, fault_model, cfg, ctl, ckpt.as_ref())?;
+    let map = boundary_map(model, spec, fault_model, cfg, &ctl)?;
     let plan = plan_protection(&map, target_error);
     Ok(ProtectionStudy { map, plan })
 }
@@ -269,7 +240,9 @@ mod tests {
             Arc::new(BernoulliBitFlip::new(2e-3)),
             &cfg,
             0.9,
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         assert_eq!(study.map.error_prob.len(), 64);
         assert_eq!(study.map.run_meta.tasks, 30);
         // A target this loose is always reachable.

@@ -13,9 +13,10 @@
 //!   ([`ShardPlan::shard_fingerprint`]), so shards of different plans —
 //!   or different positions in the same plan — can never be confused.
 //! * Each shard runs the normal engine path over its sub-range
-//!   ([`crate::engine::EvalEngine::run_shard_checkpointed`]), writing a
-//!   shard journal whose entries carry **global** task ids and whose
-//!   header records its [`crate::checkpoint::ShardInfo`]. Crash-safe
+//!   ([`crate::engine::EvalEngine::run_shard_checkpointed`]), writing the
+//!   shard journal its `RunControl` carries — a shard run without one is
+//!   refused as [`ShardError::Plan`] — whose entries carry **global** task
+//!   ids and whose header records its [`crate::checkpoint::ShardInfo`]. Crash-safe
 //!   resume — replay, torn-tail truncate-and-resume — works per shard,
 //!   exactly as for whole-campaign journals.
 //! * [`merge_shards`] stitches N shard journals into one journal under
@@ -28,9 +29,10 @@
 //!   typed [`ShardError`]s — never panics, matching the checkpoint
 //!   reader's standards.
 //!
-//! A merged journal turns into a report through the drivers' existing
-//! `*_controlled` path with [`crate::engine::CheckpointSpec::finalizing`]:
-//! every entry replays, zero tasks run, and the assembled report is the
+//! A merged journal turns into a report through the driver's one entry
+//! point, its [`crate::engine::RunControl`] journaling to the merged file
+//! with [`crate::engine::CheckpointSpec::finalizing`]: every entry
+//! replays, zero tasks run, and the assembled report is the
 //! single-process code path verbatim.
 
 use crate::checkpoint::{fingerprint, read_journal, CheckpointError, CheckpointHeader, ShardInfo};

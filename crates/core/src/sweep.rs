@@ -4,9 +4,7 @@
 
 use crate::campaign::{run_campaign, CampaignConfig};
 use crate::checkpoint::journal_fingerprint;
-use crate::engine::{
-    CheckpointSpec, CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta, TaskCtx,
-};
+use crate::engine::{CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta, TaskCtx};
 use crate::report::CampaignReport;
 use crate::shard::{ShardError, ShardPlan};
 use crate::stats::{fit_knee, KneeFit};
@@ -87,7 +85,14 @@ pub fn log_spaced_probabilities(lo: f64, hi: f64, points: usize) -> Vec<f64> {
 /// Runs one BDLFI campaign per probability in `ps`, injecting into the
 /// sites selected by `spec` of the given golden network — an f32
 /// [`bdlfi_nn::Sequential`] or an int8 [`bdlfi_quant::QuantModel`] (see
-/// [`GoldenModel`]).
+/// [`GoldenModel`]). With a journal in `ctl`, each completed sweep point
+/// is one entry, in the order of `ps`.
+///
+/// # Errors
+///
+/// [`EngineError::Interrupted`] on a cooperative stop (completed points
+/// are journaled; resume with identical `ps`/`cfg` to finish), plus
+/// journal/sink failures and those of the per-point campaigns.
 ///
 /// # Panics
 ///
@@ -98,33 +103,7 @@ pub fn run_sweep<N: GoldenModel>(
     spec: &SiteSpec,
     ps: &[f64],
     cfg: &CampaignConfig,
-) -> SweepResult {
-    match run_sweep_controlled(net, eval, spec, ps, cfg, &RunControl::default(), None) {
-        Ok(sweep) => sweep,
-        Err(e) => panic!("sweep failed: {e}"),
-    }
-}
-
-/// [`run_sweep`] with cooperative cancellation and an optional checkpoint
-/// journal (one entry per completed sweep point, in the order of `ps`).
-///
-/// # Errors
-///
-/// [`EngineError::Interrupted`] on a cooperative stop (completed points
-/// are journaled; resume with identical `ps`/`cfg` to finish), plus
-/// journal/sink failures.
-///
-/// # Panics
-///
-/// Same preconditions as [`run_sweep`].
-pub fn run_sweep_controlled<N: GoldenModel>(
-    net: &N,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-    ps: &[f64],
-    cfg: &CampaignConfig,
     ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
 ) -> Result<SweepResult, EngineError> {
     // Fan the per-p campaigns out through the engine; each campaign is a
     // deterministic function of (cfg.seed, p), so sweep results do not
@@ -132,9 +111,9 @@ pub fn run_sweep_controlled<N: GoldenModel>(
     // the caller's order; points are sorted only in the final result).
     let task = point_task(net, eval, spec, ps, cfg);
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.map(|s| s.or_fingerprint(|| sweep_fingerprint::<N>(ps, cfg)));
+    let ctl = ctl.or_fingerprint(|| sweep_fingerprint::<N>(ps, cfg));
     let mut sink = CollectSink::new();
-    let run_meta = engine.run_checkpointed(ps.len(), || (), task, &mut sink, ctl, ckpt.as_ref())?;
+    let run_meta = engine.run_checkpointed(ps.len(), || (), task, &mut sink, &ctl)?;
     let mut points = sink.into_inner();
     points.sort_by(|a, b| a.p.total_cmp(&b.p));
     let golden_error = points[0].report.golden_error;
@@ -158,16 +137,19 @@ pub fn run_sweep_controlled<N: GoldenModel>(
 /// the caller's `ps` order), journaled with global point ids under the
 /// plan's per-shard fingerprint. Merge the completed shards with
 /// [`crate::shard::merge_shards`] and assemble the [`SweepResult`] via
-/// [`run_sweep_controlled`] with [`CheckpointSpec::finalizing`].
+/// [`run_sweep`] with
+/// [`CheckpointSpec::finalizing`](crate::CheckpointSpec::finalizing).
 ///
-/// `ckpt.fingerprint` names the **unsharded** sweep fingerprint (empty
-/// derives it, matching [`run_sweep_controlled`]).
+/// `ctl` must carry the shard's journal; its fingerprint names the
+/// **unsharded** sweep fingerprint (empty derives it, matching
+/// [`run_sweep`]).
 ///
 /// # Errors
 ///
-/// [`ShardError::Plan`] / [`ShardError::IndexOutOfRange`] for an unusable
-/// split; [`ShardError::Engine`] wrapping [`EngineError::Interrupted`] on
-/// a cooperative stop; engine/journal failures otherwise.
+/// [`ShardError::Plan`] when `ctl` carries no journal or the split is
+/// unusable; [`ShardError::IndexOutOfRange`] for an index outside it;
+/// [`ShardError::Engine`] wrapping [`EngineError::Interrupted`] on a
+/// cooperative stop; engine/journal failures otherwise.
 ///
 /// # Panics
 ///
@@ -182,13 +164,13 @@ pub fn run_sweep_shard<N: GoldenModel>(
     count: usize,
     index: usize,
     ctl: &RunControl,
-    ckpt: &CheckpointSpec,
 ) -> Result<RunMeta, ShardError> {
+    let ctl = ctl.or_fingerprint(|| sweep_fingerprint::<N>(ps, cfg));
+    let base = ctl.shard_journal()?.fingerprint.clone();
     let task = point_task(net, eval, spec, ps, cfg);
-    let base = ckpt.or_fingerprint(|| sweep_fingerprint::<N>(ps, cfg));
-    let plan = ShardPlan::new(base.fingerprint, cfg.seed, ps.len(), count)?;
+    let plan = ShardPlan::new(base, cfg.seed, ps.len(), count)?;
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    engine.run_shard_checkpointed(&plan, index, || (), task, &mut NullSink, ctl, ckpt)
+    engine.run_shard_checkpointed(&plan, index, || (), task, &mut NullSink, &ctl)
 }
 
 /// The journal identity of a sweep: driver, representation, config and
@@ -224,7 +206,7 @@ fn point_task<'a, N: GoldenModel>(
         let fm = golden.rescoped(spec, Arc::new(BernoulliBitFlip::new(p)));
         Ok(SweepPoint {
             p,
-            report: run_campaign(&fm, cfg).journal_form(),
+            report: run_campaign(&fm, cfg, &RunControl::new())?.journal_form(),
         })
     }
 }
@@ -292,7 +274,15 @@ mod tests {
     fn sweep_error_is_monotone_ish_and_has_two_regimes() {
         let (model, eval) = trained();
         let ps = log_spaced_probabilities(1e-6, 3e-2, 6);
-        let sweep = run_sweep(&model, &eval, &SiteSpec::AllParams, &ps, &quick_cfg());
+        let sweep = run_sweep(
+            &model,
+            &eval,
+            &SiteSpec::AllParams,
+            &ps,
+            &quick_cfg(),
+            &RunControl::new(),
+        )
+        .unwrap();
 
         assert_eq!(sweep.points.len(), 6);
         let errs: Vec<f64> = sweep.points.iter().map(|p| p.report.mean_error).collect();
@@ -324,7 +314,9 @@ mod tests {
             &SiteSpec::AllParams,
             &[1e-2, 1e-5, 1e-3],
             &quick_cfg(),
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         let ps: Vec<f64> = sweep.points.iter().map(|p| p.p).collect();
         assert!(ps.windows(2).all(|w| w[0] < w[1]));
     }
@@ -340,7 +332,9 @@ mod tests {
             &SiteSpec::AllParams,
             &[1e-5, 3e-2],
             &quick_cfg(),
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         assert_eq!(sweep.points.len(), 2);
         assert!(
             (sweep.points[0].report.mean_error - sweep.golden_error).abs() < 0.05,
@@ -359,6 +353,14 @@ mod tests {
     #[should_panic(expected = "at least one probability")]
     fn empty_sweep_rejected() {
         let (model, eval) = trained();
-        run_sweep(&model, &eval, &SiteSpec::AllParams, &[], &quick_cfg());
+        run_sweep(
+            &model,
+            &eval,
+            &SiteSpec::AllParams,
+            &[],
+            &quick_cfg(),
+            &RunControl::new(),
+        )
+        .unwrap();
     }
 }

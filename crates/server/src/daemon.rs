@@ -34,7 +34,8 @@ use crate::spec::JobSpec;
 use bdlfi::{RunControl, RunMeta, RunObserver};
 use serde::{Deserialize, Value};
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -354,11 +355,40 @@ fn handle_connection(mut stream: TcpStream, inner: &Arc<Inner>) {
             Ok(None) => return,
             Err(e) => {
                 let _ = respond_error(&mut stream, 400, &e.0, true);
+                drain_and_close(stream);
                 return;
             }
         };
         if route(&mut stream, &req, inner) || inner.shutdown.load(Ordering::Relaxed) {
             return;
+        }
+    }
+}
+
+/// The most a refused connection's unread bytes are drained before close.
+const DRAIN_CAP: usize = 64 * 1024;
+/// How long a refused connection's unread bytes are drained before close.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Closes a connection whose request was refused with bytes still unread
+/// (a chunked body, an oversized head): half-closes it so the response
+/// reaches the client, then reads and discards what the client still
+/// sends, until EOF, [`DRAIN_CAP`] bytes or [`DRAIN_TIMEOUT`]. Closing
+/// with unread bytes instead makes the kernel reset the connection, and
+/// the client can lose the response.
+fn drain_and_close(mut stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_TIMEOUT;
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < DRAIN_CAP {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
         }
     }
 }

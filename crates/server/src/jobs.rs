@@ -23,10 +23,9 @@
 
 use crate::spec::{build_workload, check_layers, job_fingerprint, DriverSpec, JobSpec, SpecError};
 use bdlfi::{
-    run_campaign_adaptive_controlled, run_campaign_controlled, run_campaign_shard,
-    run_layerwise_controlled, run_layerwise_shard, run_sweep_controlled, run_sweep_shard,
-    CampaignConfig, CheckpointSpec, EngineError, GoldenModel, RunControl, RunMeta, RunObserver,
-    ShardError,
+    run_campaign, run_campaign_adaptive, run_campaign_shard, run_layerwise, run_layerwise_shard,
+    run_sweep, run_sweep_shard, CampaignConfig, CheckpointSpec, EngineError, GoldenModel,
+    RunControl, RunMeta, RunObserver, ShardError,
 };
 use bdlfi_data::Dataset;
 use bdlfi_faults::BernoulliBitFlip;
@@ -632,10 +631,11 @@ pub fn run_driver(
     };
     let mut cfg = *spec.config();
     cfg.workers = workers;
+    let ctl = ctl.clone().checkpointed(ckpt.clone());
     // The representation is chosen once; every driver is generic over it.
     match workload.quant {
-        Some(qm) => dispatch(spec, qm, workload.eval, &cfg, ctl, ckpt),
-        None => dispatch(spec, workload.model, workload.eval, &cfg, ctl, ckpt),
+        Some(qm) => dispatch(spec, qm, workload.eval, &cfg, &ctl),
+        None => dispatch(spec, workload.model, workload.eval, &cfg, &ctl),
     }
 }
 
@@ -645,16 +645,15 @@ fn layer_refs(layers: &[String]) -> Vec<&str> {
 }
 
 /// Runs the spec's driver, or one shard of it, over either golden
-/// network. A shard's deliverable is its journal (collect it via
-/// `GET /jobs/<id>/journal`); its report is a small summary with the shard
-/// coordinates and engine accounting.
+/// network, journaling to the spec `ctl` carries. A shard's deliverable is
+/// its journal (collect it via `GET /jobs/<id>/journal`); its report is a
+/// small summary with the shard coordinates and engine accounting.
 fn dispatch<N: GoldenModel>(
     spec: &JobSpec,
     net: N,
     eval: Arc<Dataset>,
     cfg: &CampaignConfig,
     ctl: &RunControl,
-    ckpt: &CheckpointSpec,
 ) -> JobOutcome {
     let sites = &spec.scenario.sites;
     let bind = |net: N, eval| {
@@ -666,10 +665,10 @@ fn dispatch<N: GoldenModel>(
         let (count, index) = (shard.count, shard.index);
         let result = match &spec.driver {
             DriverSpec::Campaign { .. } => {
-                run_campaign_shard(&bind(net, eval), cfg, count, index, ctl, ckpt)
+                run_campaign_shard(&bind(net, eval), cfg, count, index, ctl)
             }
             DriverSpec::Sweep { ps, .. } => {
-                run_sweep_shard(&net, &eval, sites, ps, cfg, count, index, ctl, ckpt)
+                run_sweep_shard(&net, &eval, sites, ps, cfg, count, index, ctl)
             }
             DriverSpec::Layerwise { layers, budget, .. } => run_layerwise_shard(
                 &net,
@@ -680,7 +679,6 @@ fn dispatch<N: GoldenModel>(
                 count,
                 index,
                 ctl,
-                ckpt,
             ),
             DriverSpec::AdaptiveCampaign { .. } => {
                 // Unreachable past validation; refuse rather than panic.
@@ -702,35 +700,19 @@ fn dispatch<N: GoldenModel>(
     }
 
     let done = match &spec.driver {
-        DriverSpec::Campaign { .. } => {
-            run_campaign_controlled(&bind(net, eval), cfg, ctl, Some(ckpt))
-                .map(|r| ("campaign", r.run_meta, r.to_json_value()))
-        }
+        DriverSpec::Campaign { .. } => run_campaign(&bind(net, eval), cfg, ctl)
+            .map(|r| ("campaign", r.run_meta, r.to_json_value())),
         DriverSpec::AdaptiveCampaign {
             max_samples_per_chain,
             ..
-        } => run_campaign_adaptive_controlled(
-            &bind(net, eval),
-            cfg,
-            *max_samples_per_chain,
-            ctl,
-            Some(ckpt),
-        )
-        .map(|r| ("campaign", r.run_meta, r.to_json_value())),
-        DriverSpec::Sweep { ps, .. } => {
-            run_sweep_controlled(&net, &eval, sites, ps, cfg, ctl, Some(ckpt))
-                .map(|r| ("sweep", r.run_meta, r.to_json_value()))
+        } => run_campaign_adaptive(&bind(net, eval), cfg, *max_samples_per_chain, ctl)
+            .map(|r| ("campaign", r.run_meta, r.to_json_value())),
+        DriverSpec::Sweep { ps, .. } => run_sweep(&net, &eval, sites, ps, cfg, ctl)
+            .map(|r| ("sweep", r.run_meta, r.to_json_value())),
+        DriverSpec::Layerwise { layers, budget, .. } => {
+            run_layerwise(&net, &eval, &layer_refs(layers), *budget, cfg, ctl)
+                .map(|r| ("layerwise", r.run_meta, r.to_json_value()))
         }
-        DriverSpec::Layerwise { layers, budget, .. } => run_layerwise_controlled(
-            &net,
-            &eval,
-            &layer_refs(layers),
-            *budget,
-            cfg,
-            ctl,
-            Some(ckpt),
-        )
-        .map(|r| ("layerwise", r.run_meta, r.to_json_value())),
     };
     match done {
         Ok((kind, meta, report)) => tagged_report(kind, report, meta),

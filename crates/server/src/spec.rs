@@ -94,27 +94,27 @@ pub struct ScenarioSpec {
 /// Which campaign driver a job runs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum DriverSpec {
-    /// Fixed-budget MCMC campaign ([`bdlfi::run_campaign_controlled`]).
+    /// Fixed-budget MCMC campaign ([`bdlfi::run_campaign`]).
     Campaign {
         /// Chains, schedule, kernel, seed, criteria.
         config: CampaignConfig,
     },
     /// Segmented adaptive campaign that stops when the completeness
-    /// criteria certify ([`bdlfi::run_campaign_adaptive_controlled`]).
+    /// criteria certify ([`bdlfi::run_campaign_adaptive`]).
     AdaptiveCampaign {
         /// Chains, segment schedule, kernel, seed, criteria.
         config: CampaignConfig,
         /// Per-chain sample budget across all segments.
         max_samples_per_chain: usize,
     },
-    /// One campaign per flip probability ([`bdlfi::run_sweep_controlled`]).
+    /// One campaign per flip probability ([`bdlfi::run_sweep`]).
     Sweep {
         /// The probability grid.
         ps: Vec<f64>,
         /// Per-point campaign configuration.
         config: CampaignConfig,
     },
-    /// One campaign per layer ([`bdlfi::run_layerwise_controlled`]).
+    /// One campaign per layer ([`bdlfi::run_layerwise`]).
     Layerwise {
         /// Layer path prefixes, e.g. `["dense0", "dense1"]`.
         layers: Vec<String>,

@@ -11,6 +11,13 @@
 //! in [`super`] may therefore pick any variant per shape without changing
 //! a single output bit; `tests::variants_are_bit_identical` proves it.
 //!
+//! The one exception is NaN identity: when two different NaNs meet in one
+//! sum, which one survives (its sign and payload) can differ between
+//! variants, because the compiler may swap an add's operands. Outputs
+//! that are NaN stay NaN under every variant; only the NaN's bits differ,
+//! and nothing downstream that reaches a journal reads them (see
+//! [`super`]'s determinism notes).
+//!
 //! The packed variants share one GEBP driver (`blocked`): `A` packed once
 //! per call into [`MR`]-row micro-panels (`PackedA`), `B` packed per cache
 //! block into [`NR`]-column micro-panels, an `MR × NR` register-resident
@@ -431,9 +438,9 @@ fn micro_intrinsics_avx2(
 
 /// Straight f64-accumulating triple loop with the same stride convention —
 /// the approximate-correctness oracle every f32 variant is tested against.
-#[cfg(any(test, feature = "reference-kernels"))]
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_f32_reference(
+pub(crate) fn gemm_f32_reference(
     m: usize,
     n: usize,
     k: usize,

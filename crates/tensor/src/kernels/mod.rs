@@ -33,8 +33,15 @@
 //!   `k` split into [`KC`]-sized blocks ascending, elements ascending
 //!   within a block, one partial sum per block accumulated into `C` — and
 //!   none uses FMA (fused rounding would differ from the scalar body), so
-//!   every variant produces bit-identical `f32` results too. [`KC`] is
-//!   therefore *not* a per-shape tunable for f32: every table row pins it.
+//!   every variant produces bit-identical `f32` results too, with one
+//!   exception: when two different NaNs meet in one sum (say `0·inf` and
+//!   a NaN weight), which NaN survives — its sign and payload — can differ
+//!   between variants, since the compiler may swap the operands of an
+//!   add. Everything a journal records from logits (argmax predictions,
+//!   classification error, golden mismatches) compares values, and every
+//!   comparison with any NaN is false, so journals stay independent of the
+//!   variant. [`KC`] is *not* a per-shape tunable for f32: every table row
+//!   pins it.
 //!
 //! The per-shape table only varies the outer cache blocks (`MC`/`NC`),
 //! which partition independent output elements and cannot affect results.

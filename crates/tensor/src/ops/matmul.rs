@@ -14,9 +14,9 @@
 //! tractable on CPU — the paper's point that BDLFI needs only fast
 //! *inference*, not debugger hooks.
 //!
-//! The original naive loops are kept behind `cfg(test)` / the
-//! `reference-kernels` feature as independent oracles for equivalence tests
-//! and benchmarks.
+//! The tests check all three against the f64 reference oracle
+//! (`kernels::gemm_f32::gemm_f32_reference`), whose strides express the
+//! transposed forms the same way.
 
 use crate::ops::gemm::gemm_strided;
 use crate::tensor::Tensor;
@@ -119,112 +119,12 @@ impl Tensor {
         }
         Tensor::from_vec(out, [n, m])
     }
-
-    /// Reference `self · rhs` using the original naive `i-k-j` loop.
-    ///
-    /// Kept only as an oracle for equivalence tests and for the
-    /// blocked-vs-naive benchmark comparison (`reference-kernels` feature);
-    /// production code always takes the blocked path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not rank 2 or the inner dimensions differ.
-    #[cfg(any(test, feature = "reference-kernels"))]
-    pub fn matmul_naive(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "matmul: lhs must be rank 2");
-        assert_eq!(rhs.rank(), 2, "matmul: rhs must be rank 2");
-        let (m, k) = (self.dim(0), self.dim(1));
-        let (k2, n) = (rhs.dim(0), rhs.dim(1));
-        assert_eq!(k, k2, "matmul: inner dimensions differ ({k} vs {k2})");
-
-        let a = self.data();
-        let b = rhs.data();
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut out[i * n..(i + 1) * n];
-            for (l, &a_il) in a_row.iter().enumerate() {
-                if a_il == 0.0 {
-                    continue;
-                }
-                let b_row = &b[l * n..(l + 1) * n];
-                for (c, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                    *c += a_il * bv;
-                }
-            }
-        }
-        Tensor::from_vec(out, [m, n])
-    }
-
-    /// Reference `selfᵀ · rhs` (naive loop); see [`Tensor::matmul_naive`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not rank 2 or the leading dimensions
-    /// differ.
-    #[cfg(any(test, feature = "reference-kernels"))]
-    pub fn matmul_tn_naive(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "matmul_tn: lhs must be rank 2");
-        assert_eq!(rhs.rank(), 2, "matmul_tn: rhs must be rank 2");
-        let (k, m) = (self.dim(0), self.dim(1));
-        let (k2, n) = (rhs.dim(0), rhs.dim(1));
-        assert_eq!(k, k2, "matmul_tn: leading dimensions differ ({k} vs {k2})");
-
-        let a = self.data();
-        let b = rhs.data();
-        let mut out = vec![0.0f32; m * n];
-        for l in 0..k {
-            let a_row = &a[l * m..(l + 1) * m];
-            let b_row = &b[l * n..(l + 1) * n];
-            for (i, &a_li) in a_row.iter().enumerate() {
-                if a_li == 0.0 {
-                    continue;
-                }
-                let c_row = &mut out[i * n..(i + 1) * n];
-                for (c, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                    *c += a_li * bv;
-                }
-            }
-        }
-        Tensor::from_vec(out, [m, n])
-    }
-
-    /// Reference `self · rhsᵀ` (naive loop); see [`Tensor::matmul_naive`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not rank 2 or the trailing dimensions
-    /// differ.
-    #[cfg(any(test, feature = "reference-kernels"))]
-    pub fn matmul_nt_naive(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "matmul_nt: lhs must be rank 2");
-        assert_eq!(rhs.rank(), 2, "matmul_nt: rhs must be rank 2");
-        let (m, k) = (self.dim(0), self.dim(1));
-        let (n, k2) = (rhs.dim(0), rhs.dim(1));
-        assert_eq!(k, k2, "matmul_nt: trailing dimensions differ ({k} vs {k2})");
-
-        let a = self.data();
-        let b = rhs.data();
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut out[i * n..(i + 1) * n];
-            for (j, c) in c_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                    acc += av * bv;
-                }
-                *c = acc;
-            }
-        }
-        Tensor::from_vec(out, [m, n])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::gemm_f32::gemm_f32_reference;
     use proptest::prelude::*;
 
     #[test]
@@ -265,6 +165,20 @@ mod tests {
         assert_eq!(a.transpose2d().at(&[4, 2]), a.at(&[2, 4]));
     }
 
+    /// `A' · B'` by the f64 reference oracle, each operand read through
+    /// its `(row, column)` strides.
+    fn reference(
+        (m, n, k): (usize, usize, usize),
+        a: &Tensor,
+        a_str: (usize, usize),
+        b: &Tensor,
+        b_str: (usize, usize),
+    ) -> Tensor {
+        let mut c = vec![0.0f32; m * n];
+        gemm_f32_reference(m, n, k, a.data(), a_str, b.data(), b_str, &mut c);
+        Tensor::from_vec(c, [m, n])
+    }
+
     fn pseudo_random(dims: [usize; 2], salt: usize) -> Tensor {
         Tensor::from_fn(dims, |i| {
             let x = (i[0] * 131 + i[1] * 17 + salt * 7919) % 1999;
@@ -273,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive_across_tile_boundaries() {
+    fn blocked_matches_reference_across_tile_boundaries() {
         // Shapes chosen to straddle the MR=4 / NR=16 / MC=64 / KC=NC=256
         // tile boundaries, including partial edge tiles everywhere.
         for &(m, k, n) in &[
@@ -288,20 +202,24 @@ mod tests {
             let a = pseudo_random([m, k], 1);
             let b = pseudo_random([k, n], 2);
             let tol = 1e-4 * k as f32;
+            let dims = (m, n, k);
             assert!(
-                a.matmul(&b).approx_eq(&a.matmul_naive(&b), tol),
+                a.matmul(&b)
+                    .approx_eq(&reference(dims, &a, (k, 1), &b, (n, 1)), tol),
                 "matmul mismatch at ({m},{k},{n})"
             );
 
             let at = pseudo_random([k, m], 3);
             assert!(
-                at.matmul_tn(&b).approx_eq(&at.matmul_tn_naive(&b), tol),
+                at.matmul_tn(&b)
+                    .approx_eq(&reference(dims, &at, (1, m), &b, (n, 1)), tol),
                 "matmul_tn mismatch at ({m},{k},{n})"
             );
 
             let bt = pseudo_random([n, k], 4);
             assert!(
-                a.matmul_nt(&bt).approx_eq(&a.matmul_nt_naive(&bt), tol),
+                a.matmul_nt(&bt)
+                    .approx_eq(&reference(dims, &a, (k, 1), &bt, (1, k)), tol),
                 "matmul_nt mismatch at ({m},{k},{n})"
             );
         }
@@ -355,11 +273,12 @@ mod tests {
         }
 
         #[test]
-        fn blocked_matches_naive_on_random_operands(
+        fn blocked_matches_reference_on_random_operands(
             a in arb_matrix(9, 21),
             b in arb_matrix(21, 13),
         ) {
-            prop_assert!(a.matmul(&b).approx_eq(&a.matmul_naive(&b), 1e-3));
+            let want = reference((9, 13, 21), &a, (21, 1), &b, (13, 1));
+            prop_assert!(a.matmul(&b).approx_eq(&want, 1e-3));
         }
     }
 }

@@ -44,11 +44,10 @@ pub fn qgemm(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
 }
 
 /// Scalar triple-loop oracle for [`qgemm`] — the reference kernel the
-/// property tests (and `reference-kernels` benchmark builds) compare every
-/// selected variant against. Integer arithmetic makes the comparison
-/// exact, not approximate.
-#[cfg(any(test, feature = "reference-kernels"))]
-pub fn qgemm_reference(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+/// unit tests compare every selected variant against. Integer arithmetic
+/// makes the comparison exact, not approximate.
+#[cfg(test)]
+pub(crate) fn qgemm_reference(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
     for i in 0..m {
         for j in 0..n {
             let mut s = 0i32;

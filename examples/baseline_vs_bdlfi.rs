@@ -12,7 +12,9 @@
 
 use bdlfi_suite::baseline::{RandomFi, RandomFiConfig};
 use bdlfi_suite::bayes::ChainConfig;
-use bdlfi_suite::core::{run_campaign, CampaignConfig, FaultyModel, KernelChoice};
+use bdlfi_suite::core::{
+    run_campaign, CampaignConfig, EngineError, FaultyModel, KernelChoice, RunControl,
+};
 use bdlfi_suite::data::gaussian_blobs;
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
 use bdlfi_suite::nn::{mlp, optim::Sgd, TrainConfig, Trainer};
@@ -20,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut rng = StdRng::seed_from_u64(4);
     let data = gaussian_blobs(800, 3, 1.2, &mut rng);
     let (train, test) = data.split(0.75, &mut rng);
@@ -49,12 +51,15 @@ fn main() {
         Arc::clone(&fault_model) as _,
     );
     for budget in [50usize, 200] {
-        let res = fi.run(&RandomFiConfig {
-            injections: budget,
-            seed: 5,
-            level: 0.95,
-            workers: 0,
-        });
+        let res = fi.run(
+            &RandomFiConfig {
+                injections: budget,
+                seed: 5,
+                level: 0.95,
+                workers: 0,
+            },
+            &RunControl::new(),
+        )?;
         println!(
             "  {budget:>4} injections: mean error {:.2} %, SDC rate {:.2} (95% Wilson [{:.2}, {:.2}]) — no completeness signal",
             res.mean_error * 100.0,
@@ -77,11 +82,12 @@ fn main() {
         kernel: KernelChoice::Prior,
         ..base
     };
-    let report = run_campaign(&fm, &cfg);
+    let report = run_campaign(&fm, &cfg, &RunControl::new())?;
     println!("{report}");
     println!();
     println!(
         "both agree on the mean once the budget is large; only BDLFI can say *when* \
          the campaign is complete, and it reports the full distribution, not a rate"
     );
+    Ok(())
 }

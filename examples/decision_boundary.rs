@@ -10,7 +10,7 @@
 //! cargo run --release --example decision_boundary
 //! ```
 
-use bdlfi_suite::core::{boundary_map, BoundaryConfig};
+use bdlfi_suite::core::{boundary_map, BoundaryConfig, EngineError, RunControl};
 use bdlfi_suite::data::spirals;
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
 use bdlfi_suite::nn::{evaluate, mlp, optim::Adam, TrainConfig, Trainer};
@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut rng = StdRng::seed_from_u64(1);
 
     // Two interleaved spirals: a hard boundary for a small MLP.
@@ -49,7 +49,8 @@ fn main() {
             seed: 2,
             workers: 0,
         },
-    );
+        &RunControl::new(),
+    )?;
 
     println!("\nfault-induced log(error probability) ('@' = most fragile):");
     println!("{}", map.render_ascii());
@@ -87,4 +88,5 @@ fn main() {
         "paper finding: points near the decision boundary are most affected by faults \
          -> those regions need the most protection in safety-critical deployments"
     );
+    Ok(())
 }

@@ -12,7 +12,8 @@
 //! ```
 
 use bdlfi_suite::core::{
-    attribute_faults, boundary_map, plan_protection, BoundaryConfig, FaultyModel,
+    attribute_faults, boundary_map, plan_protection, BoundaryConfig, EngineError, FaultyModel,
+    RunControl,
 };
 use bdlfi_suite::data::gaussian_blobs;
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
@@ -21,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut rng = StdRng::seed_from_u64(6);
     let data = gaussian_blobs(800, 3, 1.2, &mut rng);
     let (train, test) = data.split(0.75, &mut rng);
@@ -45,7 +46,7 @@ fn main() {
         Arc::new(BernoulliBitFlip::new(p)),
     );
     println!("exploring the error-conditioned fault posterior (p = {p})...");
-    let report = attribute_faults(&fm, 300, None, 9);
+    let report = attribute_faults(&fm, 300, None, 9, &RunControl::new())?;
 
     println!(
         "\ncollected {} error-conditioned samples (hit rate {:.2})",
@@ -78,7 +79,8 @@ fn main() {
             seed: 10,
             ..BoundaryConfig::default()
         },
-    );
+        &RunControl::new(),
+    )?;
     // Set targets relative to the map's overall risk level: margin
     // thresholding can only push the unprotected mean towards the
     // far-from-boundary floor.
@@ -107,4 +109,5 @@ fn main() {
             ),
         }
     }
+    Ok(())
 }

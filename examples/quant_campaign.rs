@@ -19,7 +19,8 @@
 use bdlfi_suite::baseline::{run_exhaustive, ExhaustiveResult};
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    run_campaign, CampaignConfig, FaultyModel, KernelChoice, QuantFaultyModel,
+    run_campaign, CampaignConfig, EngineError, FaultyModel, KernelChoice, QuantFaultyModel,
+    RunControl,
 };
 use bdlfi_suite::data::gaussian_blobs;
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
@@ -38,7 +39,7 @@ fn bit_rate(res: &ExhaustiveResult, bit: u8) -> f64 {
     }
 }
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut rng = StdRng::seed_from_u64(11);
     let data = gaussian_blobs(600, 3, 0.9, &mut rng);
     let (train, test) = data.split(0.75, &mut rng);
@@ -96,8 +97,8 @@ fn main() {
         ..base
     };
     println!("\n## BDLFI campaign, Bernoulli prior p = {p}");
-    let f32_report = run_campaign(&fm, &cfg);
-    let int8_report = run_campaign(&qfm, &cfg);
+    let f32_report = run_campaign(&fm, &cfg, &RunControl::new())?;
+    let int8_report = run_campaign(&qfm, &cfg, &RunControl::new())?;
     println!(
         "  f32 : mean error {:.3} ({:+.2} pp over golden), {:.2} flips/config",
         f32_report.mean_error,
@@ -113,8 +114,8 @@ fn main() {
 
     // --- Exhaustive single-bit ablation: ground truth per bit position. ---
     println!("\n## exhaustive single-bit ablation (all parameters)");
-    let f32_ex = run_exhaustive(&model, &test, &SiteSpec::AllParams);
-    let int8_ex = run_exhaustive(&qm, &test, &SiteSpec::AllParams);
+    let f32_ex = run_exhaustive(&model, &test, &SiteSpec::AllParams, 0, &RunControl::new())?;
+    let int8_ex = run_exhaustive(&qm, &test, &SiteSpec::AllParams, 0, &RunControl::new())?;
     println!(
         "  f32 : {} injections, SDC rate {:.4}",
         f32_ex.injections, f32_ex.sdc.rate
@@ -127,8 +128,8 @@ fn main() {
     // bit b is the same perturbation class (i32 bias words would otherwise
     // alias their low bits onto the int8 positions).
     let weights = SiteSpec::Params(vec!["fc1.weight".into(), "fc2.weight".into()]);
-    let f32_w = run_exhaustive(&model, &test, &weights);
-    let int8_w = run_exhaustive(&qm, &test, &weights);
+    let f32_w = run_exhaustive(&model, &test, &weights, 0, &RunControl::new())?;
+    let int8_w = run_exhaustive(&qm, &test, &weights, 0, &RunControl::new())?;
     println!("\n  weight bit | int8 SDC | f32 SDC   (int8 bit 7 = sign)");
     for bit in 0..8u8 {
         println!(
@@ -143,4 +144,5 @@ fn main() {
          in 8 of its 32 bits, int8 spreads over its whole word",
         f32_exp
     );
+    Ok(())
 }

@@ -6,7 +6,9 @@
 //! ```
 
 use bdlfi_suite::bayes::ChainConfig;
-use bdlfi_suite::core::{run_campaign, CampaignConfig, FaultyModel, KernelChoice};
+use bdlfi_suite::core::{
+    run_campaign, CampaignConfig, EngineError, FaultyModel, KernelChoice, RunControl,
+};
 use bdlfi_suite::data::gaussian_blobs;
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
 use bdlfi_suite::nn::{evaluate, mlp, optim::Sgd, TrainConfig, Trainer};
@@ -14,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut rng = StdRng::seed_from_u64(0);
 
     // 1. A 2-D, 3-class task and the paper's MLP (2 -> 32 ReLU -> softmax).
@@ -57,7 +59,7 @@ fn main() {
         },
         ..base
     };
-    let report = run_campaign(&fm, &cfg);
+    let report = run_campaign(&fm, &cfg, &RunControl::new())?;
 
     println!("{report}");
     println!();
@@ -67,4 +69,5 @@ fn main() {
         "faults at p = {p} add {:.2} percentage points of error on average",
         report.error_increase_pct()
     );
+    Ok(())
 }

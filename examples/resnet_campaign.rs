@@ -10,14 +10,16 @@
 //! ```
 
 use bdlfi_suite::bayes::ChainConfig;
-use bdlfi_suite::core::{run_layerwise, CampaignConfig, KernelChoice, LayerBudget};
+use bdlfi_suite::core::{
+    run_layerwise, CampaignConfig, EngineError, KernelChoice, LayerBudget, RunControl,
+};
 use bdlfi_suite::data::{synth_cifar, SynthCifarConfig};
 use bdlfi_suite::nn::{evaluate, optim::Sgd, resnet18, ResNetConfig, TrainConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut rng = StdRng::seed_from_u64(3);
 
     // A small synth-CIFAR task and a narrow ResNet-18 (full 18-layer
@@ -78,7 +80,8 @@ fn main() {
         &layers,
         LayerBudget::ExpectedFlips(6.0),
         &cfg,
-    );
+        &RunControl::new(),
+    )?;
 
     println!("| depth | layer | elements | mean error % |");
     println!("|---|---|---|---|");
@@ -94,4 +97,5 @@ fn main() {
     println!();
     println!("Spearman(depth, error) = {:.3}", res.depth_correlation);
     println!("paper finding: no systematic relationship between injection depth and output error");
+    Ok(())
 }

@@ -4,6 +4,7 @@
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
     run_campaign, run_campaign_adaptive, CampaignConfig, CompletenessCriteria, FaultyModel,
+    RunControl,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
@@ -61,8 +62,8 @@ fn adaptive_certifies_with_fewer_samples_on_easy_targets() {
         ..CampaignConfig::default()
     };
 
-    let easy_rep = run_campaign_adaptive(&easy, &cfg, 2000);
-    let hard_rep = run_campaign_adaptive(&hard, &cfg, 2000);
+    let easy_rep = run_campaign_adaptive(&easy, &cfg, 2000, &RunControl::new()).unwrap();
+    let hard_rep = run_campaign_adaptive(&hard, &cfg, 2000, &RunControl::new()).unwrap();
     assert!(easy_rep.completeness.certified);
     assert!(
         easy_rep.total_samples() <= hard_rep.total_samples(),
@@ -93,7 +94,7 @@ fn input_faults_behave_like_a_transient_site() {
         },
         ..CampaignConfig::default()
     };
-    let rep = run_campaign(&fm_input, &cfg);
+    let rep = run_campaign(&fm_input, &cfg, &RunControl::new()).unwrap();
     // Input faults at this rate measurably perturb some samples but the
     // distribution stays valid.
     assert!((0.0..=1.0).contains(&rep.mean_error));
@@ -148,8 +149,8 @@ fn activation_and_param_sites_compose_through_specs() {
             &spec,
             Arc::new(BernoulliBitFlip::new(1e-3)),
         );
-        let a = run_campaign(&fm, &cfg);
-        let b = run_campaign(&fm, &cfg);
+        let a = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
+        let b = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
         assert_eq!(
             a.traces[0].samples(),
             b.traces[0].samples(),

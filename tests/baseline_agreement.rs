@@ -6,7 +6,7 @@
 
 use bdlfi_suite::baseline::{RandomFi, RandomFiConfig};
 use bdlfi_suite::bayes::ChainConfig;
-use bdlfi_suite::core::{run_campaign, CampaignConfig, FaultyModel, KernelChoice};
+use bdlfi_suite::core::{run_campaign, CampaignConfig, FaultyModel, KernelChoice, RunControl};
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
 use bdlfi_suite::nn::{mlp, optim::Sgd, Sequential, TrainConfig, Trainer};
@@ -44,12 +44,17 @@ fn mean_error_estimates_agree_in_the_large_sample_limit() {
         &SiteSpec::AllParams,
         Arc::clone(&fault_model) as _,
     );
-    let mc = fi.run(&RandomFiConfig {
-        injections: 600,
-        seed: 1,
-        level: 0.95,
-        workers: 0,
-    });
+    let mc = fi
+        .run(
+            &RandomFiConfig {
+                injections: 600,
+                seed: 1,
+                level: 0.95,
+                workers: 0,
+            },
+            &RunControl::new(),
+        )
+        .unwrap();
 
     // BDLFI with the prior kernel.
     let fm = FaultyModel::new(model, test, &SiteSpec::AllParams, fault_model);
@@ -63,7 +68,7 @@ fn mean_error_estimates_agree_in_the_large_sample_limit() {
         kernel: KernelChoice::Prior,
         ..CampaignConfig::default()
     };
-    let bdlfi = run_campaign(&fm, &cfg);
+    let bdlfi = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
 
     assert_eq!(mc.golden_error, bdlfi.golden_error, "same golden run");
     assert!(
@@ -94,12 +99,17 @@ fn single_bit_flips_rarely_corrupt_but_sometimes_do() {
     // the SDC rate must be strictly between 0 and 1 with enough runs.
     let (model, test) = trained();
     let fi = RandomFi::new(model, test, &SiteSpec::AllParams);
-    let res = fi.run(&RandomFiConfig {
-        injections: 400,
-        seed: 2,
-        level: 0.95,
-        workers: 0,
-    });
+    let res = fi
+        .run(
+            &RandomFiConfig {
+                injections: 400,
+                seed: 2,
+                level: 0.95,
+                workers: 0,
+            },
+            &RunControl::new(),
+        )
+        .unwrap();
     assert!(res.sdc.rate > 0.0, "no corruption in 400 single-bit flips");
     assert!(res.sdc.rate < 1.0, "every single-bit flip corrupted");
     // Interval is meaningful.
@@ -127,7 +137,7 @@ fn bdlfi_reports_completeness_baseline_does_not() {
         },
         ..base
     };
-    let report = run_campaign(&fm, &cfg);
+    let report = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
     // Certification verdict and its evidence exist and are consistent.
     let c = report.completeness;
     let manual = c.rhat <= cfg.criteria.max_rhat

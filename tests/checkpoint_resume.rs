@@ -11,17 +11,12 @@
 //! Also covered: the typed-error surface of the journal reader (torn
 //! lines, fingerprint mismatches, resuming an already-complete journal).
 
-use bdlfi_suite::baseline::{
-    run_exhaustive_controlled, run_exhaustive_with, run_layer_fi, run_layer_fi_controlled,
-    RandomFi, RandomFiConfig,
-};
+use bdlfi_suite::baseline::{run_exhaustive, run_layer_fi, RandomFi, RandomFiConfig};
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    boundary_map, boundary_map_controlled, run_campaign, run_campaign_adaptive,
-    run_campaign_adaptive_controlled, run_campaign_controlled, run_layerwise,
-    run_layerwise_controlled, run_protection_study, run_protection_study_controlled, run_sweep,
-    run_sweep_controlled, BoundaryConfig, CampaignConfig, CampaignReport, CheckpointError,
-    CheckpointSpec, EngineError, FaultyModel, KernelChoice, LayerBudget, RunControl,
+    boundary_map, run_campaign, run_campaign_adaptive, run_layerwise, run_protection_study,
+    run_sweep, BoundaryConfig, CampaignConfig, CampaignReport, CheckpointError, CheckpointSpec,
+    EngineError, FaultyModel, KernelChoice, LayerBudget, RunControl,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
@@ -138,7 +133,7 @@ fn assert_interrupted(err: EngineError, watermark: usize, what: &str) {
 #[test]
 fn campaign_resumes_bit_identically() {
     let fm = mlp_fm(1e-3);
-    let reference = run_campaign(&fm, &campaign_cfg(41, 4, 30, 1));
+    let reference = run_campaign(&fm, &campaign_cfg(41, 4, 30, 1), &RunControl::new()).unwrap();
     let scratch = Scratch::new("campaign");
     for (workers, resume_workers) in worker_counts() {
         let what = format!("campaign @{workers}->{resume_workers}");
@@ -148,12 +143,19 @@ fn campaign_resumes_bit_identically() {
             scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
             String::new(),
         );
-        let err = run_campaign_controlled(&fm, &cfg, &RunControl::stop_after(2), Some(&spec))
-            .unwrap_err();
+        let err = run_campaign(
+            &fm,
+            &cfg,
+            &RunControl::stop_after(2).checkpointed(spec.clone()),
+        )
+        .unwrap_err();
         assert_interrupted(err, 2, &what);
-        let resumed =
-            run_campaign_controlled(&fm, &resume_cfg, &RunControl::new(), Some(&spec.resuming()))
-                .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
+        let resumed = run_campaign(
+            &fm,
+            &resume_cfg,
+            &RunControl::new().checkpointed(spec.resuming()),
+        )
+        .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_reports_identical(&reference, &resumed, &what);
         assert_eq!(resumed.run_meta.resumed_from, Some(2), "{what}");
     }
@@ -165,7 +167,7 @@ fn adaptive_campaign_resumes_bit_identically() {
     // Segments of 15 samples, budget 60 → up to 4 segments; the loose
     // default criteria will not certify early at these sizes.
     let cfg_for = |workers| campaign_cfg(42, 2, 15, workers);
-    let reference = run_campaign_adaptive(&fm, &cfg_for(1), 60);
+    let reference = run_campaign_adaptive(&fm, &cfg_for(1), 60, &RunControl::new()).unwrap();
     let scratch = Scratch::new("adaptive");
     for (workers, resume_workers) in worker_counts() {
         let what = format!("adaptive campaign @{workers}->{resume_workers}");
@@ -176,21 +178,19 @@ fn adaptive_campaign_resumes_bit_identically() {
             String::new(),
         );
         // stop_after counts completed *segments* for the adaptive driver.
-        let err = run_campaign_adaptive_controlled(
+        let err = run_campaign_adaptive(
             &fm,
             &cfg,
             60,
-            &RunControl::stop_after(2),
-            Some(&spec),
+            &RunControl::stop_after(2).checkpointed(spec.clone()),
         )
         .unwrap_err();
         assert_interrupted(err, 2, &what);
-        let resumed = run_campaign_adaptive_controlled(
+        let resumed = run_campaign_adaptive(
             &fm,
             &resume_cfg,
             60,
-            &RunControl::new(),
-            Some(&spec.resuming()),
+            &RunControl::new().checkpointed(spec.resuming()),
         )
         .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_reports_identical(&reference, &resumed, &what);
@@ -208,7 +208,9 @@ fn sweep_resumes_bit_identically() {
         &SiteSpec::AllParams,
         &ps,
         &campaign_cfg(43, 2, 20, 1),
-    );
+        &RunControl::new(),
+    )
+    .unwrap();
     let scratch = Scratch::new("sweep");
     for (workers, resume_workers) in worker_counts() {
         let what = format!("sweep @{workers}->{resume_workers}");
@@ -218,25 +220,23 @@ fn sweep_resumes_bit_identically() {
             scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
             String::new(),
         );
-        let err = run_sweep_controlled(
+        let err = run_sweep(
             &model,
             &eval,
             &SiteSpec::AllParams,
             &ps,
             &cfg,
-            &RunControl::stop_after(1),
-            Some(&spec),
+            &RunControl::stop_after(1).checkpointed(spec.clone()),
         )
         .unwrap_err();
         assert_interrupted(err, 1, &what);
-        let resumed = run_sweep_controlled(
+        let resumed = run_sweep(
             &model,
             &eval,
             &SiteSpec::AllParams,
             &ps,
             &resume_cfg,
-            &RunControl::new(),
-            Some(&spec.resuming()),
+            &RunControl::new().checkpointed(spec.resuming()),
         )
         .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_eq!(resumed.golden_error, reference.golden_error, "{what}");
@@ -253,7 +253,15 @@ fn layerwise_resumes_bit_identically() {
     let (model, eval) = trained_mlp();
     let layers = ["fc1", "fc2", "fc3"];
     let budget = LayerBudget::ExpectedFlips(2.0);
-    let reference = run_layerwise(&model, &eval, &layers, budget, &campaign_cfg(44, 2, 20, 1));
+    let reference = run_layerwise(
+        &model,
+        &eval,
+        &layers,
+        budget,
+        &campaign_cfg(44, 2, 20, 1),
+        &RunControl::new(),
+    )
+    .unwrap();
     let scratch = Scratch::new("layerwise");
     for (workers, resume_workers) in worker_counts() {
         let what = format!("layerwise @{workers}->{resume_workers}");
@@ -263,25 +271,23 @@ fn layerwise_resumes_bit_identically() {
             scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
             String::new(),
         );
-        let err = run_layerwise_controlled(
+        let err = run_layerwise(
             &model,
             &eval,
             &layers,
             budget,
             &cfg,
-            &RunControl::stop_after(2),
-            Some(&spec),
+            &RunControl::stop_after(2).checkpointed(spec.clone()),
         )
         .unwrap_err();
         assert_interrupted(err, 2, &what);
-        let resumed = run_layerwise_controlled(
+        let resumed = run_layerwise(
             &model,
             &eval,
             &layers,
             budget,
             &resume_cfg,
-            &RunControl::new(),
-            Some(&spec.resuming()),
+            &RunControl::new().checkpointed(spec.resuming()),
         )
         .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_eq!(
@@ -312,7 +318,9 @@ fn boundary_map_resumes_bit_identically() {
         &SiteSpec::AllParams,
         fault_model.clone(),
         &cfg_for(1),
-    );
+        &RunControl::new(),
+    )
+    .unwrap();
     let scratch = Scratch::new("boundary");
     for (workers, resume_workers) in worker_counts() {
         let what = format!("boundary map @{workers}->{resume_workers}");
@@ -322,23 +330,21 @@ fn boundary_map_resumes_bit_identically() {
             scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
             String::new(),
         );
-        let err = boundary_map_controlled(
+        let err = boundary_map(
             &model,
             &SiteSpec::AllParams,
             fault_model.clone(),
             &cfg,
-            &RunControl::stop_after(17),
-            Some(&spec),
+            &RunControl::stop_after(17).checkpointed(spec.clone()),
         )
         .unwrap_err();
         assert_interrupted(err, 17, &what);
-        let resumed = boundary_map_controlled(
+        let resumed = boundary_map(
             &model,
             &SiteSpec::AllParams,
             fault_model.clone(),
             &resume_cfg,
-            &RunControl::new(),
-            Some(&spec.resuming()),
+            &RunControl::new().checkpointed(spec.resuming()),
         )
         .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_eq!(resumed.error_prob, reference.error_prob, "{what}");
@@ -362,29 +368,34 @@ fn protection_study_resumes_through_the_boundary_journal() {
         ..BoundaryConfig::default()
     };
     let fault_model = Arc::new(BernoulliBitFlip::new(2e-3));
-    let reference =
-        run_protection_study(&model, &SiteSpec::AllParams, fault_model.clone(), &cfg, 0.9);
-    let scratch = Scratch::new("protection");
-    let spec = CheckpointSpec::new(scratch.path("study.ckpt"), String::new());
-    let err = run_protection_study_controlled(
+    let reference = run_protection_study(
         &model,
         &SiteSpec::AllParams,
         fault_model.clone(),
         &cfg,
         0.9,
-        &RunControl::stop_after(9),
-        Some(&spec),
+        &RunControl::new(),
+    )
+    .unwrap();
+    let scratch = Scratch::new("protection");
+    let spec = CheckpointSpec::new(scratch.path("study.ckpt"), String::new());
+    let err = run_protection_study(
+        &model,
+        &SiteSpec::AllParams,
+        fault_model.clone(),
+        &cfg,
+        0.9,
+        &RunControl::stop_after(9).checkpointed(spec.clone()),
     )
     .unwrap_err();
     assert_interrupted(err, 9, "protection study");
-    let resumed = run_protection_study_controlled(
+    let resumed = run_protection_study(
         &model,
         &SiteSpec::AllParams,
         fault_model,
         &cfg,
         0.9,
-        &RunControl::new(),
-        Some(&spec.resuming()),
+        &RunControl::new().checkpointed(spec.resuming()),
     )
     .expect("protection study resume");
     assert_eq!(resumed.map.error_prob, reference.map.error_prob);
@@ -401,7 +412,7 @@ fn random_fi_resumes_bit_identically() {
         level: 0.95,
         workers,
     };
-    let reference = fi.run(&cfg_for(1));
+    let reference = fi.run(&cfg_for(1), &RunControl::new()).unwrap();
     let scratch = Scratch::new("random_fi");
     for (workers, resume_workers) in worker_counts() {
         let what = format!("random FI @{workers}->{resume_workers}");
@@ -412,11 +423,14 @@ fn random_fi_resumes_bit_identically() {
             String::new(),
         );
         let err = fi
-            .run_controlled(&cfg, &RunControl::stop_after(23), Some(&spec))
+            .run(&cfg, &RunControl::stop_after(23).checkpointed(spec.clone()))
             .unwrap_err();
         assert_interrupted(err, 23, &what);
         let resumed = fi
-            .run_controlled(&resume_cfg, &RunControl::new(), Some(&spec.resuming()))
+            .run(
+                &resume_cfg,
+                &RunControl::new().checkpointed(spec.resuming()),
+            )
             .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_eq!(resumed.errors, reference.errors, "{what}");
         assert_eq!(resumed.sdc.successes, reference.sdc.successes, "{what}");
@@ -434,7 +448,7 @@ fn exhaustive_fi_resumes_bit_identically() {
     let spec_sites = SiteSpec::LayerParams {
         prefix: "fc2".into(),
     };
-    let reference = run_exhaustive_with(&model, &eval, &spec_sites, 1);
+    let reference = run_exhaustive(&model, &eval, &spec_sites, 1, &RunControl::new()).unwrap();
     let scratch = Scratch::new("exhaustive");
     for (workers, resume_workers) in worker_counts() {
         let what = format!("exhaustive FI @{workers}->{resume_workers}");
@@ -442,23 +456,21 @@ fn exhaustive_fi_resumes_bit_identically() {
             scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
             String::new(),
         );
-        let err = run_exhaustive_controlled(
+        let err = run_exhaustive(
             &model,
             &eval,
             &spec_sites,
             workers,
-            &RunControl::stop_after(101),
-            Some(&spec),
+            &RunControl::stop_after(101).checkpointed(spec.clone()),
         )
         .unwrap_err();
         assert_interrupted(err, 101, &what);
-        let resumed = run_exhaustive_controlled(
+        let resumed = run_exhaustive(
             &model,
             &eval,
             &spec_sites,
             resume_workers,
-            &RunControl::new(),
-            Some(&spec.resuming()),
+            &RunControl::new().checkpointed(spec.resuming()),
         )
         .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_eq!(resumed.injections, reference.injections, "{what}");
@@ -481,7 +493,7 @@ fn layer_fi_study_resumes_bit_identically() {
         level: 0.95,
         workers,
     };
-    let reference = run_layer_fi(&model, &eval, &layers, &cfg_for(1));
+    let reference = run_layer_fi(&model, &eval, &layers, &cfg_for(1), &RunControl::new()).unwrap();
     let scratch = Scratch::new("layer_fi");
     for (workers, resume_workers) in worker_counts() {
         let what = format!("layer FI @{workers}->{resume_workers}");
@@ -491,23 +503,21 @@ fn layer_fi_study_resumes_bit_identically() {
             scratch.path(&format!("w{workers}_{resume_workers}.ckpt")),
             String::new(),
         );
-        let err = run_layer_fi_controlled(
+        let err = run_layer_fi(
             &model,
             &eval,
             &layers,
             &cfg,
-            &RunControl::stop_after(1),
-            Some(&spec),
+            &RunControl::stop_after(1).checkpointed(spec.clone()),
         )
         .unwrap_err();
         assert_interrupted(err, 1, &what);
-        let resumed = run_layer_fi_controlled(
+        let resumed = run_layer_fi(
             &model,
             &eval,
             &layers,
             &resume_cfg,
-            &RunControl::new(),
-            Some(&spec.resuming()),
+            &RunControl::new().checkpointed(spec.resuming()),
         )
         .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_eq!(
@@ -540,7 +550,7 @@ fn interrupted_journal(
     };
     let spec = CheckpointSpec::new(scratch.path(name), String::new());
     let err = fi
-        .run_controlled(&cfg, &RunControl::stop_after(7), Some(&spec))
+        .run(&cfg, &RunControl::stop_after(7).checkpointed(spec.clone()))
         .unwrap_err();
     assert_interrupted(err, 7, "journal fixture");
     (fi, cfg, spec)
@@ -554,14 +564,14 @@ fn torn_final_journal_line_is_truncated_and_resumed() {
     // lost task — producing a report bit-identical to an uninterrupted run.
     let scratch = Scratch::new("truncated");
     let (fi, cfg, spec) = interrupted_journal(&scratch, "torn.ckpt");
-    let reference = fi.run(&cfg);
+    let reference = fi.run(&cfg, &RunControl::new()).unwrap();
     // Tear the last journal line mid-record, as a crash mid-write would.
     let contents = std::fs::read_to_string(&spec.path).unwrap();
     let torn = &contents[..contents.trim_end().len() - 5];
     std::fs::write(&spec.path, torn).unwrap();
 
     let resumed = fi
-        .run_controlled(&cfg, &RunControl::new(), Some(&spec.resuming()))
+        .run(&cfg, &RunControl::new().checkpointed(spec.resuming()))
         .expect("torn final line must resume, not error");
     assert_eq!(resumed.errors, reference.errors);
     assert_eq!(resumed.sdc.successes, reference.sdc.successes);
@@ -588,7 +598,7 @@ fn interior_torn_journal_line_is_a_typed_corruption_error() {
     std::fs::write(&spec.path, lines.join("\n") + "\n").unwrap();
 
     let err = fi
-        .run_controlled(&cfg, &RunControl::new(), Some(&spec.resuming()))
+        .run(&cfg, &RunControl::new().checkpointed(spec.resuming()))
         .unwrap_err();
     match err {
         EngineError::Checkpoint(CheckpointError::Corrupt { line, .. }) => {
@@ -609,7 +619,7 @@ fn fingerprint_mismatch_is_a_typed_error() {
         ..cfg
     };
     let err = fi
-        .run_controlled(&other_cfg, &RunControl::new(), Some(&spec.resuming()))
+        .run(&other_cfg, &RunControl::new().checkpointed(spec.resuming()))
         .unwrap_err();
     match err {
         EngineError::Checkpoint(CheckpointError::Mismatch { field, .. }) => {
@@ -624,10 +634,13 @@ fn resuming_a_complete_journal_is_a_typed_error() {
     let scratch = Scratch::new("complete");
     let (fi, cfg, spec) = interrupted_journal(&scratch, "done.ckpt");
     // Finish the campaign, then try to resume again.
-    fi.run_controlled(&cfg, &RunControl::new(), Some(&spec.clone().resuming()))
-        .expect("resume to completion");
+    fi.run(
+        &cfg,
+        &RunControl::new().checkpointed(spec.clone().resuming()),
+    )
+    .expect("resume to completion");
     let err = fi
-        .run_controlled(&cfg, &RunControl::new(), Some(&spec.resuming()))
+        .run(&cfg, &RunControl::new().checkpointed(spec.resuming()))
         .unwrap_err();
     match err {
         EngineError::Checkpoint(CheckpointError::AlreadyComplete { tasks }) => {
@@ -651,7 +664,7 @@ fn fresh_journal_ignores_stale_file_from_other_config() {
     };
     let fresh = CheckpointSpec::new(spec.path.clone(), String::new());
     let res = fi
-        .run_controlled(&cfg, &RunControl::new(), Some(&fresh))
+        .run(&cfg, &RunControl::new().checkpointed(fresh.clone()))
         .expect("fresh run over stale journal");
     assert_eq!(res.injections, 9);
     assert_eq!(res.run_meta.resumed_from, None);

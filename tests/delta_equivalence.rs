@@ -15,7 +15,7 @@
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
     run_campaign, CampaignConfig, CampaignReport, FaultWorkload, FaultyModel, KernelChoice,
-    QuantFaultyModel,
+    QuantFaultyModel, RunControl,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, FaultConfig, FaultMask, ParamSite, Repr, SiteSpec};
@@ -345,11 +345,11 @@ fn campaigns_with_delta_are_worker_invariant_and_gate_independent() {
         workers: 1,
         ..CampaignConfig::default()
     };
-    let reference = run_campaign(&plain, &cfg);
+    let reference = run_campaign(&plain, &cfg, &RunControl::new()).unwrap();
     for workers in worker_counts() {
         let mut c = cfg;
         c.workers = workers;
-        let report = run_campaign(&fm, &c);
+        let report = run_campaign(&fm, &c, &RunControl::new()).unwrap();
         assert_reports_identical(
             &reference,
             &report,

@@ -5,7 +5,7 @@
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
     boundary_map, log_spaced_probabilities, run_campaign, run_sweep, BoundaryConfig,
-    CampaignConfig, FaultyModel, KernelChoice,
+    CampaignConfig, FaultyModel, KernelChoice, RunControl,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
@@ -56,7 +56,7 @@ fn campaign_distribution_is_coherent() {
         &SiteSpec::AllParams,
         Arc::new(BernoulliBitFlip::new(2e-3)),
     );
-    let report = run_campaign(&fm, &quick_campaign());
+    let report = run_campaign(&fm, &quick_campaign(), &RunControl::new()).unwrap();
 
     // Distribution bounds and ordering.
     assert!(report.summary.min >= 0.0 && report.summary.max <= 1.0);
@@ -79,7 +79,15 @@ fn finding_two_regimes_in_flip_probability() {
     // Paper Fig. 2: flat regime at small p, steep regime at large p.
     let (model, test) = trained_mlp();
     let ps = log_spaced_probabilities(1e-6, 1e-1, 6);
-    let sweep = run_sweep(&model, &test, &SiteSpec::AllParams, &ps, &quick_campaign());
+    let sweep = run_sweep(
+        &model,
+        &test,
+        &SiteSpec::AllParams,
+        &ps,
+        &quick_campaign(),
+        &RunControl::new(),
+    )
+    .unwrap();
 
     let errs: Vec<f64> = sweep.points.iter().map(|pt| pt.report.mean_error).collect();
     // Flat start: within 2 percentage points of golden.
@@ -109,7 +117,9 @@ fn finding_errors_concentrate_at_boundary() {
             seed: 1,
             ..BoundaryConfig::default()
         },
-    );
+        &RunControl::new(),
+    )
+    .unwrap();
     let (near, far) = map.near_far_split();
     assert!(near > far, "near {near} <= far {far}");
     assert!(
@@ -132,8 +142,8 @@ fn campaign_with_more_samples_certifies_with_smaller_mcse() {
     small.chain.samples = 30;
     let mut large = quick_campaign();
     large.chain.samples = 300;
-    let rs = run_campaign(&fm, &small);
-    let rl = run_campaign(&fm, &large);
+    let rs = run_campaign(&fm, &small, &RunControl::new()).unwrap();
+    let rl = run_campaign(&fm, &large, &RunControl::new()).unwrap();
     assert!(rl.completeness.mcse < rs.completeness.mcse);
     assert!(rl.completeness.ess > rs.completeness.ess);
 }
@@ -158,8 +168,8 @@ fn site_scoping_restricts_damage() {
         },
         Arc::new(BernoulliBitFlip::new(p)),
     );
-    let ra = run_campaign(&all, &quick_campaign());
-    let ro = run_campaign(&one, &quick_campaign());
+    let ra = run_campaign(&all, &quick_campaign(), &RunControl::new()).unwrap();
+    let ro = run_campaign(&one, &quick_campaign(), &RunControl::new()).unwrap();
     assert!(
         ra.mean_error >= ro.mean_error - 0.03,
         "all-sites {} vs one-layer {}",

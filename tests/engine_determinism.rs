@@ -9,11 +9,11 @@
 //! random FI, exhaustive FI, per-layer FI) on both an MLP and a reduced
 //! ResNet fixture.
 
-use bdlfi_suite::baseline::{run_exhaustive_with, run_layer_fi, RandomFi, RandomFiConfig};
+use bdlfi_suite::baseline::{run_exhaustive, run_layer_fi, RandomFi, RandomFiConfig};
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
     boundary_map, run_campaign, run_layerwise, run_sweep, BoundaryConfig, CampaignConfig,
-    CampaignReport, FaultyModel, KernelChoice, LayerBudget,
+    CampaignReport, FaultyModel, KernelChoice, LayerBudget, RunControl,
 };
 use bdlfi_suite::data::{gaussian_blobs, synth_cifar, Dataset, SynthCifarConfig};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
@@ -112,9 +112,9 @@ fn campaign_is_worker_count_invariant_on_mlp() {
         &SiteSpec::AllParams,
         Arc::new(BernoulliBitFlip::new(1e-3)),
     );
-    let reference = run_campaign(&fm, &campaign_cfg(31, 40, 1));
+    let reference = run_campaign(&fm, &campaign_cfg(31, 40, 1), &RunControl::new()).unwrap();
     for workers in worker_counts() {
-        let report = run_campaign(&fm, &campaign_cfg(31, 40, workers));
+        let report = run_campaign(&fm, &campaign_cfg(31, 40, workers), &RunControl::new()).unwrap();
         assert_reports_identical(&reference, &report, &format!("mlp campaign @{workers}"));
     }
 }
@@ -128,9 +128,9 @@ fn campaign_is_worker_count_invariant_on_resnet() {
         &SiteSpec::AllParams,
         Arc::new(BernoulliBitFlip::new(1e-4)),
     );
-    let reference = run_campaign(&fm, &campaign_cfg(32, 6, 1));
+    let reference = run_campaign(&fm, &campaign_cfg(32, 6, 1), &RunControl::new()).unwrap();
     for workers in worker_counts() {
-        let report = run_campaign(&fm, &campaign_cfg(32, 6, workers));
+        let report = run_campaign(&fm, &campaign_cfg(32, 6, workers), &RunControl::new()).unwrap();
         assert_reports_identical(&reference, &report, &format!("resnet campaign @{workers}"));
     }
 }
@@ -145,7 +145,9 @@ fn sweep_is_worker_count_invariant() {
         &SiteSpec::AllParams,
         &ps,
         &campaign_cfg(33, 25, 1),
-    );
+        &RunControl::new(),
+    )
+    .unwrap();
     for workers in worker_counts() {
         let sweep = run_sweep(
             &model,
@@ -153,7 +155,9 @@ fn sweep_is_worker_count_invariant() {
             &SiteSpec::AllParams,
             &ps,
             &campaign_cfg(33, 25, workers),
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         assert_eq!(sweep.golden_error, reference.golden_error);
         assert_eq!(sweep.points.len(), reference.points.len());
         for (a, b) in reference.points.iter().zip(&sweep.points) {
@@ -173,7 +177,9 @@ fn layerwise_is_worker_count_invariant() {
         &layers,
         LayerBudget::ExpectedFlips(2.0),
         &campaign_cfg(34, 20, 1),
-    );
+        &RunControl::new(),
+    )
+    .unwrap();
     for workers in worker_counts() {
         let res = run_layerwise(
             &model,
@@ -181,7 +187,9 @@ fn layerwise_is_worker_count_invariant() {
             &layers,
             LayerBudget::ExpectedFlips(2.0),
             &campaign_cfg(34, 20, workers),
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         // Bit equality: a correlation of NaN (degenerate ranks) must still
         // reproduce exactly.
         assert_eq!(
@@ -210,14 +218,23 @@ fn boundary_map_is_worker_count_invariant() {
         ..BoundaryConfig::default()
     };
     let fault_model = Arc::new(BernoulliBitFlip::new(1e-3));
-    let reference = boundary_map(&model, &SiteSpec::AllParams, fault_model.clone(), &cfg(1));
+    let reference = boundary_map(
+        &model,
+        &SiteSpec::AllParams,
+        fault_model.clone(),
+        &cfg(1),
+        &RunControl::new(),
+    )
+    .unwrap();
     for workers in worker_counts() {
         let map = boundary_map(
             &model,
             &SiteSpec::AllParams,
             fault_model.clone(),
             &cfg(workers),
-        );
+            &RunControl::new(),
+        )
+        .unwrap();
         assert_eq!(map.error_prob, reference.error_prob, "@{workers}");
         assert_eq!(map.golden_pred, reference.golden_pred, "@{workers}");
         assert_eq!(
@@ -237,9 +254,9 @@ fn random_fi_is_worker_count_invariant() {
         level: 0.95,
         workers,
     };
-    let reference = fi.run(&cfg(1));
+    let reference = fi.run(&cfg(1), &RunControl::new()).unwrap();
     for workers in worker_counts() {
-        let res = fi.run(&cfg(workers));
+        let res = fi.run(&cfg(workers), &RunControl::new()).unwrap();
         assert_eq!(res.errors, reference.errors, "@{workers}");
         assert_eq!(res.sdc.successes, reference.sdc.successes, "@{workers}");
         assert_eq!(res.mean_error, reference.mean_error, "@{workers}");
@@ -255,9 +272,9 @@ fn exhaustive_fi_is_worker_count_invariant() {
     let spec = SiteSpec::LayerParams {
         prefix: "fc2".into(),
     };
-    let reference = run_exhaustive_with(&model, &eval, &spec, 1);
+    let reference = run_exhaustive(&model, &eval, &spec, 1, &RunControl::new()).unwrap();
     for workers in worker_counts() {
-        let res = run_exhaustive_with(&model, &eval, &spec, workers);
+        let res = run_exhaustive(&model, &eval, &spec, workers, &RunControl::new()).unwrap();
         assert_eq!(res.injections, reference.injections, "@{workers}");
         assert_eq!(res.sdc.successes, reference.sdc.successes, "@{workers}");
         assert_eq!(res.mean_error, reference.mean_error, "@{workers}");
@@ -277,9 +294,10 @@ fn layer_fi_study_is_worker_count_invariant() {
         level: 0.95,
         workers,
     };
-    let reference = run_layer_fi(&model, &eval, &layers, &cfg(1));
+    let reference = run_layer_fi(&model, &eval, &layers, &cfg(1), &RunControl::new()).unwrap();
     for workers in worker_counts() {
-        let study = run_layer_fi(&model, &eval, &layers, &cfg(workers));
+        let study =
+            run_layer_fi(&model, &eval, &layers, &cfg(workers), &RunControl::new()).unwrap();
         assert_eq!(
             study.depth_correlation.to_bits(),
             reference.depth_correlation.to_bits(),

@@ -14,17 +14,14 @@
 //! fingerprints: int8 campaign and adaptive journals gained the `_quant`
 //! suffix, and adaptive, random-FI and layer-FI journals pinned `workers`.
 
-use bdlfi_suite::baseline::{
-    run_exhaustive_controlled, run_layer_fi_controlled, RandomFi, RandomFiConfig,
-};
+use bdlfi_suite::baseline::{run_exhaustive, run_layer_fi, RandomFi, RandomFiConfig};
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    attribute_faults_controlled, boundary_map_controlled, fingerprint, read_journal,
-    run_campaign_adaptive_controlled, run_campaign_controlled, run_campaign_shard,
-    run_layerwise_controlled, run_layerwise_shard, run_protection_study_controlled,
-    run_sweep_controlled, run_sweep_shard, BoundaryConfig, CampaignConfig, CheckpointHeader,
-    CheckpointSpec, EngineError, FaultWorkload, FaultyModel, GoldenModel, KernelChoice,
-    LayerBudget, QuantFaultyModel, RunControl, RunMeta, ShardError, ShardPlan,
+    attribute_faults, boundary_map, fingerprint, read_journal, run_campaign, run_campaign_adaptive,
+    run_campaign_shard, run_layerwise, run_layerwise_shard, run_protection_study, run_sweep,
+    run_sweep_shard, BoundaryConfig, CampaignConfig, CheckpointHeader, CheckpointSpec, EngineError,
+    FaultWorkload, FaultyModel, GoldenModel, KernelChoice, LayerBudget, QuantFaultyModel,
+    RunControl, RunMeta, ShardError, ShardPlan,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{resolve_sites, BernoulliBitFlip, SiteSpec};
@@ -96,9 +93,9 @@ fn campaign_cfg() -> CampaignConfig {
 /// Runs a driver until it has written only its journal header.
 fn header_of<T>(
     spec: &CheckpointSpec,
-    run: impl FnOnce(&RunControl, Option<&CheckpointSpec>) -> Result<T, EngineError>,
+    run: impl FnOnce(&RunControl) -> Result<T, EngineError>,
 ) -> CheckpointHeader {
-    match run(&RunControl::stop_after(0), Some(spec)) {
+    match run(&RunControl::stop_after(0).checkpointed(spec.clone())) {
         Err(EngineError::Interrupted { completed: 0, .. }) => {}
         Err(other) => panic!(
             "{}: expected an immediate interrupt, got {other}",
@@ -116,9 +113,9 @@ fn assert_shard_header(
     base: &str,
     seed: u64,
     tasks: usize,
-    run: impl FnOnce(&RunControl, &CheckpointSpec) -> Result<RunMeta, ShardError>,
+    run: impl FnOnce(&RunControl) -> Result<RunMeta, ShardError>,
 ) {
-    match run(&RunControl::stop_after(0), spec) {
+    match run(&RunControl::stop_after(0).checkpointed(spec.clone())) {
         Err(ShardError::Engine(EngineError::Interrupted { completed: 0, .. })) => {}
         other => panic!(
             "{}: expected an immediate interrupt, got {other:?}",
@@ -153,36 +150,32 @@ fn pin_campaign_family<N: GoldenModel>(net: &N, eval: &Arc<Dataset>, suffix: &st
 
     let campaign = fingerprint(&tag("campaign"), &(pinned, golden));
     let spec = scratch.spec("campaign");
-    let header = header_of(&spec, |ctl, ck| run_campaign_controlled(&fm, &cfg, ctl, ck));
+    let header = header_of(&spec, |ctl| run_campaign(&fm, &cfg, ctl));
     assert_eq!(header.fingerprint, campaign, "campaign{suffix}");
     assert_shard_header(
         &scratch.spec("campaign_shard"),
         &campaign,
         cfg.seed,
         cfg.chains,
-        |ctl, ck| run_campaign_shard(&fm, &cfg, 2, 1, ctl, ck),
+        |ctl| run_campaign_shard(&fm, &cfg, 2, 1, ctl),
     );
 
     let spec = scratch.spec("adaptive");
-    let header = header_of(&spec, |ctl, ck| {
-        run_campaign_adaptive_controlled(&fm, &cfg, 12, ctl, ck)
-    });
+    let header = header_of(&spec, |ctl| run_campaign_adaptive(&fm, &cfg, 12, ctl));
     let adaptive = fingerprint(&tag("campaign_adaptive"), &(pinned, 12usize, golden));
     assert_eq!(header.fingerprint, adaptive, "campaign_adaptive{suffix}");
 
     let ps = [1e-4, 1e-3, 1e-2];
     let sweep = fingerprint(&tag("sweep"), &(pinned, ps.to_vec()));
     let spec = scratch.spec("sweep");
-    let header = header_of(&spec, |ctl, ck| {
-        run_sweep_controlled(net, eval, &sites, &ps, &cfg, ctl, ck)
-    });
+    let header = header_of(&spec, |ctl| run_sweep(net, eval, &sites, &ps, &cfg, ctl));
     assert_eq!(header.fingerprint, sweep, "sweep{suffix}");
     assert_shard_header(
         &scratch.spec("sweep_shard"),
         &sweep,
         cfg.seed,
         ps.len(),
-        |ctl, ck| run_sweep_shard(net, eval, &sites, &ps, &cfg, 2, 1, ctl, ck),
+        |ctl| run_sweep_shard(net, eval, &sites, &ps, &cfg, 2, 1, ctl),
     );
 
     let layers = ["fc1", "fc2"];
@@ -190,8 +183,8 @@ fn pin_campaign_family<N: GoldenModel>(net: &N, eval: &Arc<Dataset>, suffix: &st
     let budget = LayerBudget::ExpectedFlips(2.0);
     let layerwise = fingerprint(&tag("layerwise"), &(pinned, names, budget));
     let spec = scratch.spec("layerwise");
-    let header = header_of(&spec, |ctl, ck| {
-        run_layerwise_controlled(net, eval, &layers, budget, &cfg, ctl, ck)
+    let header = header_of(&spec, |ctl| {
+        run_layerwise(net, eval, &layers, budget, &cfg, ctl)
     });
     assert_eq!(header.fingerprint, layerwise, "layerwise{suffix}");
     assert_shard_header(
@@ -199,7 +192,7 @@ fn pin_campaign_family<N: GoldenModel>(net: &N, eval: &Arc<Dataset>, suffix: &st
         &layerwise,
         cfg.seed,
         layers.len(),
-        |ctl, ck| run_layerwise_shard(net, eval, &layers, budget, &cfg, 2, 1, ctl, ck),
+        |ctl| run_layerwise_shard(net, eval, &layers, budget, &cfg, 2, 1, ctl),
     );
 }
 
@@ -227,8 +220,8 @@ fn exhaustive_fingerprints_pin_for_f32_and_int8() {
     let logits = predict_all(&mut model, eval.inputs(), 64);
     let golden = bdlfi_suite::nn::metrics::classification_error(&logits, eval.labels());
     let spec = scratch.spec("f32");
-    let header = header_of(&spec, |ctl, ck| {
-        run_exhaustive_controlled(&model, &eval, &sites, WORKERS, ctl, ck)
+    let header = header_of(&spec, |ctl| {
+        run_exhaustive(&model, &eval, &sites, WORKERS, ctl)
     });
     assert_eq!(
         header.fingerprint,
@@ -250,8 +243,8 @@ fn exhaustive_fingerprints_pin_for_f32_and_int8() {
     )
     .golden_error();
     let spec = scratch.spec("int8");
-    let header = header_of(&spec, |ctl, ck| {
-        run_exhaustive_controlled(&qm, &eval, &sites, WORKERS, ctl, ck)
+    let header = header_of(&spec, |ctl| {
+        run_exhaustive(&qm, &eval, &sites, WORKERS, ctl)
     });
     assert_eq!(
         header.fingerprint,
@@ -276,16 +269,14 @@ fn f32_only_driver_fingerprints_pin() {
         workers: 0,
         ..fi_cfg.clone()
     };
-    let header = header_of(&scratch.spec("random_fi"), |ctl, ck| {
-        fi.run_controlled(&fi_cfg, ctl, ck)
-    });
+    let header = header_of(&scratch.spec("random_fi"), |ctl| fi.run(&fi_cfg, ctl));
     let expected = fingerprint("random_fi", &(fi_pinned.clone(), true, fi.golden_error()));
     assert_eq!(header.fingerprint, expected);
 
     let layers = ["fc1", "fc2"];
     let names: Vec<String> = layers.iter().map(|l| l.to_string()).collect();
-    let header = header_of(&scratch.spec("layer_fi"), |ctl, ck| {
-        run_layer_fi_controlled(&model, &eval, &layers, &fi_cfg, ctl, ck)
+    let header = header_of(&scratch.spec("layer_fi"), |ctl| {
+        run_layer_fi(&model, &eval, &layers, &fi_cfg, ctl)
     });
     assert_eq!(
         header.fingerprint,
@@ -304,23 +295,23 @@ fn f32_only_driver_fingerprints_pin() {
         ..boundary
     };
     let fault = || Arc::new(BernoulliBitFlip::new(1e-3));
-    let header = header_of(&scratch.spec("boundary"), |ctl, ck| {
-        boundary_map_controlled(&model, &sites, fault(), &boundary, ctl, ck)
+    let header = header_of(&scratch.spec("boundary"), |ctl| {
+        boundary_map(&model, &sites, fault(), &boundary, ctl)
     });
     assert_eq!(
         header.fingerprint,
         fingerprint("boundary_map", &boundary_pinned)
     );
 
-    let header = header_of(&scratch.spec("protection"), |ctl, ck| {
-        run_protection_study_controlled(&model, &sites, fault(), &boundary, 0.25, ctl, ck)
+    let header = header_of(&scratch.spec("protection"), |ctl| {
+        run_protection_study(&model, &sites, fault(), &boundary, 0.25, ctl)
     });
     let expected = fingerprint("protection_study", &(boundary_pinned, 0.25f64.to_bits()));
     assert_eq!(header.fingerprint, expected);
 
     let fm = FaultyModel::new(model, eval, &sites, fault());
-    let header = header_of(&scratch.spec("attribution"), |ctl, ck| {
-        attribute_faults_controlled(&fm, 8, Some(2.0), 5, ctl, ck)
+    let header = header_of(&scratch.spec("attribution"), |ctl| {
+        attribute_faults(&fm, 8, Some(2.0), 5, ctl)
     });
     let expected = fingerprint("attribution", &(8usize, 2.0f64, 5u64, fm.golden_error()));
     assert_eq!(header.fingerprint, expected);

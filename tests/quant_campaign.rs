@@ -7,11 +7,10 @@
 //! driver enumerates exactly the 8-bit space of int8 storage (not the
 //! 32-bit space of f32), reporting per-bit SDC for all eight positions.
 
-use bdlfi_suite::baseline::{run_exhaustive_controlled, run_exhaustive_with, ExhaustiveResult};
+use bdlfi_suite::baseline::{run_exhaustive, ExhaustiveResult};
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    run_campaign, run_campaign_adaptive_controlled, run_campaign_controlled, run_layerwise,
-    run_layerwise_controlled, run_sweep, run_sweep_controlled, CampaignConfig, CampaignReport,
+    run_campaign, run_campaign_adaptive, run_layerwise, run_sweep, CampaignConfig, CampaignReport,
     CheckpointError, CheckpointSpec, EngineError, FaultyModel, KernelChoice, LayerBudget,
     QuantFaultyModel, RunControl, RunMeta,
 };
@@ -133,9 +132,11 @@ fn assert_interrupted(err: EngineError, watermark: usize, what: &str) {
 #[test]
 fn quant_campaign_is_bit_identical_across_worker_counts() {
     let fm = quant_fm(2e-3);
-    let reference = report_bytes(&run_campaign(&fm, &campaign_cfg(71, 4, 30, 1)));
+    let reference =
+        report_bytes(&run_campaign(&fm, &campaign_cfg(71, 4, 30, 1), &RunControl::new()).unwrap());
     for workers in worker_counts() {
-        let report = run_campaign(&fm, &campaign_cfg(71, 4, 30, workers));
+        let report =
+            run_campaign(&fm, &campaign_cfg(71, 4, 30, workers), &RunControl::new()).unwrap();
         assert_eq!(
             report_bytes(&report),
             reference,
@@ -147,18 +148,22 @@ fn quant_campaign_is_bit_identical_across_worker_counts() {
 #[test]
 fn quant_campaign_resumes_byte_for_byte() {
     let fm = quant_fm(2e-3);
-    let reference = report_bytes(&run_campaign(&fm, &campaign_cfg(72, 4, 30, 1)));
+    let reference =
+        report_bytes(&run_campaign(&fm, &campaign_cfg(72, 4, 30, 1), &RunControl::new()).unwrap());
     let scratch = Scratch::new("campaign");
     for workers in worker_counts() {
         let what = format!("quant campaign @{workers}");
         let cfg = campaign_cfg(72, 4, 30, workers);
         let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
-        let err = run_campaign_controlled(&fm, &cfg, &RunControl::stop_after(2), Some(&spec))
-            .unwrap_err();
+        let err = run_campaign(
+            &fm,
+            &cfg,
+            &RunControl::stop_after(2).checkpointed(spec.clone()),
+        )
+        .unwrap_err();
         assert_interrupted(err, 2, &what);
-        let resumed =
-            run_campaign_controlled(&fm, &cfg, &RunControl::new(), Some(&spec.resuming()))
-                .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
+        let resumed = run_campaign(&fm, &cfg, &RunControl::new().checkpointed(spec.resuming()))
+            .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_eq!(resumed.run_meta.resumed_from, Some(2), "{what}");
         assert_eq!(
             report_bytes(&resumed),
@@ -174,7 +179,7 @@ fn quant_campaign_reports_int8_scale_flip_counts() {
     // config should track p * total injectable bits, not p * 32 * elements.
     let fm = quant_fm(1e-3);
     let total_bits: u64 = fm.sites().params.iter().map(|s| s.injectable_bits()).sum();
-    let report = run_campaign(&fm, &campaign_cfg(73, 4, 40, 0));
+    let report = run_campaign(&fm, &campaign_cfg(73, 4, 40, 0), &RunControl::new()).unwrap();
     let expected = 1e-3 * total_bits as f64;
     assert!(
         (report.mean_flips - expected).abs() < expected.max(1.0),
@@ -197,31 +202,31 @@ fn quant_sweep_resumes_bit_identically() {
         &SiteSpec::AllParams,
         &ps,
         &campaign_cfg(74, 2, 20, 1),
-    );
+        &RunControl::new(),
+    )
+    .unwrap();
     let scratch = Scratch::new("sweep");
     for workers in worker_counts() {
         let what = format!("quant sweep @{workers}");
         let cfg = campaign_cfg(74, 2, 20, workers);
         let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
-        let err = run_sweep_controlled(
+        let err = run_sweep(
             &qm,
             &eval,
             &SiteSpec::AllParams,
             &ps,
             &cfg,
-            &RunControl::stop_after(1),
-            Some(&spec),
+            &RunControl::stop_after(1).checkpointed(spec.clone()),
         )
         .unwrap_err();
         assert_interrupted(err, 1, &what);
-        let resumed = run_sweep_controlled(
+        let resumed = run_sweep(
             &qm,
             &eval,
             &SiteSpec::AllParams,
             &ps,
             &cfg,
-            &RunControl::new(),
-            Some(&spec.resuming()),
+            &RunControl::new().checkpointed(spec.resuming()),
         )
         .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_eq!(resumed.golden_error, reference.golden_error, "{what}");
@@ -243,31 +248,37 @@ fn quant_layerwise_resumes_bit_identically() {
     let (qm, eval) = quantized_mlp(&[16, 16]);
     let layers = ["fc1", "fc2", "fc3"];
     let budget = LayerBudget::ExpectedFlips(2.0);
-    let reference = run_layerwise(&qm, &eval, &layers, budget, &campaign_cfg(75, 2, 20, 1));
+    let reference = run_layerwise(
+        &qm,
+        &eval,
+        &layers,
+        budget,
+        &campaign_cfg(75, 2, 20, 1),
+        &RunControl::new(),
+    )
+    .unwrap();
     let scratch = Scratch::new("layerwise");
     for workers in worker_counts() {
         let what = format!("quant layerwise @{workers}");
         let cfg = campaign_cfg(75, 2, 20, workers);
         let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
-        let err = run_layerwise_controlled(
+        let err = run_layerwise(
             &qm,
             &eval,
             &layers,
             budget,
             &cfg,
-            &RunControl::stop_after(2),
-            Some(&spec),
+            &RunControl::stop_after(2).checkpointed(spec.clone()),
         )
         .unwrap_err();
         assert_interrupted(err, 2, &what);
-        let resumed = run_layerwise_controlled(
+        let resumed = run_layerwise(
             &qm,
             &eval,
             &layers,
             budget,
             &cfg,
-            &RunControl::new(),
-            Some(&spec.resuming()),
+            &RunControl::new().checkpointed(spec.resuming()),
         )
         .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         for (a, b) in reference.layers.iter().zip(&resumed.layers) {
@@ -287,7 +298,7 @@ fn quant_layerwise_resumes_bit_identically() {
 // ---------------------------------------------------------------------------
 
 /// A run of one driver over one representation, under `ctl` and journal.
-type Run<'a> = Box<dyn Fn(&RunControl, Option<&CheckpointSpec>) -> Result<(), EngineError> + 'a>;
+type Run<'a> = Box<dyn Fn(&RunControl) -> Result<(), EngineError> + 'a>;
 
 /// Interrupts each representation's run after its first task, then
 /// resumes that journal under the other representation, which must refuse
@@ -296,9 +307,9 @@ fn assert_cross_refused(scratch: &Scratch, what: &str, f32_run: Run<'_>, int8_ru
     for (from, write, resume) in [("f32", &f32_run, &int8_run), ("int8", &int8_run, &f32_run)] {
         let spec = CheckpointSpec::new(scratch.path(&format!("{what}_{from}.ckpt")), String::new());
         let what = format!("{what}: {from} journal under the other representation");
-        let err = write(&RunControl::stop_after(1), Some(&spec)).unwrap_err();
+        let err = write(&RunControl::stop_after(1).checkpointed(spec.clone())).unwrap_err();
         assert_interrupted(err, 1, &what);
-        match resume(&RunControl::new(), Some(&spec.resuming())) {
+        match resume(&RunControl::new().checkpointed(spec.resuming())) {
             Err(EngineError::Checkpoint(CheckpointError::Mismatch {
                 field: "fingerprint",
                 ..
@@ -326,38 +337,32 @@ fn f32_and_int8_journals_never_cross_resume() {
     assert_cross_refused(
         &scratch,
         "campaign",
-        Box::new(|ctl, ck| run_campaign_controlled(&fm, &cfg, ctl, ck).map(drop)),
-        Box::new(|ctl, ck| run_campaign_controlled(&qfm, &cfg, ctl, ck).map(drop)),
+        Box::new(|ctl| run_campaign(&fm, &cfg, ctl).map(drop)),
+        Box::new(|ctl| run_campaign(&qfm, &cfg, ctl).map(drop)),
     );
     assert_cross_refused(
         &scratch,
         "adaptive",
-        Box::new(|ctl, ck| run_campaign_adaptive_controlled(&fm, &cfg, 30, ctl, ck).map(drop)),
-        Box::new(|ctl, ck| run_campaign_adaptive_controlled(&qfm, &cfg, 30, ctl, ck).map(drop)),
+        Box::new(|ctl| run_campaign_adaptive(&fm, &cfg, 30, ctl).map(drop)),
+        Box::new(|ctl| run_campaign_adaptive(&qfm, &cfg, 30, ctl).map(drop)),
     );
     assert_cross_refused(
         &scratch,
         "sweep",
-        Box::new(|ctl, ck| {
-            run_sweep_controlled(&model, &eval, &sites, &ps, &cfg, ctl, ck).map(drop)
-        }),
-        Box::new(|ctl, ck| run_sweep_controlled(&qm, &eval, &sites, &ps, &cfg, ctl, ck).map(drop)),
+        Box::new(|ctl| run_sweep(&model, &eval, &sites, &ps, &cfg, ctl).map(drop)),
+        Box::new(|ctl| run_sweep(&qm, &eval, &sites, &ps, &cfg, ctl).map(drop)),
     );
     assert_cross_refused(
         &scratch,
         "layerwise",
-        Box::new(|ctl, ck| {
-            run_layerwise_controlled(&model, &eval, &layers, budget, &cfg, ctl, ck).map(drop)
-        }),
-        Box::new(|ctl, ck| {
-            run_layerwise_controlled(&qm, &eval, &layers, budget, &cfg, ctl, ck).map(drop)
-        }),
+        Box::new(|ctl| run_layerwise(&model, &eval, &layers, budget, &cfg, ctl).map(drop)),
+        Box::new(|ctl| run_layerwise(&qm, &eval, &layers, budget, &cfg, ctl).map(drop)),
     );
     assert_cross_refused(
         &scratch,
         "exhaustive",
-        Box::new(|ctl, ck| run_exhaustive_controlled(&model, &eval, &sites, 1, ctl, ck).map(drop)),
-        Box::new(|ctl, ck| run_exhaustive_controlled(&qm, &eval, &sites, 1, ctl, ck).map(drop)),
+        Box::new(|ctl| run_exhaustive(&model, &eval, &sites, 1, ctl).map(drop)),
+        Box::new(|ctl| run_exhaustive(&qm, &eval, &sites, 1, ctl).map(drop)),
     );
 }
 
@@ -394,7 +399,7 @@ fn quant_exhaustive_sweeps_the_complete_eight_bit_space() {
     let (qm, eval) = quantized_mlp(&[4]);
     // fc1.weight of a 2-[4]-3 MLP: 8 int8 elements, 8 bits each.
     let spec = SiteSpec::Params(vec!["fc1.weight".into()]);
-    let res = run_exhaustive_with(&qm, &eval, &spec, 0);
+    let res = run_exhaustive(&qm, &eval, &spec, 0, &RunControl::new()).unwrap();
     assert_eight_bit_coverage(&res, 8, "fc1.weight");
     // Per-bit SDC rates are reportable for every one of the 8 positions.
     let rates: Vec<f64> = res.by_bit[..8]
@@ -421,28 +426,26 @@ fn quant_exhaustive_resumes_bit_identically() {
     let site_spec = SiteSpec::LayerParams {
         prefix: "fc1".into(),
     };
-    let reference = run_exhaustive_with(&qm, &eval, &site_spec, 1);
+    let reference = run_exhaustive(&qm, &eval, &site_spec, 1, &RunControl::new()).unwrap();
     let scratch = Scratch::new("exhaustive");
     for workers in worker_counts() {
         let what = format!("quant exhaustive @{workers}");
         let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
-        let err = run_exhaustive_controlled(
+        let err = run_exhaustive(
             &qm,
             &eval,
             &site_spec,
             workers,
-            &RunControl::stop_after(31),
-            Some(&spec),
+            &RunControl::stop_after(31).checkpointed(spec.clone()),
         )
         .unwrap_err();
         assert_interrupted(err, 31, &what);
-        let resumed = run_exhaustive_controlled(
+        let resumed = run_exhaustive(
             &qm,
             &eval,
             &site_spec,
             workers,
-            &RunControl::new(),
-            Some(&spec.resuming()),
+            &RunControl::new().checkpointed(spec.resuming()),
         )
         .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
         assert_eq!(resumed.injections, reference.injections, "{what}");

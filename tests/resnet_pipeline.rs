@@ -5,7 +5,7 @@
 
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    run_campaign, run_layerwise, CampaignConfig, FaultyModel, KernelChoice, LayerBudget,
+    run_campaign, run_layerwise, CampaignConfig, FaultyModel, KernelChoice, LayerBudget, RunControl,
 };
 use bdlfi_suite::data::{synth_cifar, Dataset, SynthCifarConfig};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
@@ -77,7 +77,7 @@ fn campaign_on_conv_net_is_coherent_and_restores_weights() {
         kernel: KernelChoice::Prior,
         ..CampaignConfig::default()
     };
-    let report = run_campaign(&fm, &cfg);
+    let report = run_campaign(&fm, &cfg, &RunControl::new()).unwrap();
 
     assert_eq!(report.total_samples(), 16);
     assert!((0.0..=1.0).contains(&report.mean_error));
@@ -129,7 +129,9 @@ fn layerwise_study_covers_the_resnet_positions() {
         &layers,
         LayerBudget::ExpectedFlips(4.0),
         &cfg,
-    );
+        &RunControl::new(),
+    )
+    .unwrap();
 
     assert_eq!(res.layers.len(), 4);
     for (i, l) in res.layers.iter().enumerate() {

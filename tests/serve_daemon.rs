@@ -431,15 +431,14 @@ fn chunked_submission_draws_one_400_and_a_closed_connection() {
     stream.write_all(request.as_bytes()).unwrap();
     // The daemon answers once and closes; it must neither start a job
     // from an empty body nor parse the chunks as a second request. It
-    // closes with the chunks unread, so the end of its reply may arrive
-    // as a connection reset rather than as EOF.
+    // drains the unread chunks before closing, so the reply ends in a
+    // clean EOF, never a connection reset.
     let mut replies = Vec::new();
     let mut buf = [0u8; 4096];
     loop {
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => replies.extend_from_slice(&buf[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
             Err(e) => panic!("reading the reply: {e}"),
         }
     }

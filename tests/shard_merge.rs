@@ -4,15 +4,16 @@
 //! single-process run writes — and the merged journal must finalize into
 //! the same report. Also covered: worker-count invariance of shard
 //! journals, interrupt-one-shard → resume → merge equivalence, the
-//! strict merge verifier's typed refusals on real driver journals, and
+//! strict merge verifier's typed refusals on real driver journals, the
+//! shard runners' refusal of a control without a journal, and
 //! permutation-invariant pooling of per-shard `RunMeta`.
 
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    merge_shards, read_journal, run_campaign_controlled, run_campaign_shard,
-    run_layerwise_controlled, run_layerwise_shard, run_sweep_controlled, run_sweep_shard,
-    CampaignConfig, CheckpointSpec, EngineError, FaultyModel, KernelChoice, LayerBudget,
-    QuantFaultyModel, RunControl, RunMeta, ShardError, ShardPlan,
+    merge_shards, read_journal, run_campaign, run_campaign_shard, run_layerwise,
+    run_layerwise_shard, run_sweep, run_sweep_shard, CampaignConfig, CheckpointSpec, EngineError,
+    FaultyModel, KernelChoice, LayerBudget, QuantFaultyModel, RunControl, RunMeta, RunObserver,
+    ShardError, ShardPlan,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
@@ -21,6 +22,7 @@ use bdlfi_suite::quant::{quantize_model, CalibConfig, QuantModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Per-test scratch directory (concurrent tests + processes kept apart).
@@ -147,11 +149,10 @@ fn campaign_shards_merge_byte_identically_f32() {
     let scratch = Scratch::new("campaign_f32");
 
     let whole_path = scratch.path("whole.ckpt");
-    let report = run_campaign_controlled(
+    let report = run_campaign(
         &fm,
         &cfg,
-        &RunControl::new(),
-        Some(&CheckpointSpec::new(whole_path.clone(), String::new())),
+        &RunControl::new().checkpointed(CheckpointSpec::new(whole_path.clone(), String::new())),
     )
     .expect("single-process run");
 
@@ -164,8 +165,7 @@ fn campaign_shards_merge_byte_identically_f32() {
             &cfg,
             count,
             index,
-            &RunControl::new(),
-            &CheckpointSpec::new(path.clone(), String::new()),
+            &RunControl::new().checkpointed(CheckpointSpec::new(path.clone(), String::new())),
         )
         .unwrap_or_else(|e| panic!("shard {index} failed: {e}"));
         shard_paths.push(path);
@@ -184,11 +184,11 @@ fn campaign_shards_merge_byte_identically_f32() {
 
     // Finalizing the merged journal replays it through the normal driver
     // path (zero live tasks) and must reproduce the direct report.
-    let finalized = run_campaign_controlled(
+    let finalized = run_campaign(
         &fm,
         &cfg,
-        &RunControl::new(),
-        Some(&CheckpointSpec::new(merged_path, String::new()).finalizing()),
+        &RunControl::new()
+            .checkpointed(CheckpointSpec::new(merged_path, String::new()).finalizing()),
     )
     .expect("finalize succeeds");
     assert_eq!(finalized.traces, report.traces);
@@ -209,11 +209,10 @@ fn campaign_shards_merge_byte_identically_int8() {
     let scratch = Scratch::new("campaign_int8");
 
     let whole_path = scratch.path("whole.ckpt");
-    let report = run_campaign_controlled(
+    let report = run_campaign(
         &fm,
         &cfg,
-        &RunControl::new(),
-        Some(&CheckpointSpec::new(whole_path.clone(), String::new())),
+        &RunControl::new().checkpointed(CheckpointSpec::new(whole_path.clone(), String::new())),
     )
     .expect("single-process run");
 
@@ -226,8 +225,7 @@ fn campaign_shards_merge_byte_identically_int8() {
             &cfg,
             count,
             index,
-            &RunControl::new(),
-            &CheckpointSpec::new(path.clone(), String::new()),
+            &RunControl::new().checkpointed(CheckpointSpec::new(path.clone(), String::new())),
         )
         .unwrap_or_else(|e| panic!("shard {index} failed: {e}"));
         shard_paths.push(path);
@@ -238,11 +236,11 @@ fn campaign_shards_merge_byte_identically_int8() {
     merge_shards(&plan, &shard_paths, &merged_path).expect("merge succeeds");
     assert_eq!(bytes(&merged_path), bytes(&whole_path));
 
-    let finalized = run_campaign_controlled(
+    let finalized = run_campaign(
         &fm,
         &cfg,
-        &RunControl::new(),
-        Some(&CheckpointSpec::new(merged_path, String::new()).finalizing()),
+        &RunControl::new()
+            .checkpointed(CheckpointSpec::new(merged_path, String::new()).finalizing()),
     )
     .expect("finalize succeeds");
     assert_eq!(finalized.traces, report.traces);
@@ -269,8 +267,7 @@ fn shard_journals_are_worker_count_invariant() {
         &campaign_cfg(53, 6, 20, 1),
         count,
         index,
-        &RunControl::new(),
-        &CheckpointSpec::new(serial.clone(), String::new()),
+        &RunControl::new().checkpointed(CheckpointSpec::new(serial.clone(), String::new())),
     )
     .expect("serial shard");
 
@@ -280,8 +277,7 @@ fn shard_journals_are_worker_count_invariant() {
         &campaign_cfg(53, 6, 20, host),
         count,
         index,
-        &RunControl::new(),
-        &CheckpointSpec::new(parallel.clone(), String::new()),
+        &RunControl::new().checkpointed(CheckpointSpec::new(parallel.clone(), String::new())),
     )
     .expect("parallel shard");
 
@@ -302,14 +298,13 @@ fn sweep_shards_merge_byte_identically() {
     let scratch = Scratch::new("sweep");
 
     let whole_path = scratch.path("whole.ckpt");
-    run_sweep_controlled(
+    run_sweep(
         &model,
         &eval,
         &SiteSpec::AllParams,
         &ps,
         &cfg,
-        &RunControl::new(),
-        Some(&CheckpointSpec::new(whole_path.clone(), String::new())),
+        &RunControl::new().checkpointed(CheckpointSpec::new(whole_path.clone(), String::new())),
     )
     .expect("single-process sweep");
 
@@ -325,8 +320,7 @@ fn sweep_shards_merge_byte_identically() {
             &cfg,
             count,
             index,
-            &RunControl::new(),
-            &CheckpointSpec::new(path.clone(), String::new()),
+            &RunControl::new().checkpointed(CheckpointSpec::new(path.clone(), String::new())),
         )
         .unwrap_or_else(|e| panic!("sweep shard {index} failed: {e}"));
         shard_paths.push(path);
@@ -346,14 +340,13 @@ fn sweep_quant_shards_merge_byte_identically() {
     let scratch = Scratch::new("sweep_quant");
 
     let whole_path = scratch.path("whole.ckpt");
-    run_sweep_controlled(
+    run_sweep(
         &qm,
         &eval,
         &SiteSpec::AllParams,
         &ps,
         &cfg,
-        &RunControl::new(),
-        Some(&CheckpointSpec::new(whole_path.clone(), String::new())),
+        &RunControl::new().checkpointed(CheckpointSpec::new(whole_path.clone(), String::new())),
     )
     .expect("single-process quant sweep");
 
@@ -369,8 +362,7 @@ fn sweep_quant_shards_merge_byte_identically() {
             &cfg,
             count,
             index,
-            &RunControl::new(),
-            &CheckpointSpec::new(path.clone(), String::new()),
+            &RunControl::new().checkpointed(CheckpointSpec::new(path.clone(), String::new())),
         )
         .unwrap_or_else(|e| panic!("quant sweep shard {index} failed: {e}"));
         shard_paths.push(path);
@@ -391,14 +383,13 @@ fn layerwise_shards_merge_byte_identically() {
     let scratch = Scratch::new("layerwise");
 
     let whole_path = scratch.path("whole.ckpt");
-    run_layerwise_controlled(
+    run_layerwise(
         &model,
         &eval,
         &layers,
         budget,
         &cfg,
-        &RunControl::new(),
-        Some(&CheckpointSpec::new(whole_path.clone(), String::new())),
+        &RunControl::new().checkpointed(CheckpointSpec::new(whole_path.clone(), String::new())),
     )
     .expect("single-process layerwise");
 
@@ -414,8 +405,7 @@ fn layerwise_shards_merge_byte_identically() {
             &cfg,
             count,
             index,
-            &RunControl::new(),
-            &CheckpointSpec::new(path.clone(), String::new()),
+            &RunControl::new().checkpointed(CheckpointSpec::new(path.clone(), String::new())),
         )
         .unwrap_or_else(|e| panic!("layerwise shard {index} failed: {e}"));
         shard_paths.push(path);
@@ -436,14 +426,13 @@ fn layerwise_quant_shards_merge_byte_identically() {
     let scratch = Scratch::new("layerwise_quant");
 
     let whole_path = scratch.path("whole.ckpt");
-    run_layerwise_controlled(
+    run_layerwise(
         &qm,
         &eval,
         &layers,
         budget,
         &cfg,
-        &RunControl::new(),
-        Some(&CheckpointSpec::new(whole_path.clone(), String::new())),
+        &RunControl::new().checkpointed(CheckpointSpec::new(whole_path.clone(), String::new())),
     )
     .expect("single-process quant layerwise");
 
@@ -459,8 +448,7 @@ fn layerwise_quant_shards_merge_byte_identically() {
             &cfg,
             count,
             index,
-            &RunControl::new(),
-            &CheckpointSpec::new(path.clone(), String::new()),
+            &RunControl::new().checkpointed(CheckpointSpec::new(path.clone(), String::new())),
         )
         .unwrap_or_else(|e| panic!("quant layerwise shard {index} failed: {e}"));
         shard_paths.push(path);
@@ -481,11 +469,10 @@ fn interrupted_shard_resumes_and_merges_identically() {
     let scratch = Scratch::new("interrupt");
 
     let whole_path = scratch.path("whole.ckpt");
-    run_campaign_controlled(
+    run_campaign(
         &fm,
         &cfg,
-        &RunControl::new(),
-        Some(&CheckpointSpec::new(whole_path.clone(), String::new())),
+        &RunControl::new().checkpointed(CheckpointSpec::new(whole_path.clone(), String::new())),
     )
     .expect("single-process run");
 
@@ -497,9 +484,14 @@ fn interrupted_shard_resumes_and_merges_identically() {
         if index == 1 {
             // Interrupt this shard after one of its two chains, then
             // resume it from its journal.
-            let err =
-                run_campaign_shard(&fm, &cfg, count, index, &RunControl::stop_after(1), &spec)
-                    .expect_err("stop_after must interrupt");
+            let err = run_campaign_shard(
+                &fm,
+                &cfg,
+                count,
+                index,
+                &RunControl::stop_after(1).checkpointed(spec.clone()),
+            )
+            .expect_err("stop_after must interrupt");
             match err {
                 ShardError::Engine(EngineError::Interrupted { completed, .. }) => {
                     assert_eq!(completed, 1, "wrong watermark");
@@ -511,14 +503,19 @@ fn interrupted_shard_resumes_and_merges_identically() {
                 &cfg,
                 count,
                 index,
-                &RunControl::new(),
-                &spec.resuming(),
+                &RunControl::new().checkpointed(spec.resuming()),
             )
             .expect("resume succeeds");
             assert_eq!(meta.resumed_from, Some(1));
         } else {
-            run_campaign_shard(&fm, &cfg, count, index, &RunControl::new(), &spec)
-                .unwrap_or_else(|e| panic!("shard {index} failed: {e}"));
+            run_campaign_shard(
+                &fm,
+                &cfg,
+                count,
+                index,
+                &RunControl::new().checkpointed(spec.clone()),
+            )
+            .unwrap_or_else(|e| panic!("shard {index} failed: {e}"));
         }
         shard_paths.push(path);
     }
@@ -535,6 +532,66 @@ fn interrupted_shard_resumes_and_merges_identically() {
 
 // ---- typed refusals on real driver journals ---------------------------
 
+/// Counts the results a run delivers.
+#[derive(Default)]
+struct Deliveries(AtomicUsize);
+
+impl RunObserver for Deliveries {
+    fn on_result(&self, _task_id: usize, _tasks: usize, _value: &serde::Value) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn shard_runners_without_a_journal_are_refused_and_write_nothing() {
+    let (model, eval) = trained_mlp();
+    let fm = mlp_fm(1e-3);
+    let cfg = campaign_cfg(97, 4, 10, 1);
+    let (ps, layers) = ([1e-3, 1e-2], ["fc1", "fc2"]);
+    // A shard's journal is its whole output: a control without one is
+    // refused before any task runs or any file (a journal at some default
+    // path, say) is created.
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(".")
+            .expect("working directory lists")
+            .map(|e| e.expect("directory entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+    let seen = Arc::new(Deliveries::default());
+    let ctl = RunControl::new().observing(Arc::clone(&seen) as Arc<dyn RunObserver>);
+    let refusals = [
+        ("campaign", run_campaign_shard(&fm, &cfg, 2, 0, &ctl)),
+        (
+            "sweep",
+            run_sweep_shard(&model, &eval, &SiteSpec::AllParams, &ps, &cfg, 2, 0, &ctl),
+        ),
+        (
+            "layerwise",
+            run_layerwise_shard(
+                &model,
+                &eval,
+                &layers,
+                LayerBudget::PerBit(1e-3),
+                &cfg,
+                2,
+                0,
+                &ctl,
+            ),
+        ),
+    ];
+    for (what, result) in refusals {
+        match result {
+            Err(ShardError::Plan { .. }) => {}
+            other => panic!("{what}: expected a plan refusal, got {other:?}"),
+        }
+    }
+    assert_eq!(seen.0.load(Ordering::Relaxed), 0, "a refused shard ran");
+    assert_eq!(listing(), before, "a refused shard created a file");
+}
+
 #[test]
 fn merge_verifier_refuses_bad_shard_sets_with_typed_errors() {
     let fm = mlp_fm(1e-3);
@@ -542,11 +599,10 @@ fn merge_verifier_refuses_bad_shard_sets_with_typed_errors() {
     let scratch = Scratch::new("refusals");
 
     let whole_path = scratch.path("whole.ckpt");
-    run_campaign_controlled(
+    run_campaign(
         &fm,
         &cfg,
-        &RunControl::new(),
-        Some(&CheckpointSpec::new(whole_path.clone(), String::new())),
+        &RunControl::new().checkpointed(CheckpointSpec::new(whole_path.clone(), String::new())),
     )
     .expect("single-process run");
 
@@ -559,8 +615,7 @@ fn merge_verifier_refuses_bad_shard_sets_with_typed_errors() {
             &cfg,
             count,
             index,
-            &RunControl::new(),
-            &CheckpointSpec::new(path.clone(), String::new()),
+            &RunControl::new().checkpointed(CheckpointSpec::new(path.clone(), String::new())),
         )
         .unwrap_or_else(|e| panic!("shard {index} failed: {e}"));
         shard_paths.push(path);
@@ -591,8 +646,7 @@ fn merge_verifier_refuses_bad_shard_sets_with_typed_errors() {
         &foreign_cfg,
         count,
         1,
-        &RunControl::new(),
-        &CheckpointSpec::new(foreign.clone(), String::new()),
+        &RunControl::new().checkpointed(CheckpointSpec::new(foreign.clone(), String::new())),
     )
     .expect("foreign shard");
     let mixed = vec![shard_paths[0].clone(), foreign];
@@ -609,8 +663,7 @@ fn merge_verifier_refuses_bad_shard_sets_with_typed_errors() {
         &reseeded_cfg,
         count,
         1,
-        &RunControl::new(),
-        &CheckpointSpec::new(reseeded.clone(), String::new()),
+        &RunControl::new().checkpointed(CheckpointSpec::new(reseeded.clone(), String::new())),
     )
     .expect("reseeded shard");
     let mixed_seed = vec![shard_paths[0].clone(), reseeded];
@@ -664,8 +717,7 @@ fn shard_run_meta_pools_permutation_invariantly() {
             &cfg,
             count,
             index,
-            &RunControl::new(),
-            &CheckpointSpec::new(path, String::new()),
+            &RunControl::new().checkpointed(CheckpointSpec::new(path, String::new())),
         )
         .unwrap_or_else(|e| panic!("shard {index} failed: {e}"));
         metas.push(meta);
