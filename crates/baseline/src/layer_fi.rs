@@ -63,6 +63,8 @@ pub fn run_layer_fi(
     // re-seeds its campaign from `seed_stream(cfg.seed, depth)`, which
     // decorrelates layers without the collision risk of additive offsets.
     let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
+    // The golden run is bound once; each layer task only rescopes it.
+    let bound = RandomFi::new(model.clone(), Arc::clone(eval), &SiteSpec::AllParams);
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
     let ctl = ctl.or_fingerprint(|| journal_fingerprint("layer_fi", "", &(cfg, &names)));
     let mut sink = CollectSink::new();
@@ -72,13 +74,9 @@ pub fn run_layer_fi(
         |(), ctx| {
             let depth = ctx.task_id;
             let layer = names[depth].clone();
-            let fi = RandomFi::new(
-                model.clone(),
-                Arc::clone(eval),
-                &SiteSpec::LayerParams {
-                    prefix: layer.clone(),
-                },
-            );
+            let fi = bound.rescoped(&SiteSpec::LayerParams {
+                prefix: layer.clone(),
+            });
             let mut layer_cfg = cfg.clone();
             layer_cfg.seed = seed_stream(cfg.seed, depth as u64);
             Ok(LayerFiResult {
@@ -188,6 +186,36 @@ mod tests {
         // Not asserting instability (it is probabilistic), but the runs must
         // both be valid and need not agree.
         assert_eq!(rates(&a).len(), rates(&b).len());
+    }
+
+    #[test]
+    fn study_matches_a_fresh_injector_per_layer() {
+        // The layer tasks rescope one bound injector; each layer's result
+        // must be the one a fresh injector bound to that layer reports.
+        use crate::random_fi::tests::result_bits;
+        let (model, eval) = trained();
+        let layers = ["fc1", "fc2", "fc3"];
+        let cfg = RandomFiConfig {
+            injections: 24,
+            seed: 3,
+            level: 0.95,
+            workers: 0,
+        };
+        let study = run_layer_fi(&model, &eval, &layers, &cfg, &RunControl::new()).unwrap();
+        for (depth, (got, layer)) in study.layers.iter().zip(layers).enumerate() {
+            let fresh = RandomFi::new(
+                model.clone(),
+                Arc::clone(&eval),
+                &SiteSpec::LayerParams {
+                    prefix: layer.into(),
+                },
+            );
+            let mut layer_cfg = cfg.clone();
+            layer_cfg.seed = seed_stream(cfg.seed, depth as u64);
+            let want = fresh.run(&layer_cfg, &RunControl::new()).unwrap();
+            assert_eq!((got.depth, got.layer.as_str()), (depth, layer));
+            assert_eq!(result_bits(&got.result), result_bits(&want), "{layer}");
+        }
     }
 
     #[test]

@@ -64,14 +64,17 @@ pub struct RandomFiResult {
 }
 
 /// A traditional random fault injector bound to a model and workload.
+///
+/// The network, evaluation set and golden run are shared between an
+/// injector and its [`RandomFi::rescoped`] copies.
 pub struct RandomFi {
-    model: Sequential,
+    model: Arc<Sequential>,
     eval: Arc<Dataset>,
     sites: bdlfi_faults::ResolvedSites,
     fault_model: Arc<dyn FaultModel>,
     // Classical mode: exactly one uniformly chosen bit per run.
     single_bit: bool,
-    golden_preds: Vec<usize>,
+    golden_preds: Arc<Vec<usize>>,
     golden_error: f64,
 }
 
@@ -115,13 +118,38 @@ impl RandomFi {
         let golden_preds = golden_logits.argmax_rows();
         let golden_error = bdlfi_nn::metrics::classification_error(&golden_logits, eval.labels());
         RandomFi {
-            model,
+            model: Arc::new(model),
             eval,
             sites,
             fault_model,
             single_bit: false,
-            golden_preds,
+            golden_preds: Arc::new(golden_preds),
             golden_error,
+        }
+    }
+
+    /// The same injector over the sites selected by `spec`: only the sites
+    /// are resolved again, while the network, evaluation set, fault model
+    /// and golden run are shared — so a per-layer study binds the golden
+    /// run once instead of once per layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec resolves to no parameter sites.
+    pub fn rescoped(&self, spec: &SiteSpec) -> RandomFi {
+        let sites = resolve_sites(&self.model, spec);
+        assert!(
+            !sites.params.is_empty(),
+            "traditional FI requires parameter sites (activations are not memory-resident)"
+        );
+        RandomFi {
+            model: Arc::clone(&self.model),
+            eval: Arc::clone(&self.eval),
+            sites,
+            fault_model: Arc::clone(&self.fault_model),
+            single_bit: self.single_bit,
+            golden_preds: Arc::clone(&self.golden_preds),
+            golden_error: self.golden_error,
         }
     }
 
@@ -178,7 +206,7 @@ impl RandomFi {
         });
         let run_meta = engine.run_checkpointed(
             cfg.injections,
-            || self.model.clone(),
+            || Sequential::clone(&self.model),
             |model, ctx| {
                 let fault = self.sample_injection(&mut ctx.rng);
                 fault.apply(model);
@@ -241,7 +269,7 @@ impl RandomFi {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bdlfi_data::gaussian_blobs;
     use bdlfi_faults::BernoulliBitFlip;
@@ -263,6 +291,46 @@ mod tests {
         );
         trainer.fit(&mut model, train.inputs(), train.labels(), &mut rng);
         (model, Arc::new(test))
+    }
+
+    /// Every field of a result except the run's timing metadata, as bits.
+    pub(crate) fn result_bits(r: &RandomFiResult) -> (usize, u64, u64, u64, Vec<u64>) {
+        (
+            r.injections,
+            r.sdc.rate.to_bits(),
+            r.mean_error.to_bits(),
+            r.golden_error.to_bits(),
+            r.errors.iter().map(|e| e.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn rescoped_injector_equals_a_fresh_one() {
+        let (model, eval) = trained();
+        let bound = RandomFi::new(model.clone(), Arc::clone(&eval), &SiteSpec::AllParams);
+        let cfg = RandomFiConfig {
+            injections: 40,
+            seed: 9,
+            level: 0.95,
+            workers: 1,
+        };
+        for prefix in ["fc1", "fc2"] {
+            let spec = SiteSpec::LayerParams {
+                prefix: prefix.into(),
+            };
+            let fresh = RandomFi::new(model.clone(), Arc::clone(&eval), &spec);
+            let rescoped = bound.rescoped(&spec);
+            assert_eq!(
+                rescoped.golden_error.to_bits(),
+                fresh.golden_error.to_bits()
+            );
+            assert_eq!(rescoped.golden_preds, fresh.golden_preds);
+            assert_eq!(rescoped.sites, fresh.sites);
+            assert_eq!(rescoped.single_bit, fresh.single_bit);
+            let a = rescoped.run(&cfg, &RunControl::new()).unwrap();
+            let b = fresh.run(&cfg, &RunControl::new()).unwrap();
+            assert_eq!(result_bits(&a), result_bits(&b), "{prefix}");
+        }
     }
 
     #[test]
@@ -291,7 +359,7 @@ mod tests {
     #[test]
     fn model_is_restored_between_injections() {
         let (model, eval) = trained();
-        let mut fi = RandomFi::new(model, eval, &SiteSpec::AllParams);
+        let fi = RandomFi::new(model, eval, &SiteSpec::AllParams);
         let golden = fi.golden_error();
         let _ = fi
             .run(
@@ -305,7 +373,7 @@ mod tests {
             )
             .unwrap();
         // Rerunning the golden evaluation must give the same error.
-        let logits = predict_all(&mut fi.model, fi.eval.inputs(), 64);
+        let logits = predict_all(&mut Sequential::clone(&fi.model), fi.eval.inputs(), 64);
         let err = bdlfi_nn::metrics::classification_error(&logits, fi.eval.labels());
         assert_eq!(err, golden);
     }

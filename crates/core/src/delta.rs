@@ -253,7 +253,7 @@ pub fn forward_delta_quant(
 /// cases (non-dense layer, transient site, unknown path).
 fn plan_f32(model: &Sequential, cfg: &FaultConfig) -> Option<BTreeMap<usize, Vec<usize>>> {
     let mut dirty: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for path in cfg.affected_paths() {
+    for (path, mask) in cfg.masks() {
         let li = model.layer_index_of_param(path)?;
         let (name, layer) = model.layer_at(li);
         let dense = layer.as_any()?.downcast_ref::<Dense>()?;
@@ -261,7 +261,7 @@ fn plan_f32(model: &Sequential, cfg: &FaultConfig) -> Option<BTreeMap<usize, Vec
         push_cols(
             dirty.entry(li).or_default(),
             field,
-            cfg.mask(path).entries(),
+            mask.entries(),
             dense.out_dim(),
         )?;
     }
@@ -276,7 +276,7 @@ fn plan_f32(model: &Sequential, cfg: &FaultConfig) -> Option<BTreeMap<usize, Vec
 /// faults to one column each; everything else falls back.
 fn plan_quant(model: &QuantModel, cfg: &FaultConfig) -> Option<BTreeMap<usize, Vec<usize>>> {
     let mut dirty: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for path in cfg.affected_paths() {
+    for (path, mask) in cfg.masks() {
         let li = model.op_index_of_site(path)?;
         let (name, op) = model.op_at(li);
         let qd = op.as_dense()?;
@@ -284,7 +284,7 @@ fn plan_quant(model: &QuantModel, cfg: &FaultConfig) -> Option<BTreeMap<usize, V
         push_cols(
             dirty.entry(li).or_default(),
             field,
-            cfg.mask(path).entries(),
+            mask.entries(),
             qd.out_dim(),
         )?;
     }
@@ -330,6 +330,47 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
     a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// The deviating rows at one layer boundary of one batch: their batch
+/// row indices (sorted) and their activations, flattened row-major. One
+/// evaluation reuses two of these across all its layers and batches.
+struct DirtyRows {
+    rows: Vec<usize>,
+    acts: Vec<f32>,
+}
+
+impl DirtyRows {
+    fn with_capacity(rows: usize, acts: usize) -> Self {
+        DirtyRows {
+            rows: Vec::with_capacity(rows),
+            acts: Vec::with_capacity(acts),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.acts.clear();
+    }
+
+    /// Copies the dirty rows over their golden counterparts in `dst`.
+    fn scatter_into(&self, dst: &mut [f32], width: usize) {
+        for (src, &r) in self.acts.chunks_exact(width).zip(&self.rows) {
+            dst[r * width..(r + 1) * width].copy_from_slice(src);
+        }
+    }
+
+    /// Forwards the dirty rows through layer `l` as one sub-batch shaped
+    /// like `boundary`: the activations are lent to the input tensor and
+    /// taken back, so the gather copies nothing.
+    fn forward<M: DeltaModel>(&mut self, model: &mut M, l: usize, boundary: &Tensor) -> Tensor {
+        let mut dims = boundary.dims().to_vec();
+        dims[0] = self.rows.len();
+        let x = Tensor::from_vec(std::mem::take(&mut self.acts), dims);
+        let y = model.forward_one(l, &x);
+        self.acts = x.into_vec();
+        y
+    }
+}
+
 /// The shared propagation loop: walks every batch from the first dirty
 /// layer, recomputing touched columns at dirty dense layers, forwarding
 /// only deviating rows through clean layers, and densifying when the dirty
@@ -340,58 +381,75 @@ fn run_delta<M: DeltaModel, C: DeltaCache>(
     dirty: &BTreeMap<usize, Vec<usize>>,
     densify_threshold: f64,
 ) -> Tensor {
-    let mut out = Vec::with_capacity(cache.examples() * cache.classes());
+    let classes = cache.classes();
+    let mut logits = vec![0.0f32; cache.examples() * classes];
+    // The first batch is the largest; sizing both dirty sets for its
+    // widest boundary keeps them from growing mid-evaluation.
+    let batch = cache.boundary(0, 0).dim(0);
+    let widest = (0..=model.depth())
+        .map(|l| cache.boundary(0, l).len() / batch)
+        .max()
+        .unwrap_or(0);
+    let mut cur = DirtyRows::with_capacity(batch, batch * widest);
+    let mut next = DirtyRows::with_capacity(batch, batch * widest);
+    let mut row0 = 0;
     for b in 0..cache.num_batches() {
-        let logits = delta_batch(model, cache, b, dirty, densify_threshold);
-        out.extend_from_slice(logits.data());
+        let n = cache.boundary(b, 0).dim(0);
+        let out = &mut logits[row0 * classes..(row0 + n) * classes];
+        delta_batch(
+            model,
+            cache,
+            b,
+            dirty,
+            densify_threshold,
+            [&mut cur, &mut next],
+            out,
+        );
+        row0 += n;
     }
-    Tensor::from_vec(out, [cache.examples(), cache.classes()])
+    Tensor::from_vec(logits, [cache.examples(), classes])
 }
 
+/// Evaluates batch `b` into `out`, its rows of the logits.
 fn delta_batch<M: DeltaModel, C: DeltaCache>(
     model: &mut M,
     cache: &C,
     b: usize,
     dirty: &BTreeMap<usize, Vec<usize>>,
     densify_threshold: f64,
-) -> Tensor {
+    [cur, next]: [&mut DirtyRows; 2],
+    out: &mut [f32],
+) {
     let depth = model.depth();
     let n = cache.boundary(b, 0).dim(0);
     let start = dirty.keys().next().copied().unwrap_or(depth);
-    // The dirty set at the current boundary: batch row indices (sorted)
-    // and their activations, flattened row-major.
-    let mut rows: Vec<usize> = Vec::new();
-    let mut acts: Vec<f32> = Vec::new();
+    cur.clear();
     for l in start..depth {
         let is_dirty_layer = dirty.contains_key(&l);
-        if rows.is_empty() && !is_dirty_layer {
+        if cur.rows.is_empty() && !is_dirty_layer {
             continue;
         }
+        let golden_in = cache.boundary(b, l);
         let golden_out = cache.boundary(b, l + 1);
         let width = golden_out.len() / n;
-        let mut new_rows = Vec::new();
-        let mut new_acts = Vec::new();
+        next.clear();
         if let Some(cols) = dirty.get(&l) {
             // Dirty dense layer: previously-clean rows differ from golden
             // only in `cols` (recomputed from the golden input); rows that
             // already deviated need the full width.
-            let golden_in = cache.boundary(b, l);
             let y_sub = model.forward_cols(l, golden_in, cols);
-            let y_dirty = (!rows.is_empty()).then(|| {
-                let x = sub_batch(&acts, &rows, golden_in, n);
-                model.forward_one(l, &x)
-            });
+            let y_dirty = (!cur.rows.is_empty()).then(|| cur.forward(model, l, golden_in));
             let mut di = 0usize;
             for r in 0..n {
                 let golden_row = &golden_out.data()[r * width..(r + 1) * width];
-                if rows.get(di) == Some(&r) {
+                if cur.rows.get(di) == Some(&r) {
                     // bdlfi-lint: allow(BD010) -- invariant: a row listed in `rows` was recomputed by the branch above
                     let y = y_dirty.as_ref().expect("dirty rows imply a recompute");
                     let row = &y.data()[di * width..(di + 1) * width];
                     di += 1;
                     if !bits_eq(row, golden_row) {
-                        new_rows.push(r);
-                        new_acts.extend_from_slice(row);
+                        next.rows.push(r);
+                        next.acts.extend_from_slice(row);
                     }
                 } else {
                     let sub_row = &y_sub.data()[r * cols.len()..(r + 1) * cols.len()];
@@ -400,11 +458,11 @@ fn delta_batch<M: DeltaModel, C: DeltaCache>(
                         .zip(sub_row)
                         .any(|(&c, v)| v.to_bits() != golden_row[c].to_bits());
                     if changed {
-                        new_rows.push(r);
-                        let base = new_acts.len();
-                        new_acts.extend_from_slice(golden_row);
+                        next.rows.push(r);
+                        let base = next.acts.len();
+                        next.acts.extend_from_slice(golden_row);
                         for (&c, &v) in cols.iter().zip(sub_row) {
-                            new_acts[base + c] = v;
+                            next.acts[base + c] = v;
                         }
                     }
                 }
@@ -413,48 +471,28 @@ fn delta_batch<M: DeltaModel, C: DeltaCache>(
             // Clean layer: forward only the deviating rows; a row whose
             // output bit-matches the golden boundary re-joins the cached
             // majority (ReLU gating kills most deltas here).
-            let golden_in = cache.boundary(b, l);
-            let x = sub_batch(&acts, &rows, golden_in, n);
-            let y = model.forward_one(l, &x);
-            for (di, &r) in rows.iter().enumerate() {
-                let row = &y.data()[di * width..(di + 1) * width];
+            let y = cur.forward(model, l, golden_in);
+            for (row, &r) in y.data().chunks_exact(width).zip(&cur.rows) {
                 let golden_row = &golden_out.data()[r * width..(r + 1) * width];
                 if !bits_eq(row, golden_row) {
-                    new_rows.push(r);
-                    new_acts.extend_from_slice(row);
+                    next.rows.push(r);
+                    next.acts.extend_from_slice(row);
                 }
             }
         }
-        rows = new_rows;
-        acts = new_acts;
-        if rows.len() as f64 > densify_threshold * n as f64 {
+        std::mem::swap(cur, next);
+        if cur.rows.len() as f64 > densify_threshold * n as f64 {
             // Support grew too wide for per-row tracking: scatter into the
             // golden boundary and finish with one dense suffix pass.
-            let mut full = golden_out.data().to_vec();
-            for (i, &r) in rows.iter().enumerate() {
-                full[r * width..(r + 1) * width].copy_from_slice(&acts[i * width..(i + 1) * width]);
-            }
-            let full = Tensor::from_vec(full, golden_out.dims().to_vec());
-            return model.forward_from(l + 1, &full);
+            let mut full = golden_out.clone();
+            cur.scatter_into(full.data_mut(), width);
+            out.copy_from_slice(model.forward_from(l + 1, &full).data());
+            return;
         }
     }
-    // Assemble the batch logits: cached golden rows plus the survivors.
-    let golden_logits = cache.boundary(b, depth);
-    let width = golden_logits.len() / n;
-    let mut out = golden_logits.data().to_vec();
-    for (i, &r) in rows.iter().enumerate() {
-        out[r * width..(r + 1) * width].copy_from_slice(&acts[i * width..(i + 1) * width]);
-    }
-    Tensor::from_vec(out, golden_logits.dims().to_vec())
-}
-
-/// Gathers the dirty rows into a sub-batch tensor shaped like `boundary`
-/// with the batch axis shrunk to `rows.len()`.
-fn sub_batch(acts: &[f32], rows: &[usize], boundary: &Tensor, n: usize) -> Tensor {
-    debug_assert_eq!(acts.len(), rows.len() * (boundary.len() / n));
-    let mut dims = boundary.dims().to_vec();
-    dims[0] = rows.len();
-    Tensor::from_vec(acts.to_vec(), dims)
+    // The batch logits: cached golden rows plus the survivors.
+    out.copy_from_slice(cache.boundary(b, depth).data());
+    cur.scatter_into(out, out.len() / n);
 }
 
 #[cfg(test)]

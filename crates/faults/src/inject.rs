@@ -71,7 +71,13 @@ impl FaultConfig {
 
     /// Paths with a non-empty mask, in sorted (path) order.
     pub fn affected_paths(&self) -> Vec<&str> {
-        self.masks.keys().map(String::as_str).collect()
+        self.masks().map(|(path, _)| path).collect()
+    }
+
+    /// Every non-empty mask with its parameter path, in sorted (path)
+    /// order, borrowed rather than cloned as [`FaultConfig::mask`] does.
+    pub fn masks(&self) -> impl Iterator<Item = (&str, &FaultMask)> {
+        self.masks.iter().map(|(path, mask)| (path.as_str(), mask))
     }
 
     /// Index of the shallowest top-level layer of `model` whose parameters

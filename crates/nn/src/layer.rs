@@ -31,10 +31,15 @@ pub type ActivationTap<'a> = &'a mut dyn FnMut(&str, &mut Tensor);
 
 /// Per-call state threaded through a forward pass: the [`Mode`], the current
 /// structural path and an optional [`ActivationTap`].
+///
+/// The path's components are recorded only when a tap is attached, since
+/// the tap is what reads them: a plain inference pass, which campaigns run
+/// thousands of times a second, allocates nothing for it.
 pub struct ForwardCtx<'a> {
     mode: Mode,
     tap: Option<ActivationTap<'a>>,
     path: Vec<String>,
+    depth: usize,
 }
 
 impl<'a> ForwardCtx<'a> {
@@ -44,6 +49,7 @@ impl<'a> ForwardCtx<'a> {
             mode,
             tap: None,
             path: Vec::new(),
+            depth: 0,
         }
     }
 
@@ -53,6 +59,7 @@ impl<'a> ForwardCtx<'a> {
             mode,
             tap: Some(tap),
             path: Vec::new(),
+            depth: 0,
         }
     }
 
@@ -63,7 +70,10 @@ impl<'a> ForwardCtx<'a> {
 
     /// Enters a child scope (composite layers call this around children).
     pub fn push(&mut self, name: &str) {
-        self.path.push(name.to_string());
+        self.depth += 1;
+        if self.tap.is_some() {
+            self.path.push(name.to_string());
+        }
     }
 
     /// Leaves the current child scope.
@@ -72,13 +82,16 @@ impl<'a> ForwardCtx<'a> {
     ///
     /// Panics if the scope stack is empty (unbalanced `push`/`pop`).
     pub fn pop(&mut self) {
-        self.path
-            .pop()
+        self.depth = self
+            .depth
+            .checked_sub(1)
             // bdlfi-lint: allow(BD010) -- documented `# Panics` contract: unbalanced push/pop is a Layer-impl bug, not campaign input
             .expect("ForwardCtx::pop without matching push");
+        self.path.pop();
     }
 
-    /// The current structural path, components joined with `.`.
+    /// The current structural path, components joined with `.`; empty in
+    /// a context without a tap, which records no path.
     pub fn current_path(&self) -> String {
         self.path.join(".")
     }
@@ -154,13 +167,24 @@ mod tests {
 
     #[test]
     fn ctx_tracks_paths() {
-        let mut ctx = ForwardCtx::new(Mode::Eval);
+        let mut tap = |_: &str, _: &mut Tensor| {};
+        let mut ctx = ForwardCtx::with_tap(Mode::Eval, &mut tap);
         assert_eq!(ctx.current_path(), "");
         ctx.push("layer1");
         ctx.push("block0");
         assert_eq!(ctx.current_path(), "layer1.block0");
         ctx.pop();
         assert_eq!(ctx.current_path(), "layer1");
+    }
+
+    #[test]
+    fn ctx_without_tap_records_no_path_but_checks_balance() {
+        let mut ctx = ForwardCtx::new(Mode::Eval);
+        ctx.push("layer1");
+        assert_eq!(ctx.current_path(), "");
+        ctx.pop();
+        let unbalanced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.pop()));
+        assert!(unbalanced.is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::layer::{ForwardCtx, Layer};
 use crate::params::{join_path, Param};
-use bdlfi_tensor::Tensor;
+use bdlfi_tensor::{gemm, scratch, Tensor};
 use rand::Rng;
 
 /// A fully connected layer computing `y = x · W + b` over row-major batches:
@@ -93,17 +93,27 @@ impl Dense {
             cols.iter().all(|&c| c < out_dim),
             "column index out of range"
         );
-        let w = self.weight.value.data();
-        let mut wsub = Vec::with_capacity(in_dim * cols.len());
-        for r in 0..in_dim {
-            let row = &w[r * out_dim..(r + 1) * out_dim];
-            wsub.extend(cols.iter().map(|&c| row[c]));
+        let (n, m) = (input.dim(0), cols.len());
+        let mut out = vec![0.0f32; n * m];
+        if m > 0 {
+            // The column subset is gathered into a pooled buffer: the
+            // sparse-delta path calls this once per dirty layer and batch.
+            let mut wsub = scratch::take(in_dim * m);
+            let w = self.weight.value.data();
+            for (dst, row) in wsub.chunks_exact_mut(m).zip(w.chunks_exact(out_dim)) {
+                for (d, &c) in dst.iter_mut().zip(cols) {
+                    *d = row[c];
+                }
+            }
+            gemm(n, m, in_dim, input.data(), &wsub, &mut out);
+            let b = self.bias.value.data();
+            for row in out.chunks_exact_mut(m) {
+                for (x, &c) in row.iter_mut().zip(cols) {
+                    *x += b[c];
+                }
+            }
         }
-        let b = self.bias.value.data();
-        let bsub: Vec<f32> = cols.iter().map(|&c| b[c]).collect();
-        input
-            .matmul(&Tensor::from_vec(wsub, [in_dim, cols.len()]))
-            .add_row_broadcast(&Tensor::from_vec(bsub, [cols.len()]))
+        Tensor::from_vec(out, [n, m])
     }
 }
 
@@ -124,9 +134,9 @@ impl Layer for Dense {
         if ctx.mode() == crate::layer::Mode::Train {
             self.cached_input = Some(input.clone());
         }
-        input
-            .matmul(&self.weight.value)
-            .add_row_broadcast(&self.bias.value)
+        let mut out = input.matmul(&self.weight.value);
+        out.add_row_broadcast_inplace(&self.bias.value);
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

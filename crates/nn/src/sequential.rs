@@ -151,15 +151,15 @@ impl Sequential {
             "forward_from: start {start} beyond {} layers",
             self.layers.len()
         );
-        let mut x = input.clone();
+        let mut x: Option<Tensor> = None;
         for (name, layer) in &mut self.layers[start..] {
             ctx.push(name);
-            let mut y = layer.forward(&x, ctx);
+            let mut y = layer.forward(x.as_ref().unwrap_or(input), ctx);
             ctx.fire(&mut y);
             ctx.pop();
-            x = y;
+            x = Some(y);
         }
-        x
+        x.unwrap_or_else(|| input.clone())
     }
 
     /// Runs exactly one top-level layer on `input` — the per-layer building
@@ -272,9 +272,14 @@ impl Layer for Sequential {
     }
 
     fn visit_params_mut(&mut self, path: &str, f: &mut dyn FnMut(&str, &mut Param)) {
-        let base = path.to_string();
         for (name, layer) in &mut self.layers {
-            layer.visit_params_mut(&join_path(&base, name), f);
+            // A top-level walk (fault injection, twice per evaluation)
+            // passes each layer its own name rather than a joined copy.
+            if path.is_empty() {
+                layer.visit_params_mut(name, f);
+            } else {
+                layer.visit_params_mut(&join_path(path, name), f);
+            }
         }
     }
 

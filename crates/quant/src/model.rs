@@ -171,11 +171,11 @@ impl QuantModel {
             "forward_from: start {start} beyond {} stages",
             self.ops.len()
         );
-        let mut x = input.clone();
+        let mut x: Option<Tensor> = None;
         for (_, op) in &mut self.ops[start..] {
-            x = op.forward(&x);
+            x = Some(op.forward(x.as_ref().unwrap_or(input)));
         }
-        x
+        x.unwrap_or_else(|| input.clone())
     }
 
     /// The stage at index `i` as `(name, op)` — read access for structural
@@ -311,17 +311,30 @@ impl QuantModel {
     ///
     /// Panics if a mask indexes beyond its storage region.
     pub fn apply(&mut self, cfg: &FaultConfig) {
-        self.visit_slices(&mut |path, slice| {
-            let mask = cfg.mask(path);
-            if mask.is_empty() {
-                return;
-            }
-            match slice {
-                QSlice::I8(s) => mask.apply_slice_i8(s),
-                QSlice::I32(s) => mask.apply_slice_i32(s),
-                QSlice::F32(s) => mask.apply_slice(s),
-            }
-        });
+        // Each mask visits only its own stage, by the site's path relative
+        // to the stage: runs twice per evaluation, so it builds no paths.
+        for (path, mask) in cfg.masks() {
+            let Some(i) = self.op_index_of_site(path) else {
+                continue;
+            };
+            let (name, op) = &mut self.ops[i];
+            let Some(field) = path
+                .strip_prefix(name.as_str())
+                .and_then(|r| r.strip_prefix('.'))
+            else {
+                continue;
+            };
+            op.visit_slices("", &mut |p, slice| {
+                if p != field {
+                    return;
+                }
+                match slice {
+                    QSlice::I8(s) => mask.apply_slice_i8(s),
+                    QSlice::I32(s) => mask.apply_slice_i32(s),
+                    QSlice::F32(s) => mask.apply_slice(s),
+                }
+            });
+        }
     }
 
     /// Index of the shallowest stage a configuration corrupts, or `None`

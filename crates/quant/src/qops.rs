@@ -28,6 +28,7 @@ use bdlfi_faults::Repr;
 use bdlfi_nn::layers::{BatchNorm2d, Conv2d, Dense};
 use bdlfi_nn::Layer;
 use bdlfi_tensor::{qgemm, scratch, Conv2dSpec, I32Tensor, I8Tensor, Tensor};
+use std::borrow::Cow;
 
 /// One mutable integer/float storage region of a quantized op, handed to
 /// fault-application visitors.
@@ -66,11 +67,11 @@ impl QSlice<'_> {
     }
 }
 
-fn join(path: &str, name: &str) -> String {
+fn join<'a>(path: &str, name: &'a str) -> Cow<'a, str> {
     if path.is_empty() {
-        name.to_string()
+        Cow::Borrowed(name)
     } else {
-        format!("{path}.{name}")
+        Cow::Owned(format!("{path}.{name}"))
     }
 }
 
@@ -193,7 +194,7 @@ impl QDense {
         // from the (possibly faulted) weights each pass. Accumulated in
         // i32 — exact for any i8 weights, faulted or not, since
         // |Σₖ w| ≤ k·128 ≪ 2³¹ — so the widening sums autovectorize.
-        let mut colsum = vec![0i32; out];
+        let mut colsum = scratch::take::<i32>(out);
         for row in self.weight.data().chunks_exact(out) {
             for (cs, &w) in colsum.iter_mut().zip(row) {
                 *cs += w as i32;
@@ -201,13 +202,10 @@ impl QDense {
         }
         let rqs = self.requants();
         let zp_in = self.in_qp.zero_point as i64;
-        let corrs: Vec<i64> = self
-            .bias
-            .data()
-            .iter()
-            .zip(&colsum)
-            .map(|(&b, &cs)| b as i64 - zp_in * cs as i64)
-            .collect();
+        let mut corrs = scratch::take::<i64>(out);
+        for ((corr, &b), &cs) in corrs.iter_mut().zip(self.bias.data()).zip(colsum.iter()) {
+            *corr = b as i64 - zp_in * cs as i64;
+        }
         let mut y = Vec::with_capacity(n * out);
         requant_rows_into(
             &acc,
@@ -253,21 +251,20 @@ impl QDense {
         let mut qx = scratch::take::<i8>(n * k);
         self.in_qp.quantize_slice_to(input.data(), &mut qx);
         let m = cols.len();
-        let w = self.weight.data();
-        let mut wsub = Vec::with_capacity(k * m);
-        for r in 0..k {
-            let row = &w[r * out..(r + 1) * out];
-            wsub.extend(cols.iter().map(|&c| row[c]));
+        let mut wsub = scratch::take::<i8>(k * m);
+        let mut colsum = scratch::take::<i32>(m);
+        for (dst, row) in wsub
+            .chunks_exact_mut(m.max(1))
+            .zip(self.weight.data().chunks_exact(out))
+        {
+            for ((d, cs), &c) in dst.iter_mut().zip(colsum.iter_mut()).zip(cols) {
+                *d = row[c];
+                *cs += row[c] as i32;
+            }
         }
         let mut acc = scratch::take::<i32>(n * m);
         qgemm(n, m, k, &qx, &wsub, &mut acc);
 
-        let mut colsum = vec![0i32; m];
-        for row in wsub.chunks_exact(m) {
-            for (cs, &w) in colsum.iter_mut().zip(row) {
-                *cs += w as i32;
-            }
-        }
         // Gather the per-column requantizers/corrections for exactly the
         // requested columns: same constructors, same order of operations
         // as the full pass (the i32 column sum is exact either way),
@@ -277,11 +274,10 @@ impl QDense {
             .iter()
             .map(|&c| Requant::from_scales(self.in_qp.scale, self.w_scales[c], self.out_qp.scale))
             .collect();
-        let corrs: Vec<i64> = cols
-            .iter()
-            .zip(&colsum)
-            .map(|(&c, &cs)| self.bias.data()[c] as i64 - zp_in * cs as i64)
-            .collect();
+        let mut corrs = scratch::take::<i64>(m);
+        for ((corr, &c), &cs) in corrs.iter_mut().zip(cols).zip(colsum.iter()) {
+            *corr = self.bias.data()[c] as i64 - zp_in * cs as i64;
+        }
         let mut y = Vec::with_capacity(n * m);
         requant_rows_into(
             &acc,

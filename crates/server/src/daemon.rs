@@ -258,12 +258,26 @@ fn scheduler_loop(inner: &Arc<Inner>) {
             run_one(&runner_inner, &job, resume, workers);
             drop(grant);
         });
-        inner
-            .runners
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(runner);
+        let mut runners = reap_finished(inner);
+        runners.push(runner);
     }
+}
+
+/// Joins every runner that has exited and returns the locked list of the
+/// rest: an exited thread keeps its stack resident until joined, so a
+/// long-lived daemon must not hold one handle per job it ever ran.
+fn reap_finished(inner: &Inner) -> std::sync::MutexGuard<'_, Vec<std::thread::JoinHandle<()>>> {
+    let mut runners = inner.runners.lock().unwrap_or_else(PoisonError::into_inner);
+    let (finished, live): (Vec<_>, Vec<_>) = std::mem::take(&mut *runners)
+        .into_iter()
+        .partition(|t| t.is_finished());
+    *runners = live;
+    for t in finished {
+        // A runner contains its driver's panics (`run_one`), so a join
+        // error would only repeat what the job's status already says.
+        let _ = t.join();
+    }
+    runners
 }
 
 /// Executes one admitted job on the current thread and settles its
@@ -297,6 +311,9 @@ fn run_one(inner: &Arc<Inner>, job: &Arc<JobState>, resume: bool, workers: usize
                 job.add_attempt(meta);
                 job.set_status(JobStatus::Done);
                 job.events.push(event_done());
+                // A done job is never resumed, so its log is final: move
+                // it to disk. Should that fail, it simply stays in memory.
+                let _ = job.events.spill_to(&inner.registry.events_path(&job.id));
             }
             Err(e) => {
                 job.set_status(JobStatus::Failed(e.clone()));
@@ -537,5 +554,54 @@ fn stream_events(stream: &mut TcpStream, job: &Arc<JobState>) -> std::io::Result
         if closed && drained {
             return w.finish();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+    use crate::spec::tests::small_spec;
+    use serde::Serialize;
+
+    #[test]
+    fn finished_runners_are_joined_not_kept() {
+        let dir = std::env::temp_dir().join(format!("bdlfi-serve-reap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServeConfig {
+            state_dir: dir.clone(),
+            workers: 1,
+            sync_every: 1,
+        };
+        let handle = Daemon::bind("127.0.0.1:0", &cfg).unwrap().start();
+        let addr = handle.addr().to_string();
+        let body = serde_json::to_string(&small_spec().to_json_value()).unwrap();
+        for _ in 0..4 {
+            let resp =
+                client::request(&addr, "POST", "/jobs", Some(&body), Duration::from_secs(10))
+                    .unwrap();
+            assert_eq!(resp.status, 202, "{}", resp.body);
+            let id: Value = serde_json::from_str(&resp.body).unwrap();
+            let id = id.get("id").and_then(Value::as_str).unwrap().to_string();
+            // The events stream ends when the job settles.
+            let events = client::request(
+                &addr,
+                "GET",
+                &format!("/jobs/{id}/events"),
+                None,
+                Duration::from_secs(60),
+            )
+            .unwrap();
+            assert!(events.body.contains(r#""event":"done""#), "{}", events.body);
+        }
+        // Each scheduled job reaped the runners that had exited before it;
+        // one more reap leaves at most the pool's share of live handles.
+        let left = reap_finished(&handle.inner).len();
+        assert!(
+            left <= handle.inner.pool.total(),
+            "{left} runner handles kept"
+        );
+        drop(handle);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

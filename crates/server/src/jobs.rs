@@ -74,6 +74,10 @@ impl JobStatus {
 /// An append-only log of NDJSON event lines with blocking readers: the
 /// backing store of `GET /jobs/<id>/events`. Closing wakes all readers
 /// and marks the stream terminal; a resumed job reopens it.
+///
+/// A log that will never grow again (a `done` job's) can be spilled to a
+/// file ([`EventLog::spill_to`]), after which readers are served from the
+/// file and the daemon keeps none of its lines in memory.
 #[derive(Debug, Default)]
 pub struct EventLog {
     inner: Mutex<LogInner>,
@@ -84,6 +88,8 @@ pub struct EventLog {
 struct LogInner {
     lines: Vec<String>,
     closed: bool,
+    /// The file holding every line once spilled; `lines` is then empty.
+    spilled: Option<PathBuf>,
 }
 
 impl EventLog {
@@ -107,12 +113,42 @@ impl EventLog {
         inner.closed = false;
     }
 
+    /// Closes the log for good and moves its lines to `path` (written to a
+    /// temporary file, then renamed into place). Not synced: the file only
+    /// relieves memory, and a restarted daemon never reads it. On an I/O
+    /// error the lines stay in memory and the log stays readable.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error that kept the lines in memory.
+    pub fn spill_to(&self, path: &Path) -> std::io::Result<()> {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.closed = true;
+        self.cv.notify_all();
+        let mut text = String::with_capacity(inner.lines.iter().map(|l| l.len() + 1).sum());
+        for line in &inner.lines {
+            text.push_str(line);
+            text.push('\n');
+        }
+        let tmp = path.with_extension("jsonl.tmp");
+        std::fs::write(&tmp, text)?;
+        std::fs::rename(&tmp, path)?;
+        inner.lines = Vec::new();
+        inner.spilled = Some(path.to_path_buf());
+        Ok(())
+    }
+
     /// Blocks until lines beyond `from` exist (returning them) or the log
     /// is closed with none pending (returning an empty `Vec`). The bool
-    /// is the closed flag at return time.
+    /// is the closed flag at return time. A spilled log answers from its
+    /// file; if the file cannot be read, the stream ends there.
     pub fn wait_from(&self, from: usize) -> (Vec<String>, bool) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
+            if let Some(path) = &inner.spilled {
+                let text = std::fs::read_to_string(path).unwrap_or_default();
+                return (text.lines().skip(from).map(str::to_string).collect(), true);
+            }
             if inner.lines.len() > from {
                 return (inner.lines[from..].to_vec(), inner.closed);
             }
@@ -337,6 +373,12 @@ impl Registry {
     #[must_use]
     pub fn report_path(&self, id: &str) -> PathBuf {
         self.state_dir.join(format!("{id}.report.json"))
+    }
+
+    /// Where a done job's event log is spilled.
+    #[must_use]
+    pub fn events_path(&self, id: &str) -> PathBuf {
+        self.state_dir.join(format!("{id}.events.jsonl"))
     }
 
     /// Validates and accepts a new job: assigns an id, persists the spec,
@@ -789,6 +831,54 @@ mod tests {
         assert!(lines
             .iter()
             .any(|l| l.contains("\"event\":\"diagnostics\"")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn event_log_reader_crosses_the_spill_unchanged() {
+        use std::sync::mpsc::channel;
+        let dir = std::env::temp_dir().join(format!("bdlfi-spill-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("job-000001.events.jsonl");
+        let log = Arc::new(EventLog::default());
+        let lines: Vec<String> = (0..6)
+            .map(|i| format!(r#"{{"event":"result","chain":{i}}}"#))
+            .collect();
+        for line in &lines[..2] {
+            log.push(line.clone());
+        }
+        let (read_tx, read_rx) = channel();
+        let (spilled_tx, spilled_rx) = channel::<()>();
+        let reader = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                // Read what exists before the spill, then wait for it.
+                let (mut seen, closed) = log.wait_from(0);
+                assert!(!closed);
+                read_tx.send(seen.len()).unwrap();
+                spilled_rx.recv().unwrap();
+                loop {
+                    let (more, closed) = log.wait_from(seen.len());
+                    let drained = more.is_empty();
+                    seen.extend(more);
+                    if closed && drained {
+                        return seen;
+                    }
+                }
+            })
+        };
+        assert_eq!(read_rx.recv().unwrap(), 2);
+        for line in &lines[2..] {
+            log.push(line.clone());
+        }
+        log.spill_to(&path).unwrap();
+        assert!(log.inner.lock().unwrap().lines.is_empty());
+        spilled_tx.send(()).unwrap();
+        assert_eq!(reader.join().unwrap(), lines);
+        let expected: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        assert_eq!(log.wait_from(0), (lines.clone(), true));
+        assert_eq!(log.wait_from(6), (Vec::new(), true));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

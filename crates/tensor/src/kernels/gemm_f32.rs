@@ -28,7 +28,7 @@
 //! oracle for approximate correctness is [`gemm_f32_reference`], a
 //! straight f64-accumulating triple loop.
 
-use super::{Selection, Tile, Variant, KC, MR, NR};
+use super::{Selection, ShapeClass, Tile, Variant, KC, MR, NR};
 use crate::scratch::{self, ScratchBuf};
 
 /// Runs the selected variant; an empty product leaves `c` untouched.
@@ -46,6 +46,9 @@ pub(crate) fn run(
 ) {
     match Micro::of(sel.variant) {
         None => scalar(m, n, k, a, a_str, b, b_str, c),
+        Some(_) if super::classify(m, n, k) == ShapeClass::Skinny => {
+            skinny(m, n, k, a, a_str, b, b_str, c)
+        }
         Some(micro) => {
             let b = Strided {
                 data: b,
@@ -128,6 +131,270 @@ fn scalar(
     }
 }
 
+/// Lanes of one skinny row group: each owns one output row.
+const SK_LANES: usize = 16;
+/// Output columns one skinny pass reduces together, sharing each load of
+/// the packed lanes.
+const SK_COLS: usize = 4;
+
+/// The skinny body of the packed variants ([`ShapeClass::Skinny`]: too few
+/// columns or too short a `k` to fill a register tile). Each SIMD lane owns
+/// one output element, across the rows of `C` when `n < NR` and across its
+/// columns otherwise (`k < 8`), which are the rows of `Cᵀ = B'ᵀ·A'ᵀ`. Every
+/// lane reduces its element in the pinned order of [`scalar`], so the body
+/// is bit-identical to it; only the product `a·b` becomes `b·a` in the
+/// transposed case, and multiplication commutes bit for bit (up to the
+/// documented NaN exception).
+#[allow(clippy::too_many_arguments)]
+fn skinny(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    (a_rs, a_cs): (usize, usize),
+    b: &[f32],
+    (b_rs, b_cs): (usize, usize),
+    c: &mut [f32],
+) {
+    let (a, b) = (
+        Strided {
+            data: a,
+            rs: a_rs,
+            cs: a_cs,
+        },
+        Strided {
+            data: b,
+            rs: b_rs,
+            cs: b_cs,
+        },
+    );
+    if n < NR {
+        skinny_lanes(m, n, k, &a, &b, c, (n, 1));
+    } else {
+        let (bt, at) = (b.transposed(), a.transposed());
+        skinny_lanes(n, m, k, &bt, &at, c, (1, n));
+    }
+}
+
+/// `C(i, j) += Σ_l X(i, l)·Y(l, j)` for `i < p`, `j < q`, with `C(i, j)` at
+/// `c[i·c_rs + j·c_cs]` and lanes across `i`. Dispatches to an AVX2-compiled
+/// copy when the CPU supports it; both run the same Rust body.
+fn skinny_lanes(
+    p: usize,
+    q: usize,
+    k: usize,
+    x: &Strided,
+    y: &Strided,
+    c: &mut [f32],
+    c_str: (usize, usize),
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: calling a `#[target_feature(enable = "avx2")]` function
+        // is sound iff the CPU supports AVX2, which the runtime check on
+        // the line above guarantees. Its body is safe Rust over ordinary
+        // slices, so feature availability is the only proof obligation.
+        return unsafe { skinny_lanes_avx2(p, q, k, x, y, c, c_str) };
+    }
+    skinny_lanes_body(p, q, k, x, y, c, c_str);
+}
+
+/// [`skinny_lanes_body`] recompiled with 256-bit vectors: a 16-lane row
+/// group is two `ymm` registers, so the `SK_COLS × SK_LANES` accumulator
+/// block lives in eight.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn skinny_lanes_avx2(
+    p: usize,
+    q: usize,
+    k: usize,
+    x: &Strided,
+    y: &Strided,
+    c: &mut [f32],
+    c_str: (usize, usize),
+) {
+    skinny_lanes_body(p, q, k, x, y, c, c_str);
+}
+
+#[inline(always)]
+fn skinny_lanes_body(
+    p: usize,
+    q: usize,
+    k: usize,
+    x: &Strided,
+    y: &Strided,
+    c: &mut [f32],
+    (c_rs, c_cs): (usize, usize),
+) {
+    // `xt` holds a row group's `X` block k-major (lane `r` of step `l` at
+    // `l·SK_LANES + r`), `yt` a column group's `Y` block; lanes and columns
+    // past the edge keep stale or zero values whose sums are discarded.
+    let kmax = KC.min(k);
+    let mut buf = scratch::take(kmax * (SK_LANES + SK_COLS));
+    let (xt, yt) = buf.split_at_mut(kmax * SK_LANES);
+    for lc in (0..k).step_by(KC) {
+        let kc = KC.min(k - lc);
+        for i0 in (0..p).step_by(SK_LANES) {
+            let lanes = SK_LANES.min(p - i0);
+            pack_lanes(xt, x, i0, lanes, lc, kc);
+            let (xs, _) = xt[..kc * SK_LANES].as_chunks::<SK_LANES>();
+            for j0 in (0..q).step_by(SK_COLS) {
+                let cols = SK_COLS.min(q - j0);
+                for (l, row) in yt.as_chunks_mut::<SK_COLS>().0[..kc].iter_mut().enumerate() {
+                    let base = (lc + l) * y.rs + j0 * y.cs;
+                    for (jj, dst) in row.iter_mut().enumerate() {
+                        *dst = if jj < cols {
+                            y.data[base + jj * y.cs]
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+                let mut acc = [[0.0f32; SK_LANES]; SK_COLS];
+                for (xv, yv) in xs.iter().zip(yt.as_chunks::<SK_COLS>().0) {
+                    for jj in 0..SK_COLS {
+                        let yj = yv[jj];
+                        for r in 0..SK_LANES {
+                            acc[jj][r] += xv[r] * yj;
+                        }
+                    }
+                }
+                for (jj, lane_sums) in acc.iter().enumerate().take(cols) {
+                    let base = i0 * c_rs + (j0 + jj) * c_cs;
+                    if c_rs == 1 {
+                        let dst = &mut c[base..base + lanes];
+                        for (d, &v) in dst.iter_mut().zip(lane_sums) {
+                            *d += v;
+                        }
+                    } else {
+                        for (r, &v) in lane_sums.iter().enumerate().take(lanes) {
+                            c[base + r * c_rs] += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Packs rows `i0..i0 + lanes` of `X`'s `KC` block at column `lc` (width
+/// `kc`) k-major into `xt`: lane `r` of step `l` at `l·SK_LANES + r`.
+#[inline(always)]
+fn pack_lanes(xt: &mut [f32], x: &Strided, i0: usize, lanes: usize, lc: usize, kc: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if x.cs == 1 && lanes == SK_LANES && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: calling a `#[target_feature(enable = "avx2")]` function
+        // is sound iff the CPU supports AVX2, which the runtime check on
+        // the line above guarantees; the intrinsics inside assert their
+        // slice bounds before any raw pointer arithmetic.
+        return unsafe { pack_lanes_avx2(xt, x, i0, lc, kc) };
+    }
+    for r in 0..lanes {
+        let base = (i0 + r) * x.rs + lc * x.cs;
+        for (l, dst) in xt[r..kc * SK_LANES]
+            .iter_mut()
+            .step_by(SK_LANES)
+            .enumerate()
+        {
+            *dst = x.data[base + l * x.cs];
+        }
+    }
+}
+
+/// [`pack_lanes`] for a full row group of rows contiguous in `l`
+/// (`x.cs == 1`, the layout of a row-major activation batch): each 8×8
+/// block moves through an in-register transpose instead of 64 single-float
+/// stores. Values are only moved, never computed, so the packed block is
+/// the one the scalar loop writes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pack_lanes_avx2(xt: &mut [f32], x: &Strided, i0: usize, lc: usize, kc: usize) {
+    use std::arch::x86_64::{_mm256_loadu_ps, _mm256_storeu_ps};
+    let full = kc / 8 * 8;
+    assert!(xt.len() >= kc * SK_LANES, "skinny lane buffer too short");
+    assert!(
+        full == 0 || (i0 + SK_LANES - 1) * x.rs + lc + full <= x.data.len(),
+        "skinny operand block out of bounds"
+    );
+    for half in 0..SK_LANES / 8 {
+        let row0 = (i0 + half * 8) * x.rs + lc;
+        for l0 in (0..full).step_by(8) {
+            // SAFETY: asserted above — row `i0 + half·8 + r` (r < 8) reads
+            // `l0..l0 + 8 ≤ full` floats from column `lc`, within `x.data`.
+            let r = unsafe {
+                let at = |r: usize| x.data.as_ptr().add(row0 + r * x.rs + l0);
+                [
+                    _mm256_loadu_ps(at(0)),
+                    _mm256_loadu_ps(at(1)),
+                    _mm256_loadu_ps(at(2)),
+                    _mm256_loadu_ps(at(3)),
+                    _mm256_loadu_ps(at(4)),
+                    _mm256_loadu_ps(at(5)),
+                    _mm256_loadu_ps(at(6)),
+                    _mm256_loadu_ps(at(7)),
+                ]
+            };
+            let cols = transpose8x8!(r);
+            for (l, col) in cols.into_iter().enumerate() {
+                // SAFETY: `(l0 + l)·SK_LANES + half·8 + 8 ≤ kc·SK_LANES ≤
+                // xt.len()` (asserted above), room for one 8-float store.
+                unsafe {
+                    _mm256_storeu_ps(xt.as_mut_ptr().add((l0 + l) * SK_LANES + half * 8), col)
+                };
+            }
+        }
+    }
+    for r in 0..SK_LANES {
+        let base = (i0 + r) * x.rs + lc;
+        for l in full..kc {
+            xt[l * SK_LANES + r] = x.data[base + l];
+        }
+    }
+}
+
+/// Transposes an 8×8 block of 32-bit lanes held as eight row registers
+/// (`[__m256; 8]`) into eight column registers (`unpck`, `shuffle`,
+/// `perm2f128`): the skinny bodies' packing step, which only moves values
+/// and never computes on them. A macro rather than a function so it
+/// expands inside each caller's `#[target_feature(enable = "avx2")]` body.
+#[cfg(target_arch = "x86_64")]
+macro_rules! transpose8x8 {
+    ($r:expr) => {{
+        use std::arch::x86_64::{
+            _mm256_permute2f128_ps, _mm256_shuffle_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
+        };
+        let r: [std::arch::x86_64::__m256; 8] = $r;
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ]
+    }};
+}
+#[cfg(target_arch = "x86_64")]
+pub(crate) use transpose8x8;
+
 /// Which micro-kernel the packed driver runs per register tile.
 #[derive(Clone, Copy)]
 pub(crate) enum Micro {
@@ -164,6 +431,17 @@ struct Strided<'a> {
     data: &'a [f32],
     rs: usize,
     cs: usize,
+}
+
+impl Strided<'_> {
+    /// The same storage read as `B'ᵀ`: the strides swap.
+    fn transposed(&self) -> Strided<'_> {
+        Strided {
+            data: self.data,
+            rs: self.cs,
+            cs: self.rs,
+        }
+    }
 }
 
 impl PanelSource for Strided<'_> {
@@ -476,11 +754,62 @@ mod tests {
             .collect()
     }
 
+    /// The skinny class boundaries: `n` around `NR`, `k` around
+    /// `SKINNY_K`, `m` around `MR`, the 8-lane and 16-lane groups, and the
+    /// MLP's batch and eval-set sizes.
+    fn skinny_grid() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for m in [2, MR - 1, MR + 1, 7, 9, 64, 300] {
+            for n in [1, 3, NR - 1, NR] {
+                for k in [1, 2, 7, 8] {
+                    shapes.push((m, n, k));
+                }
+            }
+        }
+        // Skinny by `n` with a reduction crossing the KC boundary.
+        shapes.extend([(64, 3, 32), (17, 5, 300), (300, 3, 600)]);
+        shapes
+    }
+
+    /// Bits of `c` with every NaN mapped to one pattern: which NaN survives
+    /// a sum of two different NaNs may differ between variants (module
+    /// docs), every other bit may not.
+    fn canonical_bits(c: &[f32]) -> Vec<u32> {
+        c.iter()
+            .map(|x| {
+                if x.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    /// Runs every variant on `C0 + A'·B'` and asserts the results agree.
+    fn assert_variants_agree(
+        (m, n, k): (usize, usize, usize),
+        a: &[f32],
+        a_str: (usize, usize),
+        b: &[f32],
+        b_str: (usize, usize),
+        c0: &[f32],
+    ) {
+        let mut outs = Vec::new();
+        for v in VARIANTS {
+            let mut c = c0.to_vec();
+            gemm_f32_with(v, m, n, k, a, a_str, b, b_str, &mut c);
+            outs.push(canonical_bits(&c));
+        }
+        assert_eq!(outs[0], outs[1], "({m}x{n}x{k}) scalar != autovec");
+        assert_eq!(outs[1], outs[2], "({m}x{n}x{k}) autovec != avx2");
+    }
+
     #[test]
     fn variants_are_bit_identical() {
         // Shapes straddling MR/NR remainder tiles, the MC/NC cache blocks
         // and — crucially for the scalar block split — the KC boundary.
-        for &(m, n, k) in &[
+        let mut shapes = vec![
             (1, 1, 1),
             (3, 5, 2),
             (5, 17, 9),
@@ -489,33 +818,63 @@ mod tests {
             (7, 300, 300),
             (9, 33, 600),
             (2, 5, 257),
-        ] {
+        ];
+        shapes.extend(skinny_grid());
+        for (m, n, k) in shapes {
             let a = fill(m * k, 1);
             let b = fill(k * n, 2);
-            let mut outs = Vec::new();
-            for v in VARIANTS {
-                let mut c = vec![0.0f32; m * n];
-                gemm_f32_with(v, m, n, k, &a, (k, 1), &b, (n, 1), &mut c);
-                outs.push(c.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-            }
-            assert_eq!(outs[0], outs[1], "({m}x{n}x{k}) scalar != autovec");
-            assert_eq!(outs[1], outs[2], "({m}x{n}x{k}) autovec != avx2");
+            assert_variants_agree((m, n, k), &a, (k, 1), &b, (n, 1), &vec![0.0; m * n]);
         }
     }
 
     #[test]
     fn variants_are_bit_identical_on_transposed_strides() {
-        let (m, n, k) = (33, 29, 300);
-        let a = fill(k * m, 3);
-        let b = fill(n * k, 4);
-        let mut outs = Vec::new();
-        for v in VARIANTS {
-            let mut c = vec![0.0f32; m * n];
-            gemm_f32_with(v, m, n, k, &a, (1, m), &b, (1, k), &mut c);
-            outs.push(c.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        let mut shapes = vec![(33, 29, 300)];
+        shapes.extend(skinny_grid());
+        for (m, n, k) in shapes {
+            let a = fill(k * m, 3);
+            let b = fill(n * k, 4);
+            assert_variants_agree((m, n, k), &a, (1, m), &b, (1, k), &vec![0.0; m * n]);
         }
-        assert_eq!(outs[0], outs[1]);
-        assert_eq!(outs[1], outs[2]);
+    }
+
+    #[test]
+    fn skinny_shapes_keep_signed_zeros_and_non_finite_values() {
+        // Signed zeros: `-0.0` operands and a `-0.0` accumulator, where
+        // the sign of every sum depends on the reduction order. Non-finite
+        // values: inf, -inf and NaN operands, compared under the NaN
+        // exception.
+        let specials = [
+            -0.0f32,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1.5,
+            -2.0,
+        ];
+        let pick = |len: usize, salt: usize, every: usize| -> Vec<f32> {
+            fill(len, salt as u32)
+                .into_iter()
+                .enumerate()
+                .map(|(i, x)| {
+                    if i % every == 0 {
+                        specials[(i / every + salt) % specials.len()]
+                    } else {
+                        x
+                    }
+                })
+                .collect()
+        };
+        for (m, n, k) in skinny_grid() {
+            for (every, c_fill) in [(1, -0.0f32), (3, -0.0), (11, 0.5)] {
+                let a = pick(m * k, 5, every);
+                let b = pick(k * n, 6, every);
+                let c0 = vec![c_fill; m * n];
+                assert_variants_agree((m, n, k), &a, (k, 1), &b, (n, 1), &c0);
+                assert_variants_agree((m, n, k), &a, (1, m), &b, (1, k), &c0);
+            }
+        }
     }
 
     #[test]

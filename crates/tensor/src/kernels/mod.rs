@@ -143,6 +143,11 @@ pub enum ShapeClass {
     /// Single-row product (`m == 1`): the sparse-delta and
     /// one-example paths. Packing `B` costs as much as the product.
     Gemv,
+    /// Several rows but too few columns (`n < NR`) or too short a
+    /// reduction (`k < SKINNY_K`) to fill a register tile: the paper's
+    /// MLP (2 inputs, 3 classes) and classifier heads. The packed variants
+    /// serve it with a body whose SIMD lanes each own one output element.
+    Skinny,
     /// `m·n·k` below the packing break-even point.
     Tiny,
     /// Wide output (`n ≥ 256`): convolutions, whose `B` panels are
@@ -153,8 +158,22 @@ pub enum ShapeClass {
     Blocked,
 }
 
+/// Reductions shorter than this are [`ShapeClass::Skinny`].
+pub const SKINNY_K: usize = 8;
+
 /// Classifies a GEMM shape for table lookup.
 pub fn classify(m: usize, n: usize, k: usize) -> ShapeClass {
+    if m > 1 && (n < NR || k < SKINNY_K) {
+        ShapeClass::Skinny
+    } else {
+        packed_class(m, n, k)
+    }
+}
+
+/// The class of a product whose `B` panels come from a packed source
+/// rather than a strided matrix: every class but `Skinny`, whose body
+/// reads `B` strided.
+fn packed_class(m: usize, n: usize, k: usize) -> ShapeClass {
     if m == 1 {
         ShapeClass::Gemv
     } else if m * n * k <= 4096 {
@@ -170,16 +189,20 @@ pub fn classify(m: usize, n: usize, k: usize) -> ShapeClass {
 // `perf_smoke` scenarios on a 1-core AVX2 host (see DESIGN.md §15 for the
 // numbers). Gemv/Tiny rows prefer the scalar kernel because packing both
 // operands costs more than the whole product at those sizes; the packed
-// rows differ only in how much of `B` stays L2-resident per `A` pack.
-const F32_TABLE: [(ShapeClass, Variant, Tile); 4] = [
+// rows differ only in how much of `B` stays L2-resident per `A` pack. A
+// packed variant serves a Skinny shape with its skinny body, which uses
+// no tile.
+const F32_TABLE: [(ShapeClass, Variant, Tile); 5] = [
     (ShapeClass::Gemv, Variant::Scalar, Tile::packed(64, 256)),
+    (ShapeClass::Skinny, Variant::Avx2, Tile::packed(64, 256)),
     (ShapeClass::Tiny, Variant::Scalar, Tile::packed(64, 256)),
     (ShapeClass::Wide, Variant::Avx2, Tile::packed(64, 512)),
     (ShapeClass::Blocked, Variant::Avx2, Tile::packed(64, 256)),
 ];
 
-const I8_TABLE: [(ShapeClass, Variant, Tile); 4] = [
+const I8_TABLE: [(ShapeClass, Variant, Tile); 5] = [
     (ShapeClass::Gemv, Variant::Scalar, Tile::packed(64, 256)),
+    (ShapeClass::Skinny, Variant::Avx2, Tile::packed(64, 256)),
     (ShapeClass::Tiny, Variant::Scalar, Tile::packed(64, 256)),
     (ShapeClass::Wide, Variant::Avx2, Tile::packed(64, 512)),
     (ShapeClass::Blocked, Variant::Avx2, Tile::packed(64, 256)),
@@ -231,8 +254,7 @@ fn resolve(preferred: Variant) -> Variant {
     }
 }
 
-fn lookup(table: &[(ShapeClass, Variant, Tile)], m: usize, n: usize, k: usize) -> Selection {
-    let class = classify(m, n, k);
+fn lookup(table: &[(ShapeClass, Variant, Tile)], class: ShapeClass) -> Selection {
     let (_, variant, tile) = table
         .iter()
         .find(|(c, _, _)| *c == class)
@@ -246,12 +268,20 @@ fn lookup(table: &[(ShapeClass, Variant, Tile)], m: usize, n: usize, k: usize) -
 
 /// Selects the f32 kernel for an `m × n × k` product.
 pub fn select_f32(m: usize, n: usize, k: usize) -> Selection {
-    lookup(&F32_TABLE, m, n, k)
+    lookup(&F32_TABLE, classify(m, n, k))
+}
+
+/// Selects the f32 kernel for a convolution's per-image `m × n × k`
+/// product, whose `B` panels are packed straight from the image: the row
+/// of [`select_f32`] with `Skinny` shapes classed as if that class did
+/// not exist.
+pub(crate) fn select_f32_conv(m: usize, n: usize, k: usize) -> Selection {
+    lookup(&F32_TABLE, packed_class(m, n, k))
 }
 
 /// Selects the int8 kernel for an `m × n × k` product.
 pub fn select_i8(m: usize, n: usize, k: usize) -> Selection {
-    lookup(&I8_TABLE, m, n, k)
+    lookup(&I8_TABLE, classify(m, n, k))
 }
 
 #[cfg(test)]
@@ -278,14 +308,69 @@ mod tests {
     #[test]
     fn classes_partition_shapes() {
         assert_eq!(classify(1, 512, 512), ShapeClass::Gemv);
-        assert_eq!(classify(4, 8, 8), ShapeClass::Tiny);
+        assert_eq!(classify(1, 3, 2), ShapeClass::Gemv);
+        assert_eq!(classify(4, 8, 8), ShapeClass::Skinny);
+        assert_eq!(classify(4, 16, 8), ShapeClass::Tiny);
         assert_eq!(classify(64, 300, 64), ShapeClass::Wide);
         assert_eq!(classify(64, 64, 64), ShapeClass::Blocked);
     }
 
     #[test]
+    fn skinny_class_covers_the_mlp_and_classifier_heads_only() {
+        // The paper's 2→32→3 MLP on 64-row batches, and the benchmark
+        // ResNet's fc on 4 images.
+        for (m, n, k) in [(64, 32, 2), (64, 3, 32), (4, 10, 64)] {
+            assert_eq!(classify(m, n, k), ShapeClass::Skinny, "{m}x{n}x{k}");
+        }
+        // Boundaries: `n < NR` or `k < SKINNY_K`, with more than one row.
+        assert_eq!(classify(2, NR - 1, 64), ShapeClass::Skinny);
+        assert_ne!(classify(2, NR, 64), ShapeClass::Skinny);
+        assert_eq!(classify(64, 64, SKINNY_K - 1), ShapeClass::Skinny);
+        assert_ne!(classify(64, 64, SKINNY_K), ShapeClass::Skinny);
+        // Every per-image conv GEMM (oc, oh·ow, ic·kh·kw) of the benchmark
+        // ResNet-18 (base width 8, 32×32 images): stem, 3×3 convs of each
+        // stage, stride-2 openers and 1×1 projection shortcuts.
+        for (m, n, k) in [
+            (8, 1024, 27),
+            (8, 1024, 72),
+            (16, 256, 72),
+            (16, 256, 144),
+            (16, 256, 8),
+            (32, 64, 144),
+            (32, 64, 288),
+            (32, 64, 16),
+            (64, 16, 288),
+            (64, 16, 576),
+            (64, 16, 32),
+        ] {
+            assert_ne!(classify(m, n, k), ShapeClass::Skinny, "conv {m}x{n}x{k}");
+        }
+    }
+
+    #[test]
+    fn convolutions_keep_their_pre_skinny_rows() {
+        // A skinny conv shape gets the row its packed class selects: here
+        // `Tiny` (scalar) and `Blocked`, as before the class existed.
+        assert_eq!(classify(4, 8, 8), ShapeClass::Skinny);
+        assert_eq!(
+            select_f32_conv(4, 8, 8),
+            lookup(&F32_TABLE, ShapeClass::Tiny)
+        );
+        assert_eq!(
+            select_f32_conv(64, 8, 300),
+            lookup(&F32_TABLE, ShapeClass::Blocked)
+        );
+    }
+
+    #[test]
     fn every_class_has_a_row_in_both_tables() {
-        for (m, n, k) in [(1, 512, 512), (4, 8, 8), (64, 300, 64), (64, 64, 64)] {
+        for (m, n, k) in [
+            (1, 512, 512),
+            (64, 3, 32),
+            (4, 16, 8),
+            (64, 300, 64),
+            (64, 64, 64),
+        ] {
             let f = select_f32(m, n, k);
             let q = select_i8(m, n, k);
             // f32 rows must pin KC: the cross-variant bit-identity

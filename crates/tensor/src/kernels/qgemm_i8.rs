@@ -35,7 +35,9 @@
 //! Every step is exact integer arithmetic, so the maddubs kernel is
 //! bit-identical to the scalar triple loop at every block size.
 
-use super::{Selection, Tile, Variant, MR, NR};
+#[cfg(target_arch = "x86_64")]
+use super::gemm_f32::transpose8x8;
+use super::{Selection, ShapeClass, Tile, Variant, KC, MR, NR};
 use crate::scratch;
 
 /// Maximum contraction depth accepted by every int8 GEMM variant.
@@ -58,6 +60,7 @@ pub(crate) fn run(sel: Selection, m: usize, n: usize, k: usize, a: &[i8], b: &[i
     }
     match sel.variant {
         Variant::Scalar => scalar(m, n, k, a, b, c),
+        _ if super::classify(m, n, k) == ShapeClass::Skinny => skinny(m, n, k, a, b, c),
         Variant::Autovec => blocked_autovec(sel.tile, m, n, k, a, b, c),
         Variant::Avx2 => {
             // The maddubs path has its own pack format, so the
@@ -116,6 +119,204 @@ fn scalar(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
                 acc += i32::from(av) * i32::from(b[l * n + j]);
             }
             *cj += acc;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Skinny body: one output element per SIMD lane.
+// ---------------------------------------------------------------------------
+
+/// Lanes of one skinny row group: each owns one output row.
+const SK_LANES: usize = 16;
+/// Output columns one skinny pass reduces together.
+const SK_COLS: usize = 4;
+
+/// The skinny body of the packed variants ([`ShapeClass::Skinny`]): each
+/// SIMD lane owns one output element, across the rows of `C` when
+/// `n < NR` and across its columns otherwise (`k < 8`), which are the rows
+/// of `Cᵀ = Bᵀ·Aᵀ`. Exact `i32` accumulation, as in every variant.
+fn skinny(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    assert!(k <= K_MAX, "qgemm skinny: k={k} exceeds K_MAX={K_MAX}");
+    if n < NR {
+        skinny_lanes_i8(m, n, k, (a, (k, 1)), (b, (n, 1)), c, (n, 1));
+    } else {
+        skinny_lanes_i8(n, m, k, (b, (1, n)), (a, (1, k)), c, (1, n));
+    }
+}
+
+/// A strided int8 operand: element `(i, l)` at `data[i·rs + l·cs]`.
+type StridedI8<'a> = (&'a [i8], (usize, usize));
+
+/// `C(i, j) += Σ_l X(i, l)·Y(l, j)` for `i < p`, `j < q`, with `C(i, j)` at
+/// `c[i·c_rs + j·c_cs]` and lanes across `i`; dispatches to an
+/// AVX2-compiled copy when the CPU supports it.
+fn skinny_lanes_i8(
+    p: usize,
+    q: usize,
+    k: usize,
+    x: StridedI8,
+    y: StridedI8,
+    c: &mut [i32],
+    c_str: (usize, usize),
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: calling a `#[target_feature(enable = "avx2")]` function
+        // is sound iff the CPU supports AVX2, which the runtime check on
+        // the line above guarantees. Its body is safe Rust over ordinary
+        // slices, so feature availability is the only proof obligation.
+        return unsafe { skinny_lanes_i8_avx2(p, q, k, x, y, c, c_str) };
+    }
+    skinny_lanes_i8_body(p, q, k, x, y, c, c_str);
+}
+
+/// [`skinny_lanes_i8_body`] recompiled with AVX2 codegen.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn skinny_lanes_i8_avx2(
+    p: usize,
+    q: usize,
+    k: usize,
+    x: StridedI8,
+    y: StridedI8,
+    c: &mut [i32],
+    c_str: (usize, usize),
+) {
+    skinny_lanes_i8_body(p, q, k, x, y, c, c_str);
+}
+
+#[inline(always)]
+fn skinny_lanes_i8_body(
+    p: usize,
+    q: usize,
+    k: usize,
+    (x, (x_rs, x_cs)): StridedI8,
+    (y, (y_rs, y_cs)): StridedI8,
+    c: &mut [i32],
+    (c_rs, c_cs): (usize, usize),
+) {
+    // Operands are widened to `i32` while packing, so the inner loop is a
+    // plain `i32` multiply-add; `KC` blocks only bound the buffers, since
+    // integer accumulation is exact in any order.
+    let kmax = KC.min(k);
+    let mut buf = scratch::take::<i32>(kmax * (SK_LANES + SK_COLS));
+    let (xt, yt) = buf.split_at_mut(kmax * SK_LANES);
+    for lc in (0..k).step_by(KC) {
+        let kc = KC.min(k - lc);
+        for i0 in (0..p).step_by(SK_LANES) {
+            let lanes = SK_LANES.min(p - i0);
+            pack_lanes_i8(xt, (x, (x_rs, x_cs)), i0, lanes, lc, kc);
+            let (xs, _) = xt[..kc * SK_LANES].as_chunks::<SK_LANES>();
+            for j0 in (0..q).step_by(SK_COLS) {
+                let cols = SK_COLS.min(q - j0);
+                for (l, row) in yt.as_chunks_mut::<SK_COLS>().0[..kc].iter_mut().enumerate() {
+                    let base = (lc + l) * y_rs + j0 * y_cs;
+                    for (jj, dst) in row.iter_mut().enumerate() {
+                        *dst = if jj < cols {
+                            i32::from(y[base + jj * y_cs])
+                        } else {
+                            0
+                        };
+                    }
+                }
+                let mut acc = [[0i32; SK_LANES]; SK_COLS];
+                for (xv, yv) in xs.iter().zip(yt.as_chunks::<SK_COLS>().0) {
+                    for jj in 0..SK_COLS {
+                        let yj = yv[jj];
+                        for r in 0..SK_LANES {
+                            acc[jj][r] += xv[r] * yj;
+                        }
+                    }
+                }
+                for (jj, lane_sums) in acc.iter().enumerate().take(cols) {
+                    let base = i0 * c_rs + (j0 + jj) * c_cs;
+                    if c_rs == 1 {
+                        let dst = &mut c[base..base + lanes];
+                        for (d, &v) in dst.iter_mut().zip(lane_sums) {
+                            *d += v;
+                        }
+                    } else {
+                        for (r, &v) in lane_sums.iter().enumerate().take(lanes) {
+                            c[base + r * c_rs] += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Packs rows `i0..i0 + lanes` of `X`'s `KC` block at column `lc` (width
+/// `kc`) k-major into `xt`, widened to `i32`: lane `r` of step `l` at
+/// `l·SK_LANES + r`.
+#[inline(always)]
+fn pack_lanes_i8(xt: &mut [i32], x: StridedI8, i0: usize, lanes: usize, lc: usize, kc: usize) {
+    let (data, (rs, cs)) = x;
+    #[cfg(target_arch = "x86_64")]
+    if cs == 1 && lanes == SK_LANES && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: calling a `#[target_feature(enable = "avx2")]` function
+        // is sound iff the CPU supports AVX2, which the runtime check on
+        // the line above guarantees; the intrinsics inside assert their
+        // slice bounds before any raw pointer arithmetic.
+        return unsafe { pack_lanes_i8_avx2(xt, data, rs, i0, lc, kc) };
+    }
+    for r in 0..lanes {
+        let base = (i0 + r) * rs + lc * cs;
+        for (l, dst) in xt[r..kc * SK_LANES]
+            .iter_mut()
+            .step_by(SK_LANES)
+            .enumerate()
+        {
+            *dst = i32::from(data[base + l * cs]);
+        }
+    }
+}
+
+/// [`pack_lanes_i8`] for a full row group of rows contiguous in `l`: each
+/// row's eight bytes are sign-extended to eight `i32` lanes and the 8×8
+/// block goes through the shared in-register transpose.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pack_lanes_i8_avx2(xt: &mut [i32], data: &[i8], rs: usize, i0: usize, lc: usize, kc: usize) {
+    use std::arch::x86_64::{
+        _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cvtepi8_epi32, _mm256_storeu_si256,
+        _mm_loadl_epi64,
+    };
+    let full = kc / 8 * 8;
+    assert!(xt.len() >= kc * SK_LANES, "skinny lane buffer too short");
+    assert!(
+        full == 0 || (i0 + SK_LANES - 1) * rs + lc + full <= data.len(),
+        "skinny operand block out of bounds"
+    );
+    for half in 0..SK_LANES / 8 {
+        let row0 = (i0 + half * 8) * rs + lc;
+        for l0 in (0..full).step_by(8) {
+            let mut r = [_mm256_castsi256_ps(std::arch::x86_64::_mm256_setzero_si256()); 8];
+            for (q, reg) in r.iter_mut().enumerate() {
+                let at = row0 + q * rs + l0;
+                // SAFETY: asserted above — row `i0 + half·8 + q` reads the
+                // 8 bytes `l0..l0 + 8 ≤ full` from column `lc`, within
+                // `data`; `loadl` has no alignment requirement.
+                let bytes = unsafe { _mm_loadl_epi64(data.as_ptr().add(at).cast()) };
+                *reg = _mm256_castsi256_ps(_mm256_cvtepi8_epi32(bytes));
+            }
+            for (l, col) in transpose8x8!(r).into_iter().enumerate() {
+                // SAFETY: `(l0 + l)·SK_LANES + half·8 + 8 ≤ kc·SK_LANES ≤
+                // xt.len()` (asserted above), room for one 8-lane store.
+                unsafe {
+                    _mm256_storeu_si256(
+                        xt.as_mut_ptr().add((l0 + l) * SK_LANES + half * 8).cast(),
+                        _mm256_castps_si256(col),
+                    )
+                };
+            }
+        }
+    }
+    for r in 0..SK_LANES {
+        let base = (i0 + r) * rs + lc;
+        for l in full..kc {
+            xt[l * SK_LANES + r] = i32::from(data[base + l]);
         }
     }
 }
@@ -802,7 +1003,7 @@ mod tests {
     fn variants_match_the_reference_exactly() {
         // Shapes straddling MR/NR remainder tiles, odd k (maddubs pair
         // padding), k = 1, and multi-block k.
-        for &(m, n, k) in &[
+        let mut shapes = vec![
             (1, 1, 1),
             (1, 16, 1),
             (3, 5, 2),
@@ -812,7 +1013,9 @@ mod tests {
             (65, 17, 65),
             (2, 300, 257),
             (9, 33, 600),
-        ] {
+        ];
+        shapes.extend(skinny_grid());
+        for (m, n, k) in shapes {
             let a = fill_i8(m * k, 1);
             let b = fill_i8(k * n, 2);
             let mut want = vec![0i32; m * n];
@@ -829,22 +1032,40 @@ mod tests {
         }
     }
 
+    /// The skinny class boundaries: `n` around `NR`, `k` around
+    /// `SKINNY_K`, `m` around `MR`, the 8-lane and 16-lane groups, and the
+    /// MLP's batch and eval-set sizes.
+    fn skinny_grid() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for m in [2, MR - 1, MR + 1, 7, 9, 64, 300] {
+            for n in [1, 3, NR - 1, NR] {
+                for k in [1, 2, 7, 8] {
+                    shapes.push((m, n, k));
+                }
+            }
+        }
+        shapes.extend([(64, 3, 32), (17, 5, 300), (300, 3, 600)]);
+        shapes
+    }
+
     #[test]
     fn extreme_operands_stay_exact_in_every_variant() {
         // ±127/-128 everywhere — the saturation stress the zero-interleave
         // exists for. k spans two KC blocks to exercise the per-block
-        // offset correction at its maximum magnitude.
-        let (m, n, k) = (5, 19, 300);
-        let a: Vec<i8> = (0..m * k)
-            .map(|i| [-128i8, 127, -128, 127][i % 4])
-            .collect();
-        let b: Vec<i8> = (0..k * n).map(|i| [127i8, -128][i % 2]).collect();
-        let mut want = vec![0i32; m * n];
-        qgemm_reference(m, n, k, &a, &b, &mut want);
-        for v in VARIANTS {
-            let mut got = vec![0i32; m * n];
-            qgemm_i8_with(v, m, n, k, &a, &b, &mut got);
-            assert_eq!(got, want, "variant {v:?}");
+        // offset correction at its maximum magnitude; the skinny shapes
+        // take the skinny body.
+        for (m, n, k) in [(5, 19, 300), (64, 3, 300), (64, 32, 2), (9, 15, 7)] {
+            let a: Vec<i8> = (0..m * k)
+                .map(|i| [-128i8, 127, -128, 127][i % 4])
+                .collect();
+            let b: Vec<i8> = (0..k * n).map(|i| [127i8, -128][i % 2]).collect();
+            let mut want = vec![0i32; m * n];
+            qgemm_reference(m, n, k, &a, &b, &mut want);
+            for v in VARIANTS {
+                let mut got = vec![0i32; m * n];
+                qgemm_i8_with(v, m, n, k, &a, &b, &mut got);
+                assert_eq!(got, want, "({m}x{n}x{k}) variant {v:?}");
+            }
         }
     }
 

@@ -52,6 +52,7 @@ mod tensor;
 pub use error::TensorError;
 pub use itensor::{I32Tensor, I8Tensor};
 pub use ops::conv::{col2im, conv2d, conv2d_backward, im2col, Conv2dSpec};
+pub use ops::gemm::gemm;
 pub use ops::pool::{
     global_avg_pool, global_avg_pool_backward, maxpool2d, maxpool2d_backward, Pool2dSpec,
 };

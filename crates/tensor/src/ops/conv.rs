@@ -293,7 +293,7 @@ impl PanelSource for ImagePanels<'_> {
 ///
 /// Panics on rank or dimension mismatches.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Tensor {
-    conv2d_with(kernels::select_f32, input, weight, bias, spec)
+    conv2d_with(kernels::select_f32_conv, input, weight, bias, spec)
 }
 
 /// [`conv2d`] with the kernel chosen by `select(m, n, k)` for the per-image

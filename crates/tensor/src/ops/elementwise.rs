@@ -115,14 +115,14 @@ impl Tensor {
         }
     }
 
-    /// Adds a length-`n` row vector to every row of an `(m, n)` matrix
-    /// (bias broadcast).
+    /// Adds a length-`n` row vector to every row of an `(m, n)` matrix in
+    /// place (bias broadcast).
     ///
     /// # Panics
     ///
     /// Panics if `self` is not rank 2 or `bias` is not rank 1 of matching
     /// width.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
+    pub fn add_row_broadcast_inplace(&mut self, bias: &Tensor) {
         assert_eq!(self.rank(), 2, "add_row_broadcast requires a rank-2 tensor");
         assert_eq!(bias.rank(), 1, "bias must be rank 1");
         assert_eq!(
@@ -130,15 +130,13 @@ impl Tensor {
             bias.dim(0),
             "bias width must match matrix width"
         );
-        let mut out = self.clone();
         let cols = self.dim(1);
         let b = bias.data();
-        for row in out.data_mut().chunks_mut(cols) {
+        for row in self.data_mut().chunks_mut(cols) {
             for (x, &bv) in row.iter_mut().zip(b.iter()) {
                 *x += bv;
             }
         }
-        out
     }
 
     /// Rectified linear unit, `max(0, x)`, element-wise.
@@ -248,16 +246,16 @@ mod tests {
 
     #[test]
     fn add_row_broadcast_adds_bias_to_each_row() {
-        let m = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
+        let mut m = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
         let b = t(vec![10.0, 20.0]);
-        let out = m.add_row_broadcast(&b);
-        assert_eq!(out.data(), &[11.0, 22.0, 13.0, 24.0]);
+        m.add_row_broadcast_inplace(&b);
+        assert_eq!(m.data(), &[11.0, 22.0, 13.0, 24.0]);
     }
 
     #[test]
     #[should_panic(expected = "bias width")]
     fn add_row_broadcast_panics_on_width_mismatch() {
-        Tensor::zeros([2, 3]).add_row_broadcast(&Tensor::zeros([2]));
+        Tensor::zeros([2, 3]).add_row_broadcast_inplace(&Tensor::zeros([2]));
     }
 
     #[test]

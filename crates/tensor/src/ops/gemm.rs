@@ -48,6 +48,22 @@ pub(crate) fn gemm_strided(
     gemm_f32::run(kernels::select_f32(m, n, k), m, n, k, a, a_str, b, b_str, c);
 }
 
+/// Computes `C += A · B` over row-major slices: `a` is `m × k`, `b` is
+/// `k × n` and `c` is `m × n` — the f32 twin of [`crate::qgemm`], for
+/// callers that keep their operands in [`crate::scratch`] buffers rather
+/// than in tensors. Bit-identical to the same rows and columns of
+/// [`crate::Tensor::matmul`].
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its dimensions require.
+pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    assert!(a.len() >= m * k, "gemm: a shorter than m*k");
+    assert!(b.len() >= k * n, "gemm: b shorter than k*n");
+    assert!(c.len() >= m * n, "gemm: c shorter than m*n");
+    gemm_strided(m, n, k, a, (k, 1), b, (n, 1), c);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

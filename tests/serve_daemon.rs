@@ -207,9 +207,11 @@ fn two_concurrent_jobs_stream_results_and_diagnostics_to_completion() {
             })
         })
         .collect();
+    let mut live = Vec::new();
     for stream in streams {
         let resp = stream.join().unwrap();
         assert_eq!(resp.status, 200);
+        live.push(resp.body.clone());
         let results = resp
             .body
             .lines()
@@ -229,6 +231,30 @@ fn two_concurrent_jobs_stream_results_and_diagnostics_to_completion() {
     }
     wait_status(&addr, &a, "done", Duration::from_secs(10));
     wait_status(&addr, &b, "done", Duration::from_secs(10));
+
+    // A done job's log moves to `<id>.events.jsonl`; replaying it from
+    // there gives the bytes the live readers saw.
+    for (id, body) in [&a, &b].into_iter().zip(&live) {
+        let spilled = scratch.path().join(format!("{id}.events.jsonl"));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !spilled.exists() {
+            assert!(Instant::now() < deadline, "{id}'s log was never spilled");
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        let replay = client::request(
+            &addr,
+            "GET",
+            &format!("/jobs/{id}/events"),
+            None,
+            Duration::from_secs(10),
+        )
+        .expect("replayed event stream completes");
+        assert_eq!(replay.status, 200);
+        assert_eq!(
+            &replay.body, body,
+            "{id}: replay differs from the live stream"
+        );
+    }
 
     // Both reports exist and differ (different campaign seeds).
     let ra = fetch_report(&addr, &a);
