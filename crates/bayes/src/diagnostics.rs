@@ -99,6 +99,11 @@ pub fn ess(chains: &[Trace]) -> f64 {
 }
 
 /// [`ess`] on borrowed sample slices.
+///
+/// Reads each chain's autocorrelation only at the lags Geyer's truncation
+/// reaches, so a well-mixed chain costs a few passes over its samples, not
+/// one per lag up to the cap of 1000; each value is computed exactly as
+/// [`autocorrelations`] computes it, so the ESS is the same number.
 pub fn ess_slices(chains: &[&[f64]]) -> f64 {
     let total: usize = chains.iter().map(|c| c.len()).sum();
     if total == 0 {
@@ -112,16 +117,12 @@ pub fn ess_slices(chains: &[&[f64]]) -> f64 {
 
     // Average autocorrelation over chains (all-constant chains contribute
     // zero autocorrelation beyond lag 0).
-    let acfs: Vec<Vec<f64>> = chains
+    let acfs: Vec<Autocorrelation> = chains
         .iter()
-        .map(|c| autocorrelations(&c[..n], max_lag))
+        .map(|c| Autocorrelation::new(&c[..n]))
         .collect();
-    let mean_acf = |lag: usize| -> f64 {
-        acfs.iter()
-            .map(|a| a.get(lag).copied().unwrap_or(0.0))
-            .sum::<f64>()
-            / acfs.len() as f64
-    };
+    let mean_acf =
+        |lag: usize| -> f64 { acfs.iter().map(|a| a.at(lag)).sum::<f64>() / acfs.len() as f64 };
 
     // Geyer's theorem guarantees Γ_t = ρ_{2t} + ρ_{2t+1} is non-negative
     // (and decreasing) for reversible chains, so the sum is truncated at
@@ -142,6 +143,37 @@ pub fn ess_slices(chains: &[&[f64]]) -> f64 {
     (total as f64 / tau.max(f64::EPSILON)).min(total as f64)
 }
 
+/// One series' sample autocorrelation, evaluated a lag at a time: the
+/// mean and variance of [`autocorrelations`], computed once.
+struct Autocorrelation<'a> {
+    x: &'a [f64],
+    mean: f64,
+    var: f64,
+}
+
+impl<'a> Autocorrelation<'a> {
+    /// Needs at least 2 samples, as [`autocorrelations`] does.
+    fn new(x: &'a [f64]) -> Self {
+        let n = x.len();
+        let mean = x.iter().sum::<f64>() / n as f64;
+        let var = x.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
+        Autocorrelation { x, mean, var }
+    }
+
+    /// The autocorrelation at `lag < len`, bit-identical to entry `lag`
+    /// of [`autocorrelations`] (zero for a constant series).
+    fn at(&self, lag: usize) -> f64 {
+        let (x, mean, n) = (self.x, self.mean, self.x.len());
+        if self.var <= 0.0 {
+            return 0.0;
+        }
+        let c: f64 = (0..n - lag)
+            .map(|i| (x[i] - mean) * (x[i + lag] - mean))
+            .sum();
+        c / (n as f64 * self.var)
+    }
+}
+
 /// Monte Carlo standard error of the pooled mean: `sd / √ESS`.
 ///
 /// Returns `NaN` when ESS or the variance is undefined.
@@ -151,6 +183,12 @@ pub fn mcse(chains: &[Trace]) -> f64 {
 
 /// [`mcse`] on borrowed sample slices.
 pub fn mcse_slices(chains: &[&[f64]]) -> f64 {
+    mcse_from_ess(chains, ess_slices(chains))
+}
+
+/// [`mcse_slices`] given the chains' [`ess_slices`] value `e`, for callers
+/// that need both and should compute the ESS once.
+pub fn mcse_from_ess(chains: &[&[f64]], e: f64) -> f64 {
     let total: usize = chains.iter().map(|c| c.len()).sum();
     if total < 2 {
         return f64::NAN;
@@ -162,7 +200,6 @@ pub fn mcse_slices(chains: &[&[f64]]) -> f64 {
         .map(|x| (x - mean).powi(2))
         .sum::<f64>()
         / (total - 1) as f64;
-    let e = ess_slices(chains);
     if !e.is_finite() || e <= 0.0 {
         return f64::NAN;
     }
@@ -349,6 +386,105 @@ mod tests {
         assert_eq!(split_rhat(&chains), split_rhat_slices(&slices));
         assert_eq!(ess(&chains), ess_slices(&slices));
         assert_eq!(mcse(&chains), mcse_slices(&slices));
+    }
+
+    /// The ESS as computed before lags were read lazily: every lag up to
+    /// the cap from [`autocorrelations`], then the same truncation.
+    fn eager_ess(chains: &[&[f64]]) -> f64 {
+        let total: usize = chains.iter().map(|c| c.len()).sum();
+        if total == 0 {
+            return f64::NAN;
+        }
+        let n = chains.iter().map(|c| c.len()).min().unwrap_or(0);
+        if n < 4 {
+            return total as f64;
+        }
+        let max_lag = (n - 1).min(1000);
+        let acfs: Vec<Vec<f64>> = chains
+            .iter()
+            .map(|c| autocorrelations(&c[..n], max_lag))
+            .collect();
+        let mean_acf = |lag: usize| -> f64 {
+            acfs.iter()
+                .map(|a| a.get(lag).copied().unwrap_or(0.0))
+                .sum::<f64>()
+                / acfs.len() as f64
+        };
+        let mut tau = 1.0 + 2.0 * mean_acf(1);
+        let mut lag = 2usize;
+        while lag < max_lag {
+            let pair = mean_acf(lag) + mean_acf(lag + 1);
+            if pair <= 0.0 {
+                break;
+            }
+            tau += 2.0 * pair;
+            lag += 2;
+        }
+        (total as f64 / tau.max(f64::EPSILON)).min(total as f64)
+    }
+
+    fn ar1_chain(seed: u64, n: usize, phi: f64) -> Trace {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = Normal::standard();
+        let mut x = 0.0;
+        (0..n)
+            .map(|_| {
+                x = phi * x + (1.0 - phi * phi).sqrt() * d.sample(&mut rng);
+                x
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lazy_ess_and_mcse_match_the_eager_oracle_bitwise() {
+        let sets: Vec<(&str, Vec<Trace>)> = vec![
+            ("iid", (0..4).map(|s| iid_chain(s + 60, 600, 0.2)).collect()),
+            // Sticky chains run the truncation far out, past the lag cap
+            // at the longest length.
+            (
+                "sticky ar(1)",
+                (0..2).map(|s| ar1_chain(s + 70, 3000, 0.995)).collect(),
+            ),
+            (
+                "antithetic",
+                (0..3).map(|s| ar1_chain(s + 80, 500, -0.8)).collect(),
+            ),
+            ("constant", vec![Trace::from_samples(vec![0.25; 100]); 3]),
+            (
+                "constant and moving",
+                vec![Trace::from_samples(vec![1.0; 200]), iid_chain(90, 200, 0.0)],
+            ),
+            ("n < 4", vec![iid_chain(91, 3, 0.0), iid_chain(92, 7, 0.0)]),
+            ("single sample", vec![Trace::from_samples(vec![0.5])]),
+            (
+                "unequal lengths",
+                vec![
+                    ar1_chain(93, 1500, 0.9),
+                    iid_chain(94, 900, 0.0),
+                    ar1_chain(95, 1200, 0.5),
+                ],
+            ),
+        ];
+        for (what, chains) in &sets {
+            for len in [4, 50, 400, usize::MAX] {
+                let slices: Vec<&[f64]> = chains
+                    .iter()
+                    .map(|c| &c.samples()[..len.min(c.len())])
+                    .collect();
+                let e = eager_ess(&slices);
+                assert_eq!(
+                    ess_slices(&slices).to_bits(),
+                    e.to_bits(),
+                    "{what} @{len}: ess"
+                );
+                // `mcse_slices` is `mcse_from_ess` on the lazy ESS.
+                assert_eq!(
+                    mcse_slices(&slices).to_bits(),
+                    mcse_from_ess(&slices, e).to_bits(),
+                    "{what} @{len}: mcse"
+                );
+            }
+        }
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub mod seed;
 pub mod special;
 
 pub use diagnostics::{
-    autocorrelations, ess, ess_slices, geweke_z, mcse, mcse_batch_means, mcse_slices, split_rhat,
-    split_rhat_slices,
+    autocorrelations, ess, ess_slices, geweke_z, mcse, mcse_batch_means, mcse_from_ess,
+    mcse_slices, split_rhat, split_rhat_slices,
 };
 pub use estimate::{self_normalized_estimate, BetaBernoulli};
 pub use mcmc::{

@@ -12,7 +12,7 @@
 //! further injections change nothing".
 
 use crate::checkpoint::{journal_fingerprint, CheckpointError, CheckpointHeader, CheckpointWriter};
-use crate::completeness::{assess, CompletenessCriteria, CompletenessReport};
+use crate::completeness::{assess, assess_slices, CompletenessCriteria, CompletenessReport};
 use crate::engine::{
     CheckpointSpec, CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta, TaskCtx,
 };
@@ -706,14 +706,14 @@ pub fn run_campaign_adaptive<W: FaultWorkload>(
             };
             // A journal whose chains already certified (or exhausted the
             // budget) has nothing to resume.
-            if segments_done > 0 {
-                let traces: Vec<Trace> = workers.iter().map(|w| w.trace.clone()).collect();
-                if assess(&traces, &cfg.criteria).certified || recorded >= max_samples_per_chain {
-                    return Err(CheckpointError::AlreadyComplete {
-                        tasks: segments_done,
-                    }
-                    .into());
+            if segments_done > 0
+                && (assess_workers(&workers, &cfg.criteria).certified
+                    || recorded >= max_samples_per_chain)
+            {
+                return Err(CheckpointError::AlreadyComplete {
+                    tasks: segments_done,
                 }
+                .into());
             }
         }
         Some(spec) => {
@@ -770,9 +770,7 @@ pub fn run_campaign_adaptive<W: FaultWorkload>(
         }
         segments_done += 1;
 
-        let traces: Vec<Trace> = workers.iter().map(|w| w.trace.clone()).collect();
-        let verdict = assess(&traces, &cfg.criteria);
-        if verdict.certified || recorded >= max_samples_per_chain {
+        if assess_workers(&workers, &cfg.criteria).certified || recorded >= max_samples_per_chain {
             let mut meta = run_meta.unwrap_or_default();
             meta.resumed_from = resumed_from;
             meta.truncated_tail = truncated_tail;
@@ -783,6 +781,16 @@ pub fn run_campaign_adaptive<W: FaultWorkload>(
             return Ok(assemble(fm, cfg, &outcomes, meta));
         }
     }
+}
+
+/// The completeness verdict on the chains' samples so far, assessed on
+/// borrowed slices of their traces.
+fn assess_workers<W: FaultWorkload>(
+    workers: &[ChainWorker<W>],
+    criteria: &CompletenessCriteria,
+) -> CompletenessReport {
+    let slices: Vec<&[f64]> = workers.iter().map(|w| w.trace.samples()).collect();
+    assess_slices(&slices, criteria)
 }
 
 /// [`run_campaign_adaptive`] with the journal passed beside `ctl`.

@@ -7,7 +7,7 @@
 //! (split-R̂), carry enough information (ESS) and pin the estimate down
 //! (Monte Carlo standard error).
 
-use bdlfi_bayes::{ess_slices, mcse_slices, split_rhat_slices, Trace};
+use bdlfi_bayes::{ess_slices, mcse_from_ess, split_rhat_slices, Trace};
 use serde::{Deserialize, Serialize};
 
 /// Thresholds a campaign must meet to be certified complete.
@@ -56,12 +56,13 @@ pub fn assess(chains: &[Trace], criteria: &CompletenessCriteria) -> Completeness
     assess_slices(&slices, criteria)
 }
 
-/// [`assess`] on borrowed sample slices — lets growing-prefix scans avoid
-/// cloning each prefix into a fresh [`Trace`].
+/// [`assess`] on borrowed sample slices — lets growing-prefix scans and
+/// per-segment checks avoid cloning chains into fresh [`Trace`]s. The ESS
+/// is computed once and the MCSE derived from it.
 pub fn assess_slices(chains: &[&[f64]], criteria: &CompletenessCriteria) -> CompletenessReport {
     let rhat = split_rhat_slices(chains);
     let e = ess_slices(chains);
-    let m = mcse_slices(chains);
+    let m = mcse_from_ess(chains, e);
     // Constant traces have zero variance: mcse = 0, which certifies.
     let rhat_ok = rhat.is_finite() && rhat <= criteria.max_rhat;
     let ess_ok = e.is_finite() && e >= criteria.min_ess;
@@ -169,6 +170,31 @@ mod tests {
         let a = samples_to_certify(&quiet, &crit, 50).expect("quiet certifies");
         let b = samples_to_certify(&loud, &crit, 50).expect("loud certifies");
         assert!(a < b, "quiet {a} vs loud {b}");
+        // The steps the eagerly computed ESS certified at.
+        assert_eq!((a, b), (50, 300));
+        assert_eq!(
+            samples_to_certify(&loud, &CompletenessCriteria::default(), 50),
+            Some(300)
+        );
+    }
+
+    #[test]
+    fn assess_reads_the_eager_diagnostics_bit_for_bit() {
+        let loud = iid_chains(4, 4000, 0.3);
+        let slices: Vec<&[f64]> = loud.iter().map(Trace::samples).collect();
+        let rep = assess_slices(&slices, &CompletenessCriteria::default());
+        // The report the eager ESS (every lag to 1000, and again inside
+        // the MCSE) produced on this fixture.
+        assert_eq!(
+            [rep.rhat, rep.ess, rep.mcse].map(f64::to_bits),
+            [0x3feffe4513f44985, 0x40cdd8ff992b6996, 0x3f63fdb3fec95719]
+        );
+        assert!(rep.certified);
+        assert_eq!(rep.ess.to_bits(), ess_slices(&slices).to_bits());
+        assert_eq!(
+            rep.mcse.to_bits(),
+            bdlfi_bayes::mcse_slices(&slices).to_bits()
+        );
     }
 
     #[test]

@@ -34,31 +34,37 @@
 //! # Densification and fallback
 //!
 //! When the dirty-row fraction exceeds [`DENSIFY_THRESHOLD`], support
-//! tracking stops paying for its comparisons: the evaluator scatters the
-//! dirty rows into the golden boundary and finishes with one dense
-//! `forward_from` — still exact, just no longer sparse. And whenever a
-//! configuration falls outside the provably-confined cases — transient
-//! activation/input sites, faults in conv/block/batch-norm layers (channel
-//! fan-out), quantized `out_zp` faults (the output zero-point reaches
-//! every column through the shared requantizer), unknown mask paths — the
-//! planner refuses (`None`) and the caller falls back to the exact
-//! incremental path. Per-channel `w_scale` faults on dense stages *are*
-//! confined: scale element `e` feeds only column `e`'s requantizer. [`DeltaStats`] counts both outcomes so reports show how often the
-//! fast path fired.
+//! tracking stops paying for its comparisons: the evaluator finishes with
+//! one dense `forward_from` on the full faulty boundary — still exact,
+//! just no longer sparse. At a dirty dense layer no deviating row reaches,
+//! that boundary is built in one pass: the touched columns are recomputed
+//! straight into a copy of the golden output while the changed rows are
+//! counted, so a densifying batch gathers and scatters nothing. Elsewhere
+//! the dirty rows are scattered into a copy of the golden boundary.
+//!
+//! Whenever a configuration falls outside the provably-confined cases —
+//! transient activation/input sites, faults in conv/block/batch-norm
+//! layers (channel fan-out), quantized `out_zp` faults (the output
+//! zero-point reaches every column through the shared requantizer),
+//! unknown mask paths — the planner refuses (`None`) and the caller falls
+//! back to the exact incremental path. Per-channel `w_scale` faults on
+//! dense stages *are* confined: scale element `e` feeds only column `e`'s
+//! requantizer. [`DeltaStats`] counts both outcomes so reports show how
+//! often the fast path fired.
 
 use bdlfi_faults::FaultConfig;
 use bdlfi_nn::layers::Dense;
 use bdlfi_nn::{ForwardCtx, Mode, PrefixCache, Sequential};
 use bdlfi_quant::{QPrefixCache, QuantModel};
 use bdlfi_tensor::Tensor;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Dirty-row fraction above which the evaluator densifies: scatters the
-/// surviving corrections into the golden boundary and finishes with one
-/// dense suffix pass. Benched on a deep-MLP layerwise scenario — above
-/// ~3/4 dirty rows the per-layer comparisons cost more than the GEMM work
-/// they save.
+/// Dirty-row fraction above which the evaluator densifies: finishes with
+/// one dense suffix pass on the full faulty boundary. Benched on a
+/// deep-MLP layerwise scenario — above ~3/4 dirty rows the per-layer
+/// comparisons cost more than the GEMM work they save.
 pub const DENSIFY_THRESHOLD: f64 = 0.75;
 
 /// Shared hit/fallback counters for the sparse-delta path.
@@ -98,8 +104,9 @@ impl DeltaStats {
 /// both paths share one propagation loop (and cannot drift apart).
 trait DeltaModel {
     fn depth(&self) -> usize;
-    /// Column-subset recompute of the (planned dense) layer `l`.
-    fn forward_cols(&self, l: usize, input: &Tensor, cols: &[usize]) -> Tensor;
+    /// Column-subset recompute of the (planned dense) layer `l`, written
+    /// into those columns of the full-width output `out`.
+    fn forward_cols(&self, l: usize, input: &Tensor, cols: &[usize], out: &mut [f32]);
     /// One full-width layer step on a sub-batch.
     fn forward_one(&mut self, l: usize, input: &Tensor) -> Tensor;
     /// Dense suffix pass from layer `start` (the densification exit).
@@ -121,14 +128,14 @@ impl DeltaModel for F32Substrate<'_> {
         self.0.len()
     }
 
-    fn forward_cols(&self, l: usize, input: &Tensor, cols: &[usize]) -> Tensor {
+    fn forward_cols(&self, l: usize, input: &Tensor, cols: &[usize], out: &mut [f32]) {
         let (_, layer) = self.0.layer_at(l);
         layer
             .as_any()
             .and_then(|a| a.downcast_ref::<Dense>())
             // bdlfi-lint: allow(BD010) -- planner invariant: only dense layers are ever marked column-dirty
             .expect("planner only marks dense layers dirty")
-            .forward_cols(input, cols)
+            .forward_cols(input, cols, out);
     }
 
     fn forward_one(&mut self, l: usize, input: &Tensor) -> Tensor {
@@ -149,12 +156,12 @@ impl DeltaModel for QuantSubstrate<'_> {
         self.0.len()
     }
 
-    fn forward_cols(&self, l: usize, input: &Tensor, cols: &[usize]) -> Tensor {
+    fn forward_cols(&self, l: usize, input: &Tensor, cols: &[usize], out: &mut [f32]) {
         let (_, op) = self.0.op_at(l);
         op.as_dense()
             // bdlfi-lint: allow(BD010) -- planner invariant: only qdense stages are ever marked column-dirty
             .expect("planner only marks qdense stages dirty")
-            .forward_cols(input, cols)
+            .forward_cols(input, cols, out);
     }
 
     fn forward_one(&mut self, l: usize, input: &Tensor) -> Tensor {
@@ -331,21 +338,14 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
 }
 
 /// The deviating rows at one layer boundary of one batch: their batch
-/// row indices (sorted) and their activations, flattened row-major. One
-/// evaluation reuses two of these across all its layers and batches.
+/// row indices (sorted) and their activations, flattened row-major.
+#[derive(Default)]
 struct DirtyRows {
     rows: Vec<usize>,
     acts: Vec<f32>,
 }
 
 impl DirtyRows {
-    fn with_capacity(rows: usize, acts: usize) -> Self {
-        DirtyRows {
-            rows: Vec::with_capacity(rows),
-            acts: Vec::with_capacity(acts),
-        }
-    }
-
     fn clear(&mut self) {
         self.rows.clear();
         self.acts.clear();
@@ -371,6 +371,25 @@ impl DirtyRows {
     }
 }
 
+/// The buffers of one evaluation: two dirty-row sets that alternate as a
+/// layer's input and output, and one full-width boundary that dirty dense
+/// layers recompute their columns into and the densification exit hands
+/// to the dense suffix. They live per thread, so after its first
+/// evaluation a thread reuses them instead of allocating.
+struct DeltaScratch {
+    cur: DirtyRows,
+    next: DirtyRows,
+    dense: Tensor,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<DeltaScratch> = RefCell::new(DeltaScratch {
+        cur: DirtyRows::default(),
+        next: DirtyRows::default(),
+        dense: Tensor::zeros([0]),
+    });
+}
+
 /// The shared propagation loop: walks every batch from the first dirty
 /// layer, recomputing touched columns at dirty dense layers, forwarding
 /// only deviating rows through clean layers, and densifying when the dirty
@@ -383,30 +402,16 @@ fn run_delta<M: DeltaModel, C: DeltaCache>(
 ) -> Tensor {
     let classes = cache.classes();
     let mut logits = vec![0.0f32; cache.examples() * classes];
-    // The first batch is the largest; sizing both dirty sets for its
-    // widest boundary keeps them from growing mid-evaluation.
-    let batch = cache.boundary(0, 0).dim(0);
-    let widest = (0..=model.depth())
-        .map(|l| cache.boundary(0, l).len() / batch)
-        .max()
-        .unwrap_or(0);
-    let mut cur = DirtyRows::with_capacity(batch, batch * widest);
-    let mut next = DirtyRows::with_capacity(batch, batch * widest);
-    let mut row0 = 0;
-    for b in 0..cache.num_batches() {
-        let n = cache.boundary(b, 0).dim(0);
-        let out = &mut logits[row0 * classes..(row0 + n) * classes];
-        delta_batch(
-            model,
-            cache,
-            b,
-            dirty,
-            densify_threshold,
-            [&mut cur, &mut next],
-            out,
-        );
-        row0 += n;
-    }
+    SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        let mut row0 = 0;
+        for b in 0..cache.num_batches() {
+            let n = cache.boundary(b, 0).dim(0);
+            let out = &mut logits[row0 * classes..(row0 + n) * classes];
+            delta_batch(model, cache, b, dirty, densify_threshold, scratch, out);
+            row0 += n;
+        }
+    });
     Tensor::from_vec(logits, [cache.examples(), classes])
 }
 
@@ -417,7 +422,7 @@ fn delta_batch<M: DeltaModel, C: DeltaCache>(
     b: usize,
     dirty: &BTreeMap<usize, Vec<usize>>,
     densify_threshold: f64,
-    [cur, next]: [&mut DirtyRows; 2],
+    DeltaScratch { cur, next, dense }: &mut DeltaScratch,
     out: &mut [f32],
 ) {
     let depth = model.depth();
@@ -435,35 +440,45 @@ fn delta_batch<M: DeltaModel, C: DeltaCache>(
         next.clear();
         if let Some(cols) = dirty.get(&l) {
             // Dirty dense layer: previously-clean rows differ from golden
-            // only in `cols` (recomputed from the golden input); rows that
-            // already deviated need the full width.
-            let y_sub = model.forward_cols(l, golden_in, cols);
-            let y_dirty = (!cur.rows.is_empty()).then(|| cur.forward(model, l, golden_in));
-            let mut di = 0usize;
-            for r in 0..n {
-                let golden_row = &golden_out.data()[r * width..(r + 1) * width];
-                if cur.rows.get(di) == Some(&r) {
-                    // bdlfi-lint: allow(BD010) -- invariant: a row listed in `rows` was recomputed by the branch above
-                    let y = y_dirty.as_ref().expect("dirty rows imply a recompute");
-                    let row = &y.data()[di * width..(di + 1) * width];
-                    di += 1;
-                    if !bits_eq(row, golden_row) {
-                        next.rows.push(r);
-                        next.acts.extend_from_slice(row);
-                    }
-                } else {
-                    let sub_row = &y_sub.data()[r * cols.len()..(r + 1) * cols.len()];
-                    let changed = cols
-                        .iter()
-                        .zip(sub_row)
-                        .any(|(&c, v)| v.to_bits() != golden_row[c].to_bits());
-                    if changed {
-                        next.rows.push(r);
-                        let base = next.acts.len();
-                        next.acts.extend_from_slice(golden_row);
-                        for (&c, &v) in cols.iter().zip(sub_row) {
-                            next.acts[base + c] = v;
+            // only in `cols`, so their faulty output is the golden output
+            // with those columns recomputed from the golden input.
+            dense.clone_from(golden_out);
+            model.forward_cols(l, golden_in, cols, dense.data_mut());
+            let changed = |r: usize| {
+                let base = r * width;
+                cols.iter().any(|&c| {
+                    dense.data()[base + c].to_bits() != golden_out.data()[base + c].to_bits()
+                })
+            };
+            if cur.rows.is_empty() {
+                // No row deviates yet: `dense` is this layer's whole
+                // faulty output. Past the threshold it is the densified
+                // boundary as it stands; otherwise gather the rows that
+                // changed.
+                next.rows.extend((0..n).filter(|&r| changed(r)));
+                if next.rows.len() as f64 > densify_threshold * n as f64 {
+                    out.copy_from_slice(model.forward_from(l + 1, dense).data());
+                    return;
+                }
+                for &r in &next.rows {
+                    next.acts
+                        .extend_from_slice(&dense.data()[r * width..(r + 1) * width]);
+                }
+            } else {
+                // Rows that already deviated need the full width.
+                let y = cur.forward(model, l, golden_in);
+                let mut dirty_rows = cur.rows.iter().zip(y.data().chunks_exact(width)).peekable();
+                for r in 0..n {
+                    let golden_row = &golden_out.data()[r * width..(r + 1) * width];
+                    if let Some((_, row)) = dirty_rows.next_if(|&(&dr, _)| dr == r) {
+                        if !bits_eq(row, golden_row) {
+                            next.rows.push(r);
+                            next.acts.extend_from_slice(row);
                         }
+                    } else if changed(r) {
+                        next.rows.push(r);
+                        next.acts
+                            .extend_from_slice(&dense.data()[r * width..(r + 1) * width]);
                     }
                 }
             }
@@ -484,9 +499,9 @@ fn delta_batch<M: DeltaModel, C: DeltaCache>(
         if cur.rows.len() as f64 > densify_threshold * n as f64 {
             // Support grew too wide for per-row tracking: scatter into the
             // golden boundary and finish with one dense suffix pass.
-            let mut full = golden_out.clone();
-            cur.scatter_into(full.data_mut(), width);
-            out.copy_from_slice(model.forward_from(l + 1, &full).data());
+            dense.clone_from(golden_out);
+            cur.scatter_into(dense.data_mut(), width);
+            out.copy_from_slice(model.forward_from(l + 1, dense).data());
             return;
         }
     }
@@ -531,40 +546,159 @@ mod tests {
         ] {
             let cfg = flip_cfg(path, element, bit);
             cfg.apply(&mut m);
-            let delta = forward_delta_f32(&mut m, &cache, &cfg, DENSIFY_THRESHOLD)
-                .expect("weight/bias flips are column-confined");
             let cold = predict_all(&mut m, &x, 16);
+            for t in THRESHOLDS {
+                let delta = forward_delta_f32(&mut m, &cache, &cfg, t)
+                    .expect("weight/bias flips are column-confined");
+                assert_eq!(
+                    bits(&delta),
+                    bits(&cold),
+                    "{path}[{element}] bit {bit} at {t}"
+                );
+            }
             cfg.apply(&mut m);
-            assert_eq!(bits(&delta), bits(&cold), "{path}[{element}] bit {bit}");
         }
     }
 
+    /// Which way the delta loop goes at a dirty dense layer.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Branch {
+        /// No row deviated yet and the recomputed boundary densifies.
+        OnePassDense,
+        /// No row deviated yet and only the changed rows are gathered.
+        OnePassGather,
+        /// Rows already deviate when the dirty layer is reached.
+        Deviating,
+    }
+
+    /// Records the branches the delta loop takes on batch `b` at
+    /// threshold `t`, replayed from a dense forward of the faulted model:
+    /// the rows the loop tracks at a boundary are exactly those whose
+    /// faulty activation differs bitwise from the golden one.
+    fn record_branches<M: DeltaModel, C: DeltaCache>(
+        model: &mut M,
+        cache: &C,
+        b: usize,
+        dirty: &BTreeMap<usize, Vec<usize>>,
+        t: f64,
+        seen: &mut std::collections::BTreeSet<Branch>,
+    ) {
+        let mut x = cache.boundary(b, 0).clone();
+        let n = x.dim(0);
+        let mut deviating = 0;
+        for l in 0..model.depth() {
+            x = model.forward_one(l, &x);
+            let golden = cache.boundary(b, l + 1);
+            let width = golden.len() / n;
+            let now = x
+                .data()
+                .chunks_exact(width)
+                .zip(golden.data().chunks_exact(width))
+                .filter(|(row, golden_row)| !bits_eq(row, golden_row))
+                .count();
+            let densify = now as f64 > t * n as f64;
+            if dirty.contains_key(&l) {
+                seen.insert(match (deviating, densify) {
+                    (0, true) => Branch::OnePassDense,
+                    (0, false) => Branch::OnePassGather,
+                    _ => Branch::Deviating,
+                });
+            }
+            if densify {
+                return;
+            }
+            deviating = now;
+        }
+    }
+
+    const THRESHOLDS: [f64; 4] = [0.0, 0.5, DENSIFY_THRESHOLD, 1.0];
+
+    /// A batch of 30 two-feature rows whose first feature is exactly zero
+    /// in every other row, so a fault on a first-feature weight changes
+    /// half of each 8-row batch (the other half multiplies it by zero).
+    fn half_zero_inputs(rng: &mut StdRng) -> Tensor {
+        let mut x = Tensor::rand_normal([30, 2], 0.0, 1.0, rng);
+        for row in x.data_mut().chunks_exact_mut(2).step_by(2) {
+            row[0] = 0.0;
+        }
+        x
+    }
+
+    /// Configurations that drive the loop down each branch: a fault on
+    /// half the rows (gathered at a threshold of 0.5 or more, densified
+    /// below), a fault on every row, half the rows meeting a second dirty
+    /// layer with rows already deviating, and a multi-site mix. `bits`
+    /// are the flipped bits of the four, the mix taking two.
+    fn branch_configs(bits: [u8; 5]) -> Vec<FaultConfig> {
+        let [half_bit, every_bit, late_bit, mix_a, mix_b] = bits;
+        let half = flip_cfg("fc1.weight", 3, half_bit);
+        let mut late = half.clone();
+        late.set_mask(
+            "fc3.weight",
+            FaultMask::from_entries(vec![(7, 1 << late_bit)]),
+        );
+        let mut mix = FaultConfig::clean();
+        mix.set_mask(
+            "fc1.weight",
+            FaultMask::from_entries(vec![(3, 1 << mix_a), (17, 1 << mix_b)]),
+        );
+        mix.set_mask("fc2.bias", FaultMask::from_entries(vec![(5, 1 << 23)]));
+        vec![half, flip_cfg("fc1.bias", 5, every_bit), late, mix]
+    }
+
     #[test]
-    fn multi_layer_configs_and_low_threshold_densify_exactly() {
+    fn every_densify_branch_is_exact_at_every_threshold() {
+        use bdlfi_quant::{quantize_model, CalibConfig};
+        let all = [
+            Branch::OnePassDense,
+            Branch::OnePassGather,
+            Branch::Deviating,
+        ];
         let mut rng = StdRng::seed_from_u64(1);
         let mut m = mlp(2, &[12, 12], 3, &mut rng);
-        let x = Tensor::rand_normal([30, 2], 0.0, 1.0, &mut rng);
+        let x = half_zero_inputs(&mut rng);
         let cache = PrefixCache::build(&mut m, &x, 8);
-
-        let mut cfg = FaultConfig::clean();
-        let mut w1 = FaultMask::empty();
-        w1.push_bit(3, 25);
-        w1.push_bit(17, 21);
-        cfg.set_mask("fc1.weight", w1);
-        let mut b2 = FaultMask::empty();
-        b2.push_bit(5, 23);
-        cfg.set_mask("fc2.bias", b2);
-
-        cfg.apply(&mut m);
-        let cold = predict_all(&mut m, &x, 8);
-        // Threshold 0.0 forces densification at the first boundary; both
-        // must still be bit-identical to the dense run.
-        for threshold in [DENSIFY_THRESHOLD, 0.0] {
-            let delta =
-                forward_delta_f32(&mut m, &cache, &cfg, threshold).expect("column-confined config");
-            assert_eq!(bits(&delta), bits(&cold), "threshold {threshold}");
+        let mut seen = std::collections::BTreeSet::new();
+        for cfg in branch_configs([30, 30, 25, 25, 21]) {
+            cfg.apply(&mut m);
+            let cold = predict_all(&mut m, &x, 8);
+            let dirty = plan_f32(&m, &cfg).expect("column-confined config");
+            for t in THRESHOLDS {
+                let delta = forward_delta_f32(&mut m, &cache, &cfg, t).expect("confined");
+                assert_eq!(bits(&delta), bits(&cold), "f32 {cfg:?} at threshold {t}");
+                for b in 0..cache.num_batches() {
+                    record_branches(&mut F32Substrate(&mut m), &cache, b, &dirty, t, &mut seen);
+                }
+            }
+            cfg.apply(&mut m);
         }
-        cfg.apply(&mut m);
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), all, "f32 branches");
+
+        let calib = Tensor::rand_normal([32, 2], 0.0, 1.0, &mut rng);
+        let mut qm = quantize_model(&m, &calib, &CalibConfig::default());
+        let cache = QPrefixCache::build(&mut qm, &x, 8);
+        let mut seen = std::collections::BTreeSet::new();
+        for cfg in branch_configs([6, 20, 5, 5, 3]) {
+            qm.apply(&cfg);
+            let cold = qm.predict_all(&x, 8);
+            let dirty = plan_quant(&qm, &cfg).expect("column-confined config");
+            for t in THRESHOLDS {
+                let delta = forward_delta_quant(&mut qm, &cache, &cfg, t).expect("confined");
+                assert_eq!(bits(&delta), bits(&cold), "int8 {cfg:?} at threshold {t}");
+                for b in 0..cache.num_batches() {
+                    record_branches(
+                        &mut QuantSubstrate(&mut qm),
+                        &cache,
+                        b,
+                        &dirty,
+                        t,
+                        &mut seen,
+                    );
+                }
+            }
+            qm.apply(&cfg);
+        }
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), all, "int8 branches");
     }
 
     #[test]
@@ -639,11 +773,17 @@ mod tests {
         ] {
             let cfg = flip_cfg(path, element, bit);
             qm.apply(&cfg);
-            let delta = forward_delta_quant(&mut qm, &cache, &cfg, DENSIFY_THRESHOLD)
-                .expect("weight-byte/bias-word/w-scale faults are column-confined");
             let cold = qm.predict_all(&x, 8);
+            for t in THRESHOLDS {
+                let delta = forward_delta_quant(&mut qm, &cache, &cfg, t)
+                    .expect("weight-byte/bias-word/w-scale faults are column-confined");
+                assert_eq!(
+                    bits(&delta),
+                    bits(&cold),
+                    "{path}[{element}] bit {bit} at {t}"
+                );
+            }
             qm.apply(&cfg);
-            assert_eq!(bits(&delta), bits(&cold), "{path}[{element}] bit {bit}");
         }
     }
 

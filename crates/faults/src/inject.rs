@@ -8,7 +8,7 @@
 use crate::mask::FaultMask;
 use crate::model::FaultModel;
 use crate::site::{ParamSite, ResolvedSites};
-use bdlfi_nn::{Layer, Sequential};
+use bdlfi_nn::Sequential;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -101,30 +101,33 @@ impl FaultConfig {
     ///
     /// Returns `None` if the model defines no density.
     pub fn log_prob(&self, sites: &[ParamSite], model: &dyn FaultModel) -> Option<f64> {
+        // MCMC kernels evaluate this several times per step: borrow each
+        // site's mask rather than cloning it as `mask` does.
+        let clean = FaultMask::empty();
         let mut total = 0.0f64;
         for site in sites {
-            let mask = self.mask(&site.path);
-            total += model.log_prob_for(&mask, site.len, site.repr)?;
+            let mask = self.masks.get(&site.path).unwrap_or(&clean);
+            total += model.log_prob_for(mask, site.len, site.repr)?;
         }
         Some(total)
     }
 
     /// XORs the configuration into the model's parameters. Calling it a
-    /// second time undoes the injection exactly.
+    /// second time undoes the injection exactly. Masks at paths that name
+    /// no parameter are ignored.
+    ///
+    /// Each mask reaches its parameter by its own path
+    /// ([`Sequential::with_param_mut`]), so an evaluation, which applies
+    /// its configuration twice, walks no other parameter and builds no
+    /// paths.
     ///
     /// # Panics
     ///
     /// Panics if a mask indexes beyond its parameter.
     pub fn apply(&self, model: &mut Sequential) {
-        if self.masks.is_empty() {
-            return;
+        for (path, mask) in &self.masks {
+            model.with_param_mut(path, &mut |p| mask.apply(&mut p.value));
         }
-        let masks = &self.masks;
-        model.visit_params_mut("", &mut |path, p| {
-            if let Some(mask) = masks.get(path) {
-                mask.apply(&mut p.value);
-            }
-        });
     }
 
     /// Runs `f` with the faults applied, guaranteeing the model is restored
@@ -167,19 +170,36 @@ mod tests {
 
     #[test]
     fn apply_twice_restores_weights() {
-        let mut m = model();
-        let sites = resolve_sites(&m, &SiteSpec::AllParams);
+        // The MLP's dense layers and a ResNet's nested block parameters
+        // (`layer1_0.conv1.weight`, batch-norm running statistics, …).
         let mut rng = StdRng::seed_from_u64(1);
-        let cfg = FaultConfig::sample(&sites.params, &BernoulliBitFlip::new(0.05), &mut rng);
-        assert!(!cfg.is_clean());
+        let resnet = bdlfi_nn::resnet18(
+            bdlfi_nn::ResNetConfig {
+                in_channels: 1,
+                base_width: 2,
+                classes: 3,
+            },
+            &mut rng,
+        );
+        for mut m in [model(), resnet] {
+            let sites = resolve_sites(&m, &SiteSpec::AllParams);
+            let cfg = FaultConfig::sample(&sites.params, &BernoulliBitFlip::new(0.05), &mut rng);
+            assert!(!cfg.is_clean());
 
-        let golden = bdlfi_nn::serialize::export_weights(&m);
-        cfg.apply(&mut m);
-        let faulty = bdlfi_nn::serialize::export_weights(&m);
-        assert_ne!(golden.params, faulty.params);
-        cfg.apply(&mut m);
-        let restored = bdlfi_nn::serialize::export_weights(&m);
-        assert_eq!(golden.params, restored.params);
+            let golden = bdlfi_nn::serialize::export_weights(&m);
+            cfg.apply(&mut m);
+            let faulty = bdlfi_nn::serialize::export_weights(&m);
+            // Exactly the masked parameters changed: each mask reached its
+            // own parameter and no other.
+            for (path, value) in &golden.params {
+                let masked = cfg.masks().any(|(p, _)| p == path);
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(value) != bits(&faulty.params[path]), masked, "{path}");
+            }
+            cfg.apply(&mut m);
+            let restored = bdlfi_nn::serialize::export_weights(&m);
+            assert_eq!(golden.params, restored.params);
+        }
     }
 
     #[test]

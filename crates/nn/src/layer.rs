@@ -141,6 +141,24 @@ pub trait Layer: Send + Sync {
         let _ = (path, f);
     }
 
+    /// Runs `f` on the parameter at the dotted `path` relative to this
+    /// layer (`"weight"`, `"conv1.bias"`, …); returns whether the path
+    /// named one.
+    ///
+    /// The default walks [`Layer::visit_params_mut`]; layers on the fault
+    /// injection hot path override it with a direct lookup that builds no
+    /// path strings.
+    fn with_param_mut(&mut self, path: &str, f: &mut dyn FnMut(&mut Param)) -> bool {
+        let mut found = false;
+        self.visit_params_mut("", &mut |p, param| {
+            if p == path {
+                found = true;
+                f(param);
+            }
+        });
+        found
+    }
+
     /// Clones the layer into a boxed trait object.
     fn clone_box(&self) -> Box<dyn Layer>;
 

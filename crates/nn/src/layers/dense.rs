@@ -69,23 +69,26 @@ impl Dense {
         &self.bias.value
     }
 
-    /// Recomputes only the output columns `cols` of `y = x · W + b`,
-    /// returning an `(n, cols.len())` tensor whose column `c` is
-    /// bit-identical to column `cols[c]` of a full [`Layer::forward`] on
-    /// the same input.
+    /// Recomputes only the output columns `cols` of `y = x · W + b` into
+    /// `out`, a row-major `(n, out_dim)` buffer: entry `(i, c)` for every
+    /// `c` in `cols` becomes bit-identical to the same entry of a full
+    /// [`Layer::forward`] on the same input, and every other entry is left
+    /// as it was.
     ///
     /// This is the sparse-delta evaluator's building block: a fault
     /// confined to weight column `j` (or bias element `j`) perturbs only
     /// output column `j`, so the faulty layer output is the golden output
-    /// with the touched columns recomputed. Bit-identity holds because the
-    /// blocked GEMM reduces every output element over `k` in a fixed order
-    /// that does not depend on which rows or columns share a call.
+    /// with the touched columns recomputed — the evaluator hands in a copy
+    /// of the golden output and gets the faulty one back. Bit-identity
+    /// holds because the blocked GEMM reduces every output element over
+    /// `k` in a fixed order that does not depend on which rows or columns
+    /// share a call.
     ///
     /// # Panics
     ///
-    /// Panics if the input width mismatches or a column index is out of
-    /// range.
-    pub fn forward_cols(&self, input: &Tensor, cols: &[usize]) -> Tensor {
+    /// Panics if the input width mismatches, a column index is out of
+    /// range, or `out` does not hold `n · out_dim` values.
+    pub fn forward_cols(&self, input: &Tensor, cols: &[usize], out: &mut [f32]) {
         assert_eq!(input.rank(), 2, "dense expects a (batch, features) input");
         let (in_dim, out_dim) = (self.in_dim(), self.out_dim());
         assert_eq!(input.dim(1), in_dim, "dense input width mismatch");
@@ -94,26 +97,27 @@ impl Dense {
             "column index out of range"
         );
         let (n, m) = (input.dim(0), cols.len());
-        let mut out = vec![0.0f32; n * m];
-        if m > 0 {
-            // The column subset is gathered into a pooled buffer: the
-            // sparse-delta path calls this once per dirty layer and batch.
-            let mut wsub = scratch::take(in_dim * m);
-            let w = self.weight.value.data();
-            for (dst, row) in wsub.chunks_exact_mut(m).zip(w.chunks_exact(out_dim)) {
-                for (d, &c) in dst.iter_mut().zip(cols) {
-                    *d = row[c];
-                }
-            }
-            gemm(n, m, in_dim, input.data(), &wsub, &mut out);
-            let b = self.bias.value.data();
-            for row in out.chunks_exact_mut(m) {
-                for (x, &c) in row.iter_mut().zip(cols) {
-                    *x += b[c];
-                }
+        assert_eq!(out.len(), n * out_dim, "dense output buffer size mismatch");
+        if m == 0 {
+            return;
+        }
+        // The column subset and its product live in pooled buffers: the
+        // sparse-delta path calls this once per dirty layer and batch.
+        let mut wsub = scratch::take(in_dim * m);
+        let w = self.weight.value.data();
+        for (dst, row) in wsub.chunks_exact_mut(m).zip(w.chunks_exact(out_dim)) {
+            for (d, &c) in dst.iter_mut().zip(cols) {
+                *d = row[c];
             }
         }
-        Tensor::from_vec(out, [n, m])
+        let mut sub = scratch::take(n * m);
+        gemm(n, m, in_dim, input.data(), &wsub, &mut sub);
+        let b = self.bias.value.data();
+        for (dst, row) in out.chunks_exact_mut(out_dim).zip(sub.chunks_exact(m)) {
+            for (&x, &c) in row.iter().zip(cols) {
+                dst[c] = x + b[c];
+            }
+        }
     }
 }
 
@@ -159,6 +163,15 @@ impl Layer for Dense {
     fn visit_params_mut(&mut self, path: &str, f: &mut dyn FnMut(&str, &mut Param)) {
         f(&join_path(path, "weight"), &mut self.weight);
         f(&join_path(path, "bias"), &mut self.bias);
+    }
+
+    fn with_param_mut(&mut self, path: &str, f: &mut dyn FnMut(&mut Param)) -> bool {
+        match path {
+            "weight" => f(&mut self.weight),
+            "bias" => f(&mut self.bias),
+            _ => return false,
+        }
+        true
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -273,16 +286,28 @@ mod tests {
         let mut d = Dense::new(33, 70, &mut rng);
         let x = Tensor::rand_normal([19, 33], 0.0, 1.0, &mut rng);
         let full = d.forward(&x, &mut ForwardCtx::new(Mode::Eval));
-        for cols in [vec![0usize], vec![69], vec![3, 17, 64], (0..70).collect()] {
-            let sub = d.forward_cols(&x, &cols);
-            assert_eq!(sub.dims(), &[19, cols.len()]);
+        for cols in [
+            vec![],
+            vec![0usize],
+            vec![69],
+            vec![3, 17, 64],
+            (0..70).collect(),
+        ] {
+            // A NaN canvas shows which entries were written.
+            let mut out = vec![f32::NAN; 19 * 70];
+            d.forward_cols(&x, &cols, &mut out);
             for i in 0..19 {
-                for (c, &col) in cols.iter().enumerate() {
-                    assert_eq!(
-                        sub.data()[i * cols.len() + c].to_bits(),
-                        full.data()[i * 70 + col].to_bits(),
-                        "row {i} col {col}"
-                    );
+                for col in 0..70 {
+                    let got = out[i * 70 + col].to_bits();
+                    if cols.contains(&col) {
+                        assert_eq!(
+                            got,
+                            full.data()[i * 70 + col].to_bits(),
+                            "row {i} col {col}"
+                        );
+                    } else {
+                        assert_eq!(got, f32::NAN.to_bits(), "row {i} col {col} was written");
+                    }
                 }
             }
         }

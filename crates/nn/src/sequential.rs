@@ -222,16 +222,17 @@ impl Sequential {
     }
 
     /// Runs `f` on the parameter at `path`, if present; returns whether the
-    /// path matched.
+    /// path matched. The first path component picks the top-level layer and
+    /// that layer resolves the rest ([`Layer::with_param_mut`]), so no
+    /// other parameter is visited.
     pub fn with_param_mut(&mut self, path: &str, f: &mut dyn FnMut(&mut Param)) -> bool {
-        let mut found = false;
-        self.visit_params_mut("", &mut |p, param| {
-            if p == path {
-                found = true;
-                f(param);
-            }
-        });
-        found
+        let Some((head, rest)) = path.split_once('.') else {
+            return false;
+        };
+        self.layers
+            .iter_mut()
+            .find(|(name, _)| name == head)
+            .is_some_and(|(_, layer)| layer.with_param_mut(rest, f))
     }
 
     /// Clones the value tensor of the parameter at `path`, if present.
@@ -281,6 +282,10 @@ impl Layer for Sequential {
                 layer.visit_params_mut(&join_path(path, name), f);
             }
         }
+    }
+
+    fn with_param_mut(&mut self, path: &str, f: &mut dyn FnMut(&mut Param)) -> bool {
+        Sequential::with_param_mut(self, path, f)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

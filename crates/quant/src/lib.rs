@@ -35,5 +35,5 @@ pub use model::{quantize_model, CalibConfig, QPrefixCache, QuantModel};
 pub use observer::{Observer, ObserverKind};
 pub use qops::{quantize_weights, quantize_weights_grouped, QBlock, QConv, QDense, QOp, QSlice};
 pub use qparams::{
-    dequant_acc, requant_channel_into, requant_rows_into, QParams, Requant, QMAX, QMIN, WMAX,
+    dequant_acc, requant_channel_into, requant_rows, QParams, Requant, QMAX, QMIN, WMAX,
 };

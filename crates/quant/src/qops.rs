@@ -23,7 +23,7 @@
 //! time: a fault flipping a weight byte or scale must change the
 //! correction exactly as real hardware reading the faulted value would.
 
-use crate::qparams::{requant_channel_into, requant_rows_into, QParams, Requant, WMAX};
+use crate::qparams::{requant_channel_into, requant_rows, QParams, Requant, WMAX};
 use bdlfi_faults::Repr;
 use bdlfi_nn::layers::{BatchNorm2d, Conv2d, Dense};
 use bdlfi_nn::Layer;
@@ -206,8 +206,8 @@ impl QDense {
         for ((corr, &b), &cs) in corrs.iter_mut().zip(self.bias.data()).zip(colsum.iter()) {
             *corr = b as i64 - zp_in * cs as i64;
         }
-        let mut y = Vec::with_capacity(n * out);
-        requant_rows_into(
+        let mut y = vec![0.0; n * out];
+        requant_rows(
             &acc,
             out,
             &rqs,
@@ -225,9 +225,10 @@ impl QDense {
     }
 
     /// Recomputes only the output columns `cols` of the integer forward
-    /// pass, returning an `(n, cols.len())` tensor whose column `c` is
-    /// bit-identical to column `cols[c]` of [`QDense::forward`] on the same
-    /// input — the int8 twin of `Dense::forward_cols`.
+    /// pass into `out`, a row-major `(n, out_dim)` buffer: entry `(i, c)`
+    /// for every `c` in `cols` becomes bit-identical to the same entry of
+    /// [`QDense::forward`] on the same input, and every other entry is left
+    /// as it was — the int8 twin of `Dense::forward_cols`.
     ///
     /// Exactness is structural here: integer accumulation is associative,
     /// the zero-point column sum, bias, weight scale and requantizer are
@@ -239,23 +240,27 @@ impl QDense {
     ///
     /// # Panics
     ///
-    /// Panics if the input width mismatches or a column index is out of
-    /// range.
-    pub fn forward_cols(&self, input: &Tensor, cols: &[usize]) -> Tensor {
+    /// Panics if the input width mismatches, a column index is out of
+    /// range, or `out` does not hold `n · out_dim` values.
+    pub fn forward_cols(&self, input: &Tensor, cols: &[usize], out: &mut [f32]) {
         let n = input.dim(0);
         let k = self.weight.dim(0);
-        let out = self.weight.dim(1);
+        let width = self.weight.dim(1);
         assert_eq!(input.dim(1), k, "qdense input width mismatch");
-        assert!(cols.iter().all(|&c| c < out), "column index out of range");
+        assert!(cols.iter().all(|&c| c < width), "column index out of range");
+        assert_eq!(out.len(), n * width, "qdense output buffer size mismatch");
+        let m = cols.len();
+        if m == 0 {
+            return;
+        }
 
         let mut qx = scratch::take::<i8>(n * k);
         self.in_qp.quantize_slice_to(input.data(), &mut qx);
-        let m = cols.len();
         let mut wsub = scratch::take::<i8>(k * m);
         let mut colsum = scratch::take::<i32>(m);
         for (dst, row) in wsub
-            .chunks_exact_mut(m.max(1))
-            .zip(self.weight.data().chunks_exact(out))
+            .chunks_exact_mut(m)
+            .zip(self.weight.data().chunks_exact(width))
         {
             for ((d, cs), &c) in dst.iter_mut().zip(colsum.iter_mut()).zip(cols) {
                 *d = row[c];
@@ -278,17 +283,21 @@ impl QDense {
         for ((corr, &c), &cs) in corrs.iter_mut().zip(cols).zip(colsum.iter()) {
             *corr = self.bias.data()[c] as i64 - zp_in * cs as i64;
         }
-        let mut y = Vec::with_capacity(n * m);
-        requant_rows_into(
+        let mut sub = scratch::take::<f32>(n * m);
+        requant_rows(
             &acc,
             m,
             &rqs,
             &corrs,
             self.out_qp.zero_point,
             self.out_qp.scale,
-            &mut y,
+            &mut sub,
         );
-        Tensor::from_vec(y, [n, m])
+        for (dst, row) in out.chunks_exact_mut(width).zip(sub.chunks_exact(m)) {
+            for (&y, &c) in row.iter().zip(cols) {
+                dst[c] = y;
+            }
+        }
     }
 
     fn visit_sites(&self, path: &str, f: &mut dyn FnMut(&str, Repr, usize)) {
@@ -823,17 +832,19 @@ mod tests {
         assert!(changed[2], "the faulted column must actually change");
         assert_eq!(&changed[..2], &[false, false], "fault leaked to column");
         assert!(!changed[3], "fault leaked to column 3");
-        // And forward_cols stays bit-identical per column under the fault.
-        let sub = qd.forward_cols(&x, &[1, 2]);
+        // And forward_cols stays bit-identical per column under the fault,
+        // writing only the requested columns of the golden copy.
+        let mut patched = golden.clone();
+        qd.forward_cols(&x, &[1, 2], patched.data_mut());
         for i in 0..5 {
-            assert_eq!(
-                sub.data()[i * 2].to_bits(),
-                faulted.data()[i * 4 + 1].to_bits()
-            );
-            assert_eq!(
-                sub.data()[i * 2 + 1].to_bits(),
-                faulted.data()[i * 4 + 2].to_bits()
-            );
+            for j in 0..4 {
+                let want = if j == 1 || j == 2 { &faulted } else { &golden };
+                assert_eq!(
+                    patched.data()[i * 4 + j].to_bits(),
+                    want.data()[i * 4 + j].to_bits(),
+                    "row {i} col {j}"
+                );
+            }
         }
     }
 

@@ -345,33 +345,30 @@ pub fn dequant_acc(requant: &Requant, a: i64, zp_out: i32, out_scale: f32) -> f3
 /// Batched requantization of a row-major `(rows, width)` accumulator block
 /// with **per-output-channel** multipliers: column `j` is corrected by
 /// `corrs[j]` (bias minus zero-point column sum, precomputed once per
-/// pass) and requantized through `rqs[j]`. Appends `rows · width` f32
-/// boundary values to `out`.
+/// pass) and requantized through `rqs[j]`. Writes the `rows · width` f32
+/// boundary values to `dst`, in the accumulator's layout.
 ///
-/// This is the one requant loop `QDense::forward`, the sparse-delta
-/// `QDense::forward_cols` and the calibration sweep all share: per-column
-/// faults on a weight scale stay confined to their column precisely
-/// because nothing here mixes columns.
+/// This is the one requant loop `QDense::forward` and the sparse-delta
+/// `QDense::forward_cols` share: per-column faults on a weight scale stay
+/// confined to their column precisely because nothing here mixes columns.
 ///
 /// # Panics
 ///
-/// Panics if `acc.len()` is not a multiple of `width`, or `rqs`/`corrs`
-/// are shorter than `width`.
-pub fn requant_rows_into(
+/// Panics if `acc.len()` is not a multiple of `width`, `dst` is not as
+/// long as `acc`, or `rqs`/`corrs` are shorter than `width`.
+pub fn requant_rows(
     acc: &[i32],
     width: usize,
     rqs: &[Requant],
     corrs: &[i64],
     zp_out: i32,
     out_scale: f32,
-    out: &mut Vec<f32>,
+    dst: &mut [f32],
 ) {
     assert_eq!(acc.len() % width.max(1), 0, "accumulator not row-aligned");
+    assert_eq!(dst.len(), acc.len(), "requant output length mismatch");
     let rqs = &rqs[..width];
     let corrs = &corrs[..width];
-    let start = out.len();
-    out.resize(start + acc.len(), 0.0);
-    let dst = &mut out[start..];
     #[cfg(target_arch = "x86_64")]
     if width >= 4
         && rqs
@@ -764,8 +761,8 @@ mod tests {
         ];
         let corrs = [5i64, -17, 0];
         let acc: Vec<i32> = (0..12).map(|i| i * 7919 - 40000).collect();
-        let mut got = Vec::new();
-        requant_rows_into(&acc, 3, &rqs, &corrs, -3, 0.05, &mut got);
+        let mut got = vec![0.0; acc.len()];
+        requant_rows(&acc, 3, &rqs, &corrs, -3, 0.05, &mut got);
         let mut want = Vec::new();
         for row in acc.chunks_exact(3) {
             for j in 0..3 {
@@ -776,8 +773,8 @@ mod tests {
         // The channel-major helper agrees with the row helper at width 1.
         let mut ch = Vec::new();
         requant_channel_into(&acc, &rqs[1], corrs[1], -3, 0.05, &mut ch);
-        let mut ref1 = Vec::new();
-        requant_rows_into(&acc, 1, &rqs[1..2], &corrs[1..2], -3, 0.05, &mut ref1);
+        let mut ref1 = vec![0.0; acc.len()];
+        requant_rows(&acc, 1, &rqs[1..2], &corrs[1..2], -3, 0.05, &mut ref1);
         assert_eq!(ch, ref1);
     }
 

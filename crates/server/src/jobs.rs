@@ -21,7 +21,9 @@
 //! Everything in this module runs on request or runner paths: no panics,
 //! poisoned locks are taken over with [`PoisonError::into_inner`].
 
-use crate::spec::{build_workload, check_layers, job_fingerprint, DriverSpec, JobSpec, SpecError};
+use crate::spec::{
+    build_workload, check_buildable, job_fingerprint, DriverSpec, JobSpec, SpecError,
+};
 use bdlfi::{
     run_campaign, run_campaign_adaptive, run_campaign_shard, run_layerwise, run_layerwise_shard,
     run_sweep, run_sweep_shard, CampaignConfig, CheckpointSpec, EngineError, GoldenModel,
@@ -391,14 +393,9 @@ impl Registry {
     /// meaning client fault.
     pub fn submit(&self, spec: JobSpec) -> Result<Arc<JobState>, (bool, String)> {
         spec.validate().map_err(|e| (true, e.to_string()))?;
-        // Building the workload is repeated by the runner (each attempt
-        // rebuilds it), but site emptiness must fail the *submit*, so
-        // probe it here once.
-        let probe = build_workload(&spec.scenario).map_err(|e| (true, e.to_string()))?;
-        if let DriverSpec::Layerwise { layers, .. } = &spec.driver {
-            check_layers(&probe, layers).map_err(|e| (true, e.to_string()))?;
-        }
-        drop(probe);
+        // Site emptiness must fail the *submit*, so probe it here on an
+        // untrained build; the runner builds (and trains) its own.
+        check_buildable(&spec).map_err(|e| (true, e.to_string()))?;
         let id = format!("job-{:06}", self.next.fetch_add(1, Ordering::Relaxed));
         let text = serde_json::to_string(&spec.to_json_value())
             .map_err(|e| (false, format!("cannot serialize spec: {e}")))?;

@@ -524,6 +524,30 @@ pub fn check_layers(w: &Workload, layers: &[String]) -> Result<(), SpecError> {
     Ok(())
 }
 
+/// The submit-time check of what only a built model can tell: that the
+/// fault sites, and a layerwise job's layers, resolve to injection sites.
+/// Site paths depend only on the architecture, so the scenario is built
+/// untrained (`epochs: 0`); the runner trains its own build.
+///
+/// # Errors
+///
+/// [`SpecError`] exactly when the trained [`build_workload`] or its
+/// [`check_layers`] would fail, with the same message.
+pub(crate) fn check_buildable(spec: &JobSpec) -> Result<(), SpecError> {
+    let mut untrained = spec.scenario.clone();
+    untrained.model.epochs = 0;
+    check_built(spec, &untrained)
+}
+
+/// [`check_buildable`] on `scenario`'s build.
+fn check_built(spec: &JobSpec, scenario: &ScenarioSpec) -> Result<(), SpecError> {
+    let w = build_workload(scenario)?;
+    if let DriverSpec::Layerwise { layers, .. } = &spec.driver {
+        check_layers(&w, layers)?;
+    }
+    Ok(())
+}
+
 /// The journal fingerprint tag for a job — distinct per driver x
 /// representation, with the drivers' own `_quant` suffix
 /// ([`bdlfi::FaultWorkload::NAMESPACE`]), so no two different studies
@@ -716,6 +740,63 @@ pub(crate) mod tests {
         }
         let back = JobSpec::from_json_value(&v).unwrap();
         assert!(back.shard.is_none());
+    }
+
+    #[test]
+    fn untrained_probe_judges_specs_like_the_trained_build() {
+        let sites = [
+            SiteSpec::AllParams,
+            SiteSpec::LayerParams {
+                prefix: "fc2".to_string(),
+            },
+            SiteSpec::LayerParams {
+                prefix: "nonexistent_layer".to_string(),
+            },
+            SiteSpec::Params(vec!["fc1.weight".to_string()]),
+            SiteSpec::Params(vec!["fc1.w_scale".to_string()]),
+            SiteSpec::Params(vec!["fc9.bias".to_string()]),
+            SiteSpec::Params(vec![]),
+            SiteSpec::Activations(vec!["relu1".to_string()]),
+            SiteSpec::Activations(vec!["nope".to_string()]),
+            SiteSpec::Activations(vec![]),
+            SiteSpec::Input,
+        ];
+        let layerwise = |layers: &[&str]| DriverSpec::Layerwise {
+            layers: layers.iter().map(|l| l.to_string()).collect(),
+            budget: LayerBudget::PerBit(1e-3),
+            config: *small_spec().config(),
+        };
+        let drivers = [
+            small_spec().driver,
+            layerwise(&["fc1", "fc2"]),
+            layerwise(&["fc1", "dense7"]),
+        ];
+        let mut verdicts = std::collections::BTreeSet::new();
+        for quantized in [false, true] {
+            for hidden in [vec![8], vec![], vec![6, 4]] {
+                for site in &sites {
+                    for driver in &drivers {
+                        let mut spec = small_spec();
+                        spec.scenario.quantized = quantized;
+                        spec.scenario.model.hidden = hidden.clone();
+                        spec.scenario.sites = site.clone();
+                        spec.driver = driver.clone();
+                        let probe = check_buildable(&spec).map_err(|e| e.to_string());
+                        let trained = check_built(&spec, &spec.scenario).map_err(|e| e.to_string());
+                        assert_eq!(
+                            probe, trained,
+                            "quantized {quantized}, hidden {hidden:?}, {site:?}, {driver:?}"
+                        );
+                        verdicts.insert(probe.is_ok());
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            verdicts.len(),
+            2,
+            "the grid must hold valid and invalid specs"
+        );
     }
 
     #[test]

@@ -18,8 +18,19 @@ use std::fmt;
 /// assert_eq!(s.num_elements(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Shape(Vec<usize>);
+
+impl Clone for Shape {
+    fn clone(&self) -> Self {
+        Shape(self.0.clone())
+    }
+
+    /// Reuses `self`'s allocation, as [`Vec::clone_from`] does.
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl Shape {
     /// Creates a shape from dimension extents.

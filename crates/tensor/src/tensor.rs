@@ -19,10 +19,27 @@ use std::fmt;
 /// assert_eq!(t.at(&[1, 0]), 3.0);
 /// assert_eq!(t.sum(), 10.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            shape: self.shape.clone(),
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s existing buffers, allocating only
+    /// when they are too small: the sparse-delta evaluator refreshes one
+    /// tensor from the golden boundaries this way on every evaluation.
+    fn clone_from(&mut self, source: &Self) {
+        self.shape.clone_from(&source.shape);
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Tensor {
@@ -354,6 +371,23 @@ mod tests {
                 actual: 5
             })
         );
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffers() {
+        let big = Tensor::from_fn([4, 3], |i| (i[0] * 3 + i[1]) as f32);
+        let small = Tensor::from_vec(vec![-1.0, 2.0], [1, 2]);
+        let mut t = big.clone();
+        let ptr = t.data().as_ptr();
+        t.clone_from(&small);
+        assert_eq!(t, small);
+        assert_eq!(
+            t.data().as_ptr(),
+            ptr,
+            "a smaller source must not reallocate"
+        );
+        t.clone_from(&big);
+        assert_eq!(t, big);
     }
 
     #[test]

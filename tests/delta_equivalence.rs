@@ -8,21 +8,22 @@
 //! and quantized-MLP fixtures; and in the forced-fallback cases
 //! (conv-layer faults, quantizer zero-point faults, transient activation
 //! sites) where the planner must refuse and route through the exact
-//! incremental path. Campaign reports
-//! must stay worker-count invariant and identical with the delta path
-//! switched off.
+//! incremental path. The delta path itself must be exact at every
+//! densification threshold. Campaign reports must stay worker-count
+//! invariant and identical with the delta path switched off.
 
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    run_campaign, CampaignConfig, CampaignReport, FaultWorkload, FaultyModel, KernelChoice,
-    QuantFaultyModel, RunControl,
+    forward_delta_f32, forward_delta_quant, run_campaign, CampaignConfig, CampaignReport,
+    FaultWorkload, FaultyModel, KernelChoice, QuantFaultyModel, RunControl, DENSIFY_THRESHOLD,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, FaultConfig, FaultMask, ParamSite, Repr, SiteSpec};
 use bdlfi_suite::nn::{
-    mlp, optim::Sgd, predict_batched, resnet18, ResNetConfig, Sequential, TrainConfig, Trainer,
+    mlp, optim::Sgd, predict_batched, resnet18, PrefixCache, ResNetConfig, Sequential, TrainConfig,
+    Trainer,
 };
-use bdlfi_suite::quant::{quantize_model, CalibConfig};
+use bdlfi_suite::quant::{quantize_model, CalibConfig, QPrefixCache};
 use bdlfi_suite::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -114,10 +115,17 @@ fn random_flips_on_mlp_are_bitwise_identical() {
     );
 }
 
+/// Densification thresholds the delta path must be exact at: always
+/// densify, the boundary of half the rows, the default, and never.
+const THRESHOLDS: [f64; 4] = [0.0, 0.5, DENSIFY_THRESHOLD, 1.0];
+
 #[test]
 fn delta_and_dense_paths_match_cold_reinference() {
     let (model, eval) = trained_mlp(&[16, 12], 43);
     let mut cold_model = model.clone();
+    // 8-row batches: a batch's dirty fraction moves in steps of 1/8, so
+    // the thresholds split the random configurations between branches.
+    let prefix = PrefixCache::build(&mut cold_model, eval.inputs(), 8);
     let fm = FaultyModel::new(
         model,
         Arc::clone(&eval),
@@ -126,12 +134,17 @@ fn delta_and_dense_paths_match_cold_reinference() {
     );
     let sites = FaultWorkload::sites(&fm).params.clone();
     let mut rng = StdRng::seed_from_u64(11);
-    for round in 0..10 {
+    for round in 0..30 {
         let cfg = random_config(&sites, 1 + round % 16, &mut rng);
         let mut delta_fm = fm.clone();
         let logits = delta_fm.eval_logits(&cfg, &mut StdRng::seed_from_u64(1));
         cfg.apply(&mut cold_model);
         let cold = predict_batched(&mut cold_model, eval.inputs(), 64, &mut |_, _| {});
+        for t in THRESHOLDS {
+            let delta = forward_delta_f32(&mut cold_model, &prefix, &cfg, t)
+                .expect("dense-only sites are column-confined");
+            assert_eq!(bits(&delta), bits(&cold), "round {round}: threshold {t}");
+        }
         cfg.apply(&mut cold_model);
         assert_eq!(bits(&logits), bits(&cold), "round {round}: delta vs cold");
     }
@@ -254,15 +267,21 @@ fn random_flips_on_quant_mlp_are_bitwise_identical() {
     assert!(confined.iter().any(|s| s.repr == Repr::I8));
     assert!(confined.iter().any(|s| s.repr == Repr::I32Accum));
     assert!(confined.iter().any(|s| s.repr == Repr::F32));
+    let mut cold = qm.clone();
+    let prefix = QPrefixCache::build(&mut cold, eval.inputs(), 8);
     let mut rng = StdRng::seed_from_u64(23);
     for round in 0..30 {
         let flips = [1, 2, 4, 8, 16][round % 5];
         let cfg = random_config(&confined, flips, &mut rng);
         let mut delta_qfm = qfm.clone();
         let a = delta_qfm.eval_logits(&cfg);
-        let mut cold = qm.clone();
         cold.apply(&cfg);
         let b = cold.predict_all(eval.inputs(), 64);
+        for t in THRESHOLDS {
+            let delta = forward_delta_quant(&mut cold, &prefix, &cfg, t)
+                .expect("weight, bias and w_scale sites are column-confined");
+            assert_eq!(bits(&delta), bits(&b), "quant round {round}: threshold {t}");
+        }
         cold.apply(&cfg);
         assert_eq!(
             bits(&a),

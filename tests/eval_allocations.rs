@@ -72,12 +72,14 @@ const CONFIGS: usize = 200;
 const P: f64 = 1e-3;
 
 /// Mean allocations per evaluation each path may make: the counts this
-/// code measures, rounded up. Before the evaluation path reused its
-/// buffers they were 190.6 (f32 delta), 98.2 (f32 incremental) and
-/// 183.8 (int8 delta, then in 64-row batches).
-const F32_DELTA_MEAN: f64 = 61.0;
-const F32_INCREMENTAL_MEAN: f64 = 44.0;
-const I8_DELTA_MEAN: f64 = 19.0;
+/// code measures (24.5, 31.1 and 10.4), rounded up. Before the
+/// evaluation path reused its buffers they were 190.6 (f32 delta), 98.2
+/// (f32 incremental) and 183.8 (int8 delta, then in 64-row batches);
+/// before the delta loop kept its buffers per thread and fault
+/// application stopped building parameter paths, 60.2, 43.1 and 18.1.
+const F32_DELTA_MEAN: f64 = 25.0;
+const F32_INCREMENTAL_MEAN: f64 = 32.0;
+const I8_DELTA_MEAN: f64 = 11.0;
 
 /// Mean per-evaluation allocation count over the delta hits (or, with
 /// `need_hit` false, over every evaluation) of `configs` evaluated by

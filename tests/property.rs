@@ -7,7 +7,7 @@ use bdlfi_suite::faults::{
     BernoulliBitFlip, BitRange, FaultConfig, FaultModel, ParamSite, Repr, SiteSpec,
 };
 use bdlfi_suite::nn::{mlp, Sequential};
-use bdlfi_suite::quant::{dequant_acc, requant_rows_into, QParams, Requant};
+use bdlfi_suite::quant::{dequant_acc, requant_rows, QParams, Requant};
 use bdlfi_suite::tensor::kernels::qgemm_i8::qgemm_i8_with;
 use bdlfi_suite::tensor::kernels::Variant;
 use bdlfi_suite::tensor::Tensor;
@@ -263,8 +263,8 @@ proptest! {
         }
 
         // The batched helper is bit-identical to the per-element chain.
-        let mut batched = Vec::new();
-        requant_rows_into(&acc, width, &rqs, &corrs, zp_out, out_scale, &mut batched);
+        let mut batched = vec![0.0; acc.len()];
+        requant_rows(&acc, width, &rqs, &corrs, zp_out, out_scale, &mut batched);
         let per_element: Vec<f32> = acc
             .iter()
             .enumerate()
