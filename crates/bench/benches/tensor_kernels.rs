@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks for the tensor substrate: the kernels that
-//! dominate campaign cost (matmul, conv2d, softmax). These quantify the
-//! paper's point that BDLFI campaigns are pure inference and therefore
-//! accelerate with the platform's inference throughput.
+//! dominate campaign cost (matmul, conv2d, softmax, and the int8 steps of
+//! the paper's MLP). These quantify the paper's point that BDLFI
+//! campaigns are pure inference and therefore accelerate with the
+//! platform's inference throughput.
 
-use bdlfi_tensor::{conv2d, Conv2dSpec, Tensor};
+use bdlfi_quant::{requant_rows, QParams, Requant};
+use bdlfi_tensor::{conv2d, gemm, qgemm, Conv2dSpec, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,11 +95,66 @@ fn bench_softmax(c: &mut Criterion) {
     });
 }
 
+/// The int8 and f32 kernels of one evaluation of the paper's 2→32→3 MLP,
+/// at its shapes: the 300-row eval set and 64-row batches through both
+/// layers, and the ≤ 3-column recomputes of the sparse-delta path. The
+/// int8 ≥ f32 contract (DESIGN §15) reads as `qgemm` plus `quantize` and
+/// `requant` at one shape against `gemm` at the same shape. `C` is not
+/// reset between iterations: both GEMMs accumulate.
+fn bench_mlp_int8_vs_f32(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut group = c.benchmark_group("mlp_int8_vs_f32");
+    let shapes = [
+        (300usize, 3usize, 32usize),
+        (300, 32, 2),
+        (300, 3, 2),
+        (64, 3, 32),
+        (64, 32, 2),
+    ];
+    for (m, n, k) in shapes {
+        let id = format!("{m}x{n}x{k}");
+        let a = Tensor::rand_normal([m, k], 0.0, 1.0, &mut rng);
+        let b = Tensor::rand_normal([k, n], 0.0, 1.0, &mut rng);
+        let mut cf = vec![0.0f32; m * n];
+        group.bench_with_input(BenchmarkId::new("gemm", &id), &id, |bench, _| {
+            bench.iter(|| gemm(m, n, k, a.data(), b.data(), black_box(&mut cf)));
+        });
+        let qa: Vec<i8> = a.data().iter().map(|&x| (x * 40.0) as i8).collect();
+        let qb: Vec<i8> = b.data().iter().map(|&x| (x * 40.0) as i8).collect();
+        let mut ci = vec![0i32; m * n];
+        group.bench_with_input(BenchmarkId::new("qgemm", &id), &id, |bench, _| {
+            bench.iter(|| qgemm(m, n, k, &qa, &qb, black_box(&mut ci)));
+        });
+    }
+    let x = Tensor::rand_normal([300, 32], 0.5, 1.5, &mut rng);
+    let qp = QParams::from_range(-3.0, 6.0);
+    let mut qx = vec![0i8; x.len()];
+    group.bench_function("quantize/300x32", |bench| {
+        bench.iter(|| qp.quantize_slice_to(x.data(), black_box(&mut qx)));
+    });
+    for width in [32usize, 3] {
+        let acc: Vec<i32> = x.data()[..300 * width]
+            .iter()
+            .map(|&v| (v * 3000.0) as i32)
+            .collect();
+        let rqs: Vec<Requant> = (0..width)
+            .map(|j| Requant::from_scales(0.035, 0.004 + j as f32 * 1e-4, 0.05))
+            .collect();
+        let corrs: Vec<i64> = (0..width as i64).map(|j| 40 - 7 * j).collect();
+        let mut y = vec![0.0f32; acc.len()];
+        group.bench_function(format!("requant/300x{width}"), |bench| {
+            bench.iter(|| requant_rows(&acc, width, &rqs, &corrs, -20, 0.05, black_box(&mut y)));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_matmul,
     bench_matmul_blocked_vs_naive,
     bench_conv2d,
-    bench_softmax
+    bench_softmax,
+    bench_mlp_int8_vs_f32
 );
 criterion_main!(benches);

@@ -27,7 +27,8 @@ use crate::qparams::{requant_channel_into, requant_rows, QParams, Requant, WMAX}
 use bdlfi_faults::Repr;
 use bdlfi_nn::layers::{BatchNorm2d, Conv2d, Dense};
 use bdlfi_nn::Layer;
-use bdlfi_tensor::{qgemm, scratch, Conv2dSpec, I32Tensor, I8Tensor, Tensor};
+use bdlfi_tensor::scratch::{self, ScratchBuf};
+use bdlfi_tensor::{qgemm, Conv2dSpec, I32Tensor, I8Tensor, Tensor};
 use std::borrow::Cow;
 
 /// One mutable integer/float storage region of a quantized op, handed to
@@ -165,14 +166,16 @@ impl QDense {
         }
     }
 
-    /// Per-column requantizers, rebuilt from the (possibly faulted) scales
-    /// on every pass so a scale fault is visible exactly like hardware
-    /// reading the faulted value would see it.
-    fn requants(&self) -> Vec<Requant> {
-        self.w_scales
-            .iter()
-            .map(|&ws| Requant::from_scales(self.in_qp.scale, ws, self.out_qp.scale))
-            .collect()
+    /// The requantizers of output columns `cols`, rebuilt from the
+    /// (possibly faulted) scales on every pass so a scale fault is visible
+    /// exactly like hardware reading the faulted value would see it, into
+    /// a scratch buffer rather than a fresh allocation.
+    fn requants(&self, cols: impl ExactSizeIterator<Item = usize>) -> ScratchBuf<Requant> {
+        let mut rqs = scratch::take::<Requant>(cols.len());
+        for (rq, c) in rqs.iter_mut().zip(cols) {
+            *rq = Requant::from_scales(self.in_qp.scale, self.w_scales[c], self.out_qp.scale);
+        }
+        rqs
     }
 
     /// Integer forward pass over a `(n, in)` f32 batch.
@@ -200,7 +203,7 @@ impl QDense {
                 *cs += w as i32;
             }
         }
-        let rqs = self.requants();
+        let rqs = self.requants(0..out);
         let zp_in = self.in_qp.zero_point as i64;
         let mut corrs = scratch::take::<i64>(out);
         for ((corr, &b), &cs) in corrs.iter_mut().zip(self.bias.data()).zip(colsum.iter()) {
@@ -275,10 +278,7 @@ impl QDense {
         // as the full pass (the i32 column sum is exact either way),
         // hence bit-identical columns.
         let zp_in = self.in_qp.zero_point as i64;
-        let rqs: Vec<Requant> = cols
-            .iter()
-            .map(|&c| Requant::from_scales(self.in_qp.scale, self.w_scales[c], self.out_qp.scale))
-            .collect();
+        let rqs = self.requants(cols.iter().copied());
         let mut corrs = scratch::take::<i64>(m);
         for ((corr, &c), &cs) in corrs.iter_mut().zip(cols).zip(colsum.iter()) {
             *corr = self.bias.data()[c] as i64 - zp_in * cs as i64;

@@ -8,9 +8,11 @@
 //! rescales accumulators back to the output's int8 grid without touching
 //! floating point on the hot path.
 
-#[cfg(target_arch = "x86_64")]
-use bdlfi_tensor::scratch;
+use bdlfi_tensor::kernels::{forced_variant, Variant};
+use bdlfi_tensor::scratch::{self, Poolable};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::thread::LocalKey;
 
 /// Quantized integer range for activations (full int8).
 pub const QMIN: i32 = -128;
@@ -90,27 +92,18 @@ impl QParams {
     /// single-element path uses the same reciprocal-multiply core, so the
     /// two can never disagree. This is the hot prologue of every quantized
     /// layer — per-element it would cost more than the int8 GEMM it feeds
-    /// — so on AVX2 hosts it runs through a hand-vectorized kernel
-    /// ([`quantize_slice_avx2`]) that is bit-identical to the scalar
-    /// reference by the exactness argument in its docs.
+    /// — so under the `avx2` kernel variant (the default) it runs through
+    /// hand-vectorized kernels ([`quantize_slice_avx2`]) that are
+    /// bit-identical to the scalar reference by the exactness arguments
+    /// in their docs; `BDLFI_KERNEL=scalar|autovec` selects the reference
+    /// loop.
     ///
     /// # Panics
     ///
     /// Panics if `dst.len() != src.len()`.
     pub fn quantize_slice_to(&self, src: &[f32], dst: &mut [i8]) {
-        assert_eq!(dst.len(), src.len(), "quantize_slice_to length mismatch");
-        let inv = self.inv_scale();
         let zp = self.zero_point as i64;
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: calling a `#[target_feature(enable = "avx2")]`
-            // function is sound iff the CPU supports AVX2, which the
-            // runtime `is_x86_feature_detected!` check on the line above
-            // guarantees; the intrinsics inside index through safe slices
-            // only, so feature availability is the only proof obligation.
-            return unsafe { quantize_slice_avx2(src, inv, zp, dst) };
-        }
-        quantize_slice_reference(src, inv, zp, dst);
+        quantize_slice_with(qdq_variant(), src, self.inv_scale(), zp, dst);
     }
 
     /// Reciprocal of the scale, in f64. Degenerate (faulted) scales stay
@@ -133,8 +126,31 @@ fn quantize_one(x: f32, inv_scale: f64, zp: i64) -> i8 {
     (q.saturating_add(zp)).clamp(QMIN as i64, QMAX as i64) as i8
 }
 
+/// The kernel variant the QDQ steps run: `BDLFI_KERNEL` when it is set,
+/// else `avx2`, whose kernels take the reference loops on a CPU without
+/// AVX2 — the same fallback the int8 GEMM makes.
+fn qdq_variant() -> Variant {
+    forced_variant().unwrap_or(Variant::Avx2)
+}
+
+/// [`QParams::quantize_slice_to`] under one kernel variant: `avx2` runs
+/// [`quantize_slice_avx2`] when the CPU has AVX2, `scalar` and `autovec`
+/// the reference loop.
+fn quantize_slice_with(variant: Variant, src: &[f32], inv_scale: f64, zp: i64, dst: &mut [i8]) {
+    assert_eq!(dst.len(), src.len(), "quantize_slice_to length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if variant == Variant::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: calling a `#[target_feature(enable = "avx2")]` function
+        // is sound iff the CPU supports AVX2, which the runtime
+        // `is_x86_feature_detected!` check on the line above guarantees;
+        // the intrinsics inside read and write fixed-size arrays only.
+        return unsafe { quantize_slice_avx2(src, inv_scale, zp, dst) };
+    }
+    quantize_slice_reference(src, inv_scale, zp, dst);
+}
+
 /// Scalar reference loop for [`QParams::quantize_slice_to`]; the oracle
-/// the AVX2 kernel below is checked against.
+/// the AVX2 kernels below are checked against.
 #[inline(always)]
 fn quantize_slice_reference(src: &[f32], inv_scale: f64, zp: i64, dst: &mut [i8]) {
     for (d, &x) in dst.iter_mut().zip(src) {
@@ -142,7 +158,131 @@ fn quantize_slice_reference(src: &[f32], inv_scale: f64, zp: i64, dst: &mut [i8]
     }
 }
 
-/// Per-lane constants for the vectorized quantizer, built once per slice.
+/// Activations per block of the vectorized quantizer.
+const QBLOCK: usize = 32;
+
+/// Hand-vectorized [`quantize_slice_reference`], bit-identical to it for
+/// every input, in blocks of 32 activations (a short tail is padded with
+/// zeros into one more block). When `inv as f32` is a normal float and
+/// `|zp| ≤ 256` — every calibrated layer — a block runs in f32 lanes
+/// ([`quantize_block_f32`]) and falls back to the f64 lanes of
+/// [`quantize_block_f64`] only when one of its lanes lies within 2⁻¹³ of a
+/// rounding tie or is NaN; otherwise every block takes the f64 lanes,
+/// which are exact for every input.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn quantize_slice_avx2(src: &[f32], inv_scale: f64, zp: i64, dst: &mut [i8]) {
+    let wide = QuantLanes::splat(inv_scale, zp);
+    let inv32 = inv_scale as f32;
+    let narrow =
+        (inv32.is_normal() && zp.unsigned_abs() <= 256).then(|| QuantLanesF32::splat(inv32, zp));
+    let block = |xs: &[f32; QBLOCK], out: &mut [i8; QBLOCK]| {
+        if !narrow
+            .as_ref()
+            .is_some_and(|c| quantize_block_f32(xs, c, out))
+        {
+            quantize_block_f64(xs, &wide, out);
+        }
+    };
+    let (xs, x_tail) = src.as_chunks::<QBLOCK>();
+    let (outs, out_tail) = dst.as_chunks_mut::<QBLOCK>();
+    for (x, out) in xs.iter().zip(outs) {
+        block(x, out);
+    }
+    if !x_tail.is_empty() {
+        let mut x = [0.0f32; QBLOCK];
+        let mut out = [0i8; QBLOCK];
+        x[..x_tail.len()].copy_from_slice(x_tail);
+        block(&x, &mut out);
+        out_tail.copy_from_slice(&out[..out_tail.len()]);
+    }
+}
+
+/// Per-lane constants of the f32 quantizer, built once per slice.
+#[cfg(target_arch = "x86_64")]
+struct QuantLanesF32 {
+    inv: std::arch::x86_64::__m256,
+    lim: std::arch::x86_64::__m256,
+    neg_lim: std::arch::x86_64::__m256,
+    tie: std::arch::x86_64::__m256,
+    sign_bit: std::arch::x86_64::__m256,
+    zp: std::arch::x86_64::__m256i,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl QuantLanesF32 {
+    #[target_feature(enable = "avx2")]
+    fn splat(inv: f32, zp: i64) -> Self {
+        use std::arch::x86_64::{_mm256_set1_epi32, _mm256_set1_ps};
+        QuantLanesF32 {
+            inv: _mm256_set1_ps(inv),
+            lim: _mm256_set1_ps(512.0),
+            neg_lim: _mm256_set1_ps(-512.0),
+            tie: _mm256_set1_ps(0.5 - 1.0 / 8192.0),
+            sign_bit: _mm256_set1_ps(-0.0),
+            zp: _mm256_set1_epi32(zp as i32),
+        }
+    }
+}
+
+/// Quantizes 32 activations in f32 lanes into `out` and returns `true`,
+/// or returns `false` — leaving `out` unspecified — when a lane is NaN or
+/// lies within 2⁻¹³ of a rounding tie. Requires `inv` normal and
+/// `|zp| ≤ 256` (see [`quantize_slice_avx2`]). Every accepted lane equals
+/// [`quantize_one`] — `clamp(round(x as f64 · inv) ⊕ zp, −128, 127)` —
+/// by this argument:
+///
+/// * `p = x · (inv as f32)`, rounded to f32, differs from the reference's
+///   `v = x as f64 · inv` by at most `|x·inv|·(2⁻²³ + 2⁻⁴⁷) + 2⁻¹⁵⁰`: one
+///   f32 rounding of `inv` (relative 2⁻²⁴, `inv as f32` being normal),
+///   one of the product (relative 2⁻²⁴, or absolute 2⁻¹⁵⁰ if it is
+///   subnormal) and the reference's one f64 rounding (2⁻⁵³).
+/// * Clamping `p` to `±512` cannot change the result: with `|zp| ≤ 256`,
+///   any `|q| ≥ 512` saturates to the same end of `[−128, 127]`, and
+///   `|p| ≥ 512` forces `|v| ≥ 512·(1 − 2⁻²¹) > 511.5`, so `round(v)` is
+///   at least 512 in magnitude, with `p`'s sign. (NaN passes both clamps —
+///   `vmaxps`/`vminps` return their second operand on NaN — and is
+///   flagged below.)
+/// * Below `|p| < 512` the two differ by less than 2⁻¹³·0.51. A lane is
+///   accepted only if `d = |p − rne(p)| ≤ ½ − 2⁻¹³`, i.e. `p` is at least
+///   2⁻¹³ from every half-integer; then `v` lies on the same side of every
+///   half-integer, so `round(v)` (half away from zero) equals the nearest
+///   integer to `p`, which is not a tie, so round-to-nearest-even finds
+///   it. `d` is exact: `p` and `rne(p)` are f32 values less than ½ apart.
+///   The `NLE_UQ` compare is also true for NaN, so one compare flags both.
+/// * `rne(p) + zp` is an exact i32 in `[−768, 768]`, and the saturating
+///   `vpackssdw`/`vpacksswb` narrowing is exactly the `[−128, 127]` clamp.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn quantize_block_f32(xs: &[f32; QBLOCK], c: &QuantLanesF32, out: &mut [i8; QBLOCK]) -> bool {
+    use std::arch::x86_64::*;
+    let mut q = [_mm256_setzero_si256(); 4];
+    let mut flags = _mm256_setzero_ps();
+    for (qv, x) in q.iter_mut().zip(xs.as_chunks::<8>().0) {
+        // SAFETY: `x` is an 8-element array: 32 readable bytes.
+        let p = _mm256_mul_ps(unsafe { _mm256_loadu_ps(x.as_ptr()) }, c.inv);
+        let p = _mm256_min_ps(c.lim, _mm256_max_ps(c.neg_lim, p));
+        let r = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(p);
+        let d = _mm256_andnot_ps(c.sign_bit, _mm256_sub_ps(p, r));
+        flags = _mm256_or_ps(flags, _mm256_cmp_ps::<_CMP_NLE_UQ>(d, c.tie));
+        *qv = _mm256_add_epi32(_mm256_cvttps_epi32(r), c.zp);
+    }
+    if _mm256_movemask_ps(flags) != 0 {
+        return false;
+    }
+    // The packs interleave 128-bit halves; the permute restores order.
+    let bytes = _mm256_packs_epi16(
+        _mm256_packs_epi32(q[0], q[1]),
+        _mm256_packs_epi32(q[2], q[3]),
+    );
+    let bytes = _mm256_permutevar8x32_epi32(bytes, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+    // SAFETY: `out` is a 32-byte array.
+    unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), bytes) };
+    true
+}
+
+/// Per-lane constants for the f64 quantizer, built once per slice.
 #[cfg(target_arch = "x86_64")]
 struct QuantLanes {
     inv: std::arch::x86_64::__m256d,
@@ -155,6 +295,26 @@ struct QuantLanes {
     half: std::arch::x86_64::__m256d,
     lo: std::arch::x86_64::__m256d,
     hi: std::arch::x86_64::__m256d,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl QuantLanes {
+    #[target_feature(enable = "avx2")]
+    fn splat(inv_scale: f64, zp: i64) -> Self {
+        use std::arch::x86_64::_mm256_set1_pd;
+        QuantLanes {
+            inv: _mm256_set1_pd(inv_scale),
+            zp: _mm256_set1_pd(zp as f64),
+            nan_res: _mm256_set1_pd(zp.clamp(QMIN as i64, QMAX as i64) as f64),
+            lim: _mm256_set1_pd((1u64 << 40) as f64),
+            neg_lim: _mm256_set1_pd(-((1u64 << 40) as f64)),
+            sign_bit: _mm256_set1_pd(-0.0),
+            one: _mm256_set1_pd(1.0),
+            half: _mm256_set1_pd(0.5),
+            lo: _mm256_set1_pd(QMIN as f64),
+            hi: _mm256_set1_pd(QMAX as f64),
+        }
+    }
 }
 
 /// Quantizes four activations to four i32 lanes, bit-identical to
@@ -202,38 +362,27 @@ fn quantize_quad_avx2(xs: &[f32; 4], c: &QuantLanes) -> std::arch::x86_64::__m12
     _mm256_cvttpd_epi32(s)
 }
 
-/// Hand-vectorized [`quantize_slice_reference`]: 16 activations per
-/// iteration through [`quantize_quad_avx2`], narrowed to int8 with
-/// saturating packs that are no-ops because every lane is already clamped
-/// to `[−128, 127]`.
+/// Quantizes 32 activations through [`quantize_quad_avx2`], narrowed to
+/// int8 with saturating packs that are no-ops because every lane is
+/// already clamped to `[−128, 127]`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn quantize_slice_avx2(src: &[f32], inv_scale: f64, zp: i64, dst: &mut [i8]) {
-    use std::arch::x86_64::*;
-    let c = QuantLanes {
-        inv: _mm256_set1_pd(inv_scale),
-        zp: _mm256_set1_pd(zp as f64),
-        nan_res: _mm256_set1_pd(zp.clamp(QMIN as i64, QMAX as i64) as f64),
-        lim: _mm256_set1_pd((1u64 << 40) as f64),
-        neg_lim: _mm256_set1_pd(-((1u64 << 40) as f64)),
-        sign_bit: _mm256_set1_pd(-0.0),
-        one: _mm256_set1_pd(1.0),
-        half: _mm256_set1_pd(0.5),
-        lo: _mm256_set1_pd(QMIN as f64),
-        hi: _mm256_set1_pd(QMAX as f64),
-    };
-    let mut i = 0;
-    while i + 16 <= src.len() {
-        // bdlfi-lint: allow(BD010) -- infallible: the slice is exactly 4 bytes by the window arithmetic above
-        let quad = |o: usize| quantize_quad_avx2((&src[o..o + 4]).try_into().unwrap(), &c);
-        let ab = _mm_packs_epi32(quad(i), quad(i + 4));
-        let cd = _mm_packs_epi32(quad(i + 8), quad(i + 12));
-        let bytes = _mm_packs_epi16(ab, cd);
-        // SAFETY: the loop condition guarantees 16 writable bytes at `i`.
-        unsafe { _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), bytes) };
-        i += 16;
+#[inline]
+fn quantize_block_f64(xs: &[f32; QBLOCK], c: &QuantLanes, out: &mut [i8; QBLOCK]) {
+    use std::arch::x86_64::{_mm_packs_epi16, _mm_packs_epi32, _mm_storeu_si128};
+    let (quads, _) = xs.as_chunks::<4>();
+    for (half, dst) in quads.chunks_exact(4).zip(out.as_chunks_mut::<16>().0) {
+        let ab = _mm_packs_epi32(
+            quantize_quad_avx2(&half[0], c),
+            quantize_quad_avx2(&half[1], c),
+        );
+        let cd = _mm_packs_epi32(
+            quantize_quad_avx2(&half[2], c),
+            quantize_quad_avx2(&half[3], c),
+        );
+        // SAFETY: `dst` is a 16-byte array.
+        unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), _mm_packs_epi16(ab, cd)) };
     }
-    quantize_slice_reference(&src[i..], inv_scale, zp, &mut dst[i..]);
 }
 
 /// Requantization of an i32/i64 accumulator onto an int8 output grid:
@@ -316,6 +465,21 @@ impl Requant {
     }
 }
 
+thread_local! {
+    static REQUANT_POOL: RefCell<Vec<Vec<Requant>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Per-column requantizers live in [`bdlfi_tensor::scratch`] buffers:
+/// every quantized dense pass rebuilds them, and the campaign hot path
+/// must not allocate for it.
+impl Poolable for Requant {
+    const ZERO: Self = Requant::Float(0.0);
+
+    fn pool() -> &'static LocalKey<RefCell<Vec<Vec<Self>>>> {
+        &REQUANT_POOL
+    }
+}
+
 /// The [`Requant::Fixed`] arm: `round(acc · mult / 2^rshift)` rounding half
 /// away from zero (matching `f64::round`), saturating to `i32`. Branchless
 /// — requantization runs once per output element and accumulator signs are
@@ -351,6 +515,9 @@ pub fn dequant_acc(requant: &Requant, a: i64, zp_out: i32, out_scale: f32) -> f3
 /// This is the one requant loop `QDense::forward` and the sparse-delta
 /// `QDense::forward_cols` share: per-column faults on a weight scale stay
 /// confined to their column precisely because nothing here mixes columns.
+/// Under the `avx2` kernel variant (the default) a block inside the
+/// 8-lane kernel's domain runs through [`requant_rows_avx2`]; anything
+/// else, and `BDLFI_KERNEL=scalar|autovec`, takes the scalar reference.
 ///
 /// # Panics
 ///
@@ -367,25 +534,36 @@ pub fn requant_rows(
 ) {
     assert_eq!(acc.len() % width.max(1), 0, "accumulator not row-aligned");
     assert_eq!(dst.len(), acc.len(), "requant output length mismatch");
-    let rqs = &rqs[..width];
-    let corrs = &corrs[..width];
+    let (rqs, corrs) = (&rqs[..width], &corrs[..width]);
+    requant_rows_with(qdq_variant(), acc, rqs, corrs, zp_out, out_scale, dst);
+}
+
+/// [`requant_rows`] under one kernel variant, over `rqs.len()` columns:
+/// `avx2` runs [`requant_rows_avx2`] when the CPU has AVX2 and the block
+/// lies in its domain ([`RequantLanes::new`]), everything else the
+/// reference.
+fn requant_rows_with(
+    variant: Variant,
+    acc: &[i32],
+    rqs: &[Requant],
+    corrs: &[i64],
+    zp_out: i32,
+    out_scale: f32,
+    dst: &mut [f32],
+) {
     #[cfg(target_arch = "x86_64")]
-    if width >= 4
-        && rqs
-            .iter()
-            .all(|rq| matches!(rq, Requant::Fixed { rshift, .. } if (1..=63).contains(rshift)))
-        && std::arch::is_x86_feature_detected!("avx2")
-    {
-        // SAFETY: calling a `#[target_feature(enable = "avx2")]` function
-        // is sound iff the CPU supports AVX2, which the runtime
-        // `is_x86_feature_detected!` check on the line above guarantees;
-        // the intrinsics inside assert their slice bounds before any raw
-        // pointer arithmetic. The `all-Fixed, rshift ∈ 1..=63` gate
-        // restricts the kernel to the domain where its lane arithmetic is
-        // proven identical to the scalar reference (see its docs).
-        return unsafe { requant_rows_avx2(acc, width, rqs, corrs, zp_out, out_scale, dst) };
+    if variant == Variant::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        if let Some(lanes) = RequantLanes::new(rqs, corrs, zp_out) {
+            // SAFETY: calling a `#[target_feature(enable = "avx2")]`
+            // function is sound iff the CPU supports AVX2, which the
+            // runtime check above guarantees; the kernel asserts its slice
+            // bounds before any raw pointer arithmetic, and `lanes` exists
+            // only inside the domain where its lane arithmetic is proven
+            // identical to the reference (see its docs).
+            return unsafe { requant_rows_avx2(acc, &lanes, zp_out, out_scale, dst) };
+        }
     }
-    requant_rows_reference(acc, width, rqs, corrs, zp_out, out_scale, dst);
+    requant_rows_reference(acc, rqs, corrs, zp_out, out_scale, dst);
 }
 
 /// Scalar reference for the batched requantization loop; the oracle the
@@ -402,13 +580,13 @@ pub fn requant_rows(
 /// strides by `width`), preserving the fault-confinement contract above.
 fn requant_rows_reference(
     acc: &[i32],
-    width: usize,
     rqs: &[Requant],
     corrs: &[i64],
     zp_out: i32,
     out_scale: f32,
     dst: &mut [f32],
 ) {
+    let width = rqs.len();
     let rows = acc.len() / width.max(1);
     let zp = zp_out as i64;
     let mut lut = [0.0f32; 256];
@@ -436,131 +614,182 @@ fn requant_rows_reference(
     }
 }
 
-/// `clamp` on signed i64 lanes (`vpcmpgtq` + byte blend; the compare masks
-/// are uniform per lane, so the byte-granular blend selects whole lanes).
+/// One period of [`requant_rows_avx2`]'s per-lane constants. Position `e`
+/// of the row-major block belongs to column `e mod width`, so the
+/// constants of consecutive 8-lane vectors repeat after
+/// `period = lcm(width, 8)` positions. The scratch buffer holds four
+/// `period`-long arrays: the doubled multipliers `2·mult` as u32 bit
+/// patterns; the same for the odd lanes, moved down one lane (where
+/// `vpmuludq` reads them); the shifts `rshift − 32`; the corrections.
+struct RequantLanes {
+    buf: scratch::ScratchBuf<i32>,
+    period: usize,
+}
+
+impl RequantLanes {
+    /// The lanes for `width = rqs.len()` columns, or `None` outside the
+    /// 8-lane kernel's domain: a non-empty block whose every column is
+    /// [`Requant::Fixed`] with `0 ≤ mult < 2³¹` and `rshift ∈ [32, 62]`
+    /// (a multiplier below ½), with `|corr| < 2³⁰`, and `|zp_out| ≤ 256`.
+    /// A calibrated layer always qualifies; a faulted weight scale or
+    /// output zero point may not, and then takes the reference.
+    fn new(rqs: &[Requant], corrs: &[i64], zp_out: i32) -> Option<Self> {
+        let width = rqs.len();
+        if width == 0 || zp_out.unsigned_abs() > 256 {
+            return None;
+        }
+        let period = width / (1 << width.trailing_zeros().min(3)) * 8;
+        let mut buf = scratch::take::<i32>(4 * period);
+        let (mults, rest) = buf.split_at_mut(period);
+        let (odd, rest) = rest.split_at_mut(period);
+        let (shifts, cs) = rest.split_at_mut(period);
+        for (j, (rq, &corr)) in rqs.iter().zip(corrs).enumerate() {
+            let Requant::Fixed { mult, rshift } = *rq else {
+                return None;
+            };
+            if mult < 0 || !(32..=62).contains(&rshift) || corr.unsigned_abs() >= 1 << 30 {
+                return None;
+            }
+            let mult2 = ((mult as u32) << 1) as i32;
+            for e in (j..period).step_by(width) {
+                mults[e] = mult2;
+                if e % 2 == 1 {
+                    odd[e - 1] = mult2;
+                }
+                shifts[e] = rshift as i32 - 32;
+                cs[e] = corr as i32;
+            }
+        }
+        Some(RequantLanes { buf, period })
+    }
+}
+
+/// Tensor-wide constants of the 8-lane requant chain.
+#[cfg(target_arch = "x86_64")]
+struct RequantConsts {
+    one: std::arch::x86_64::__m256i,
+    shift_mask: std::arch::x86_64::__m256i,
+    lo: std::arch::x86_64::__m256i,
+    hi: std::arch::x86_64::__m256i,
+    scale: std::arch::x86_64::__m256,
+}
+
+/// The reference's per-element chain
+/// `(clamp(apply_fixed(acc + corr) + zp, −128, 127) − zp) · scale` on eight
+/// i32 lanes with their own doubled multiplier (`mult2 = 2·mult`, and
+/// `mult2_odd` for the odd lanes), shift `s' = rshift − 32` and
+/// correction. Identical lane for lane inside [`RequantLanes`]' domain:
+///
+/// * **Sign and magnitude of `a = acc + corr`.** `|acc| ≤ 2³¹` and
+///   `|corr| < 2³⁰`, so `|a| < 1.5·2³¹`, while the i32 sum `t` may wrap.
+///   When `acc` and `corr` differ in sign nothing wraps and `a = t`; when
+///   they agree `a` has their sign, which `acc | corr` carries (zero only
+///   if both are). So `g` — `t` or `acc | corr` by the sign of
+///   `acc ⊕ corr` — has `a`'s sign and is zero only if `a` is, and
+///   `vpsignd(t, g)` is `|a|` as a u32 whether or not `t` wrapped. (Inside
+///   `QDense`, `|acc| ≤ k·2¹⁴ ≤ 2³⁰` and nothing wraps.) The reference's
+///   `prod = a·mult` has `a`'s sign (`mult ≥ 0`; at `mult = 0` both sides
+///   are 0).
+/// * **The shift.** `|a|·2·mult < 1.5·2³¹·2³² = 1.5·2⁶³` is formed
+///   exactly by `vpmuludq` on the even and odd lanes (`2·mult < 2³²` is a
+///   u32), and its high dword is `x = ⌊|a|·mult / 2³¹⌋ < 1.5·2³¹` (a
+///   `≫ 32` moves the even lanes' down; the odd lanes' sit in place).
+///   The reference's rounding shift is
+///   `⌊(|prod| + 2^(s−1)) / 2^s⌋ = ⌊(⌊x / 2^s'⌋ + 1) / 2⌋` (nested floor
+///   divisions by powers of two compose), computed with `vpsrlvd`, `+ 1`
+///   (no wrap: `x < 1.5·2³¹`) and `≫ 1`; the result `r` is below 2³¹, so
+///   the reference's i32 clamp never acts, and `vpsignd(r, g)` gives it
+///   `a`'s sign.
+/// * **The clamp.** `clamp(r + zp, −128, 127) − zp` is
+///   `clamp(r, −128 − zp, 127 − zp)`, exact in i32 for `|zp| ≤ 256`.
+/// * **Dequantize.** `q − zp` is an integer in `[−384, 383]`, exact in
+///   f32; the reference's f64 product of it and the f32 scale needs at
+///   most 33 significant bits, so it is exact, and both paths round that
+///   same exact product to f32 once — including overflow to ±∞, subnormal
+///   results, signed zeros and NaN scales, whose quiet NaN passes through
+///   either multiply unchanged.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-fn clamp64(
-    v: std::arch::x86_64::__m256i,
-    lo: std::arch::x86_64::__m256i,
-    hi: std::arch::x86_64::__m256i,
-) -> std::arch::x86_64::__m256i {
-    use std::arch::x86_64::{_mm256_blendv_epi8, _mm256_cmpgt_epi64};
-    let v = _mm256_blendv_epi8(v, hi, _mm256_cmpgt_epi64(v, hi));
-    _mm256_blendv_epi8(v, lo, _mm256_cmpgt_epi64(lo, v))
+fn requant8(
+    acc: std::arch::x86_64::__m256i,
+    [mult2, mult2_odd, shift, corr]: [std::arch::x86_64::__m256i; 4],
+    c: &RequantConsts,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let t = _mm256_add_epi32(acc, corr);
+    let g = _mm256_castps_si256(_mm256_blendv_ps(
+        _mm256_castsi256_ps(_mm256_or_si256(acc, corr)),
+        _mm256_castsi256_ps(t),
+        _mm256_castsi256_ps(_mm256_xor_si256(acc, corr)),
+    ));
+    let mag = _mm256_sign_epi32(t, g);
+    let even = _mm256_srli_epi64::<32>(_mm256_mul_epu32(mag, mult2));
+    let odd = _mm256_mul_epu32(_mm256_srli_epi64::<32>(mag), mult2_odd);
+    let x = _mm256_blend_epi32::<0b1010_1010>(even, odd);
+    // `s' ≤ 30`; the mask lets the compiler emit a bare `vpsrlvd`
+    // instead of guarding against counts of 32 and more.
+    let shift = _mm256_and_si256(shift, c.shift_mask);
+    let r = _mm256_srli_epi32::<1>(_mm256_add_epi32(_mm256_srlv_epi32(x, shift), c.one));
+    let d = _mm256_min_epi32(_mm256_max_epi32(_mm256_sign_epi32(r, g), c.lo), c.hi);
+    _mm256_mul_ps(_mm256_cvtepi32_ps(d), c.scale)
 }
 
-/// Hand-vectorized [`requant_rows_reference`] for the all-[`Requant::Fixed`]
-/// case: four columns per group, the group's multipliers, rounding biases,
-/// corrections and shifts held in i64 lanes across the row loop.
-///
-/// Lane-for-lane identity with the scalar chain
-/// `clamp(clamp₃₂(apply_fixed) + zp) → (q − zp)·scale`:
-///
-/// * The 64×64→64 product is assembled from `vpmuludq` partial products
-///   (`lo·lo + ((lo·hi + hi·lo) ≪ 32)`), which is the full wrapping
-///   product mod 2⁶⁴ — the same value release-mode `a * mult` produces,
-///   and well inside i64 for every reachable input (`|a| < 2³³`,
-///   `mult < 2³¹`).
-/// * `apply_fixed` is already branchless sign-magnitude arithmetic, so
-///   its xor/sub/shift sequence transcribes lane-for-lane; the gate at
-///   the dispatch site pins `rshift ∈ 1..=63`, where scalar `>>` and
-///   `vpsrlvq` agree (the shifted magnitude is non-negative, so the
-///   scalar arithmetic shift is a logical one).
-/// * Both clamps compare exact i64 lane values ([`clamp64`]).
-/// * The dequant step computes `(q as f64 − zp as f64) · scale`: `q` and
-///   `zp` are exact in f64 and their difference (≤ 2³¹ + 128 < 2⁵³) is
-///   exact, so it equals the scalar `(q − zp) as f64` to the last bit,
-///   and `vcvtpd2ps` rounds exactly like `as f32`.
+/// Hand-vectorized [`requant_rows_reference`] over the row-major block in
+/// storage order, eight accumulators per step through [`requant8`], the
+/// per-lane constants read from `lanes` at the step's phase within its
+/// period; a short tail is padded into one more step. Every width,
+/// including 1–3, runs here.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn requant_rows_avx2(
     acc: &[i32],
-    width: usize,
-    rqs: &[Requant],
-    corrs: &[i64],
+    lanes: &RequantLanes,
     zp_out: i32,
     out_scale: f32,
     dst: &mut [f32],
 ) {
     use std::arch::x86_64::*;
-    let rows = acc.len() / width;
-    assert!(acc.len() >= rows * width && dst.len() >= rows * width);
-    assert!(corrs.len() >= width);
-    let mut mults = scratch::take::<i64>(width);
-    let mut biases = scratch::take::<i64>(width);
-    let mut shifts = scratch::take::<i64>(width);
-    for (j, rq) in rqs[..width].iter().enumerate() {
-        match *rq {
-            Requant::Fixed { mult, rshift } => {
-                mults[j] = mult as i64;
-                biases[j] = 1i64 << (rshift - 1);
-                shifts[j] = rshift as i64;
-            }
-            // Unreachable by the dispatch gate; keep the kernel total.
-            // bdlfi-lint: allow(BD010) -- unreachable by the all-Fixed dispatch gate directly above
-            Requant::Float(_) => unreachable!("requant_rows_avx2 requires all-Fixed columns"),
+    let period = lanes.period;
+    assert!(dst.len() == acc.len() && lanes.buf.len() == 4 * period && period.is_multiple_of(8));
+    let c = RequantConsts {
+        one: _mm256_set1_epi32(1),
+        shift_mask: _mm256_set1_epi32(31),
+        lo: _mm256_set1_epi32(-128 - zp_out),
+        hi: _mm256_set1_epi32(127 - zp_out),
+        scale: _mm256_set1_ps(out_scale),
+    };
+    // SAFETY: `q·period + p + 8 ≤ 4·period = lanes.buf.len()` for `q < 4`
+    // (`p` is a multiple of 8 below `period`, itself a multiple of 8, as
+    // asserted).
+    let step = |a: __m256i, p: usize| unsafe {
+        let at = |q: usize| _mm256_loadu_si256(lanes.buf.as_ptr().add(q * period + p).cast());
+        requant8(a, [at(0), at(1), at(2), at(3)], &c)
+    };
+    let (accs, acc_tail) = acc.as_chunks::<8>();
+    let (outs, out_tail) = dst.as_chunks_mut::<8>();
+    let mut p = 0;
+    for (a, y) in accs.iter().zip(outs) {
+        // SAFETY: `a` and `y` are 8-element arrays: 32 bytes each.
+        unsafe {
+            let v = step(_mm256_loadu_si256(a.as_ptr().cast()), p);
+            _mm256_storeu_ps(y.as_mut_ptr(), v);
+        }
+        p += 8;
+        if p == period {
+            p = 0;
         }
     }
-    let zero = _mm256_setzero_si256();
-    let i32_lo = _mm256_set1_epi64x(i32::MIN as i64);
-    let i32_hi = _mm256_set1_epi64x(i32::MAX as i64);
-    let q_lo = _mm256_set1_epi64x(-128);
-    let q_hi = _mm256_set1_epi64x(127);
-    let zp = _mm256_set1_epi64x(zp_out as i64);
-    let zp_f = _mm256_set1_pd(zp_out as f64);
-    let scale = _mm256_set1_pd(out_scale as f64);
-    let even = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-    for g in 0..width / 4 {
-        let j = g * 4;
-        // SAFETY: `j + 4 ≤ width` and every per-column array holds at
-        // least `width` i64, so each 32-byte unaligned load is in bounds.
-        let (mult, bias, corr, shift) = unsafe {
-            (
-                _mm256_loadu_si256(mults.as_ptr().add(j).cast()),
-                _mm256_loadu_si256(biases.as_ptr().add(j).cast()),
-                _mm256_loadu_si256(corrs.as_ptr().add(j).cast()),
-                _mm256_loadu_si256(shifts.as_ptr().add(j).cast()),
-            )
-        };
-        let mult_hi = _mm256_srli_epi64(mult, 32);
-        for r in 0..rows {
-            let o = r * width + j;
-            // SAFETY: `o + 4 ≤ rows·width ≤ acc.len()`/`dst.len()`
-            // (asserted above), so the 16-byte load and store are in
-            // bounds.
-            let a32 = unsafe { _mm_loadu_si128(acc.as_ptr().add(o).cast()) };
-            let a = _mm256_add_epi64(_mm256_cvtepi32_epi64(a32), corr);
-            let a_hi = _mm256_srli_epi64(a, 32);
-            let lolo = _mm256_mul_epu32(a, mult);
-            let cross =
-                _mm256_add_epi64(_mm256_mul_epu32(a, mult_hi), _mm256_mul_epu32(a_hi, mult));
-            let prod = _mm256_add_epi64(lolo, _mm256_slli_epi64(cross, 32));
-            let sign = _mm256_cmpgt_epi64(zero, prod);
-            let mag = _mm256_sub_epi64(_mm256_xor_si256(prod, sign), sign);
-            let sh = _mm256_srlv_epi64(_mm256_add_epi64(mag, bias), shift);
-            let shifted = _mm256_sub_epi64(_mm256_xor_si256(sh, sign), sign);
-            let s = clamp64(shifted, i32_lo, i32_hi);
-            let q = clamp64(_mm256_add_epi64(s, zp), q_lo, q_hi);
-            let q32 = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(q, even));
-            let y = _mm256_cvtpd_ps(_mm256_mul_pd(
-                _mm256_sub_pd(_mm256_cvtepi32_pd(q32), zp_f),
-                scale,
-            ));
-            // SAFETY: see the load above — same bound.
-            unsafe { _mm_storeu_ps(dst.as_mut_ptr().add(o), y) };
+    if !acc_tail.is_empty() {
+        let mut a = [0i32; 8];
+        let mut y = [0.0f32; 8];
+        a[..acc_tail.len()].copy_from_slice(acc_tail);
+        // SAFETY: `a` and `y` are 8-element arrays: 32 bytes each.
+        unsafe {
+            let v = step(_mm256_loadu_si256(a.as_ptr().cast()), p);
+            _mm256_storeu_ps(y.as_mut_ptr(), v);
         }
-    }
-    // Remainder columns (width mod 4) take the scalar reference chain.
-    let zp_s = zp_out as i64;
-    for j in (width / 4) * 4..width {
-        let (mult, bias, rshift, corr) = (mults[j], biases[j], shifts[j] as u32, corrs[j]);
-        for r in 0..rows {
-            let a = acc[r * width + j] as i64 + corr;
-            let q = (apply_fixed(a, mult, bias, rshift) as i64 + zp_s).clamp(-128, 127);
-            dst[r * width + j] = ((q - zp_s) as f64 * out_scale as f64) as f32;
-        }
+        out_tail.copy_from_slice(&y[..out_tail.len()]);
     }
 }
 
@@ -681,100 +910,228 @@ mod tests {
         assert_eq!(qp.quantize(0.0), qp.zero_point as i8);
     }
 
-    /// The hand-vectorized quantizer against the scalar oracle, over the
-    /// value classes its exactness proof enumerates: half-way ties both
-    /// signs, signed zeros, subnormals, the ±2⁴⁰ pre-clamp boundary,
-    /// infinities and NaN — crossed with degenerate (faulted) scales and
-    /// zero points, and at lengths that cover remainder tails.
-    #[cfg(target_arch = "x86_64")]
+    const VARIANTS: [Variant; 3] = [Variant::Scalar, Variant::Autovec, Variant::Avx2];
+
+    /// Every variant of the quantizer against the scalar oracle, over the
+    /// value classes the exactness proofs enumerate: exact half-ties on
+    /// dyadic grids and one ulp either side, signed zeros, subnormals,
+    /// infinities, quiet and signalling NaNs of both signs, `|x·inv|` near
+    /// 2⁹ (the f32 lanes' clamp), 2²⁴ and 2⁴⁰ (the f64 lanes' pre-clamp) —
+    /// crossed with degenerate (faulted) scales, reciprocals whose `as f32`
+    /// overflows or underflows, zero points either side of ±256, and
+    /// slice lengths 0–40 at several offsets, so every tail and every lane
+    /// sees the specials.
     #[test]
     fn avx2_quantizer_is_bit_identical_to_reference() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
+        let ulps = |x: f32| {
+            [
+                f32::from_bits(x.to_bits() - 1),
+                x,
+                f32::from_bits(x.to_bits() + 1),
+            ]
+        };
+        let mut xs: Vec<f32> = Vec::new();
+        for t in [
+            0.5f32, 1.5, 2.5, 126.5, 127.5, 128.5, 255.5, 511.5, 512.5, 1023.5,
+        ] {
+            for x in ulps(t) {
+                xs.extend([x, -x, x / 4.0, -x / 4.0, x * 2.0, x / 2.0]);
+            }
         }
-        let big = (1u64 << 40) as f32;
-        let xs: Vec<f32> = [
-            0.5f32,
-            -0.5,
-            1.5,
-            -1.5,
-            2.5,
-            -2.5,
-            0.49999997,
-            -0.49999997,
-            0.0,
+        for big in [
+            512.0f32,
+            1.0 / 64.0,
+            (1u32 << 24) as f32,
+            (1u64 << 40) as f32,
+        ] {
+            for x in ulps(big) {
+                xs.extend([x, -x, x + 0.5, -(x + 0.5)]);
+            }
+        }
+        xs.extend([
+            0.0f32,
             -0.0,
             1e-38,
             -1e-38,
             f32::MIN_POSITIVE,
-            big,
-            -big,
-            big * 2.0,
-            -big * 2.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
             3.4e38,
             -3.4e38,
             f32::INFINITY,
             f32::NEG_INFINITY,
-            f32::NAN,
-            127.0,
-            -128.0,
+            f32::from_bits(0x7fc0_0000),
+            f32::from_bits(0xffc0_0000),
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xff80_0001),
+            f32::from_bits(0x7fa0_0000),
+            0.49999997,
+            -0.49999997,
             127.49,
             -128.49,
-        ]
-        .into_iter()
-        .chain((-300..300).map(|i| i as f32 * 0.37))
-        .collect();
+        ]);
+        xs.extend((-300..300).map(|i| i as f32 * 0.37));
         let invs = [
             1.0f64,
+            2.0,
+            0.5,
+            0.25,
+            4.0,
             0.013,
             1.0 / 3.0,
             1e12,
+            // `inv as f32` overflows (a subnormal f32 scale) or is not normal.
+            1.0 / f64::from(f32::from_bits(1)),
+            1e39,
+            1e-39,
+            1e-50,
             f64::INFINITY,
             f64::NEG_INFINITY,
             f64::NAN,
             0.0,
             -7.5,
         ];
-        let zps = [0i64, -3, 117, i32::MAX as i64, i32::MIN as i64];
+        let zps = [
+            0i64,
+            -3,
+            117,
+            256,
+            -256,
+            257,
+            -257,
+            i32::MAX as i64,
+            i32::MIN as i64,
+        ];
         for &inv in &invs {
             for &zp in &zps {
-                for len in [0usize, 1, 15, 16, 17, 48, xs.len()] {
-                    let src = &xs[..len];
-                    let mut want = vec![0i8; len];
+                let mut windows = vec![&xs[..]];
+                for len in 0..=40 {
+                    for off in [0, 7, 29, xs.len() - 40] {
+                        windows.push(&xs[off..off + len]);
+                    }
+                }
+                for src in windows {
+                    let mut want = vec![0i8; src.len()];
                     quantize_slice_reference(src, inv, zp, &mut want);
-                    let mut got = vec![0i8; len];
-                    // SAFETY: guarded by the `is_x86_feature_detected!`
-                    // early-return at the top of the test.
-                    unsafe { quantize_slice_avx2(src, inv, zp, &mut got) };
-                    assert_eq!(got, want, "inv={inv} zp={zp} len={len}");
+                    for v in VARIANTS {
+                        let mut got = vec![0i8; src.len()];
+                        quantize_slice_with(v, src, inv, zp, &mut got);
+                        assert_eq!(got, want, "{v:?} inv={inv} zp={zp} len={}", src.len());
+                    }
                 }
             }
         }
     }
 
+    /// Every variant of the batched requantizer against the per-element
+    /// chain [`dequant_acc`], bit for bit, across the 8-lane kernel's
+    /// domain edges: widths around the 8-lane vector and its period, row
+    /// counts that leave every tail, accumulators at `±k·2¹⁴` and the i32
+    /// extremes, corrections at and beyond `±(2³⁰ − 1)`, `Fixed` columns
+    /// with `rshift ∈ {1, 31, 32, 62}` and exact rounding ties, `Float`
+    /// columns (NaN, ±∞, 0, negative and subnormal multipliers), zero
+    /// points either side of ±256, and special output scales.
     #[test]
     fn requant_rows_matches_per_element_chain() {
-        let rqs = [
+        let fixed = |mult: i32, rshift: u32| Requant::Fixed { mult, rshift };
+        let in_domain = [
             Requant::from_multiplier(0.031),
+            Requant::from_multiplier(0.25),
+            Requant::from_multiplier(0.375),
+            Requant::from_multiplier(1e-4),
             Requant::from_multiplier(1.0 / 3.0),
-            Requant::from_multiplier(0.9),
+            fixed(1 << 30, 32),
+            fixed(i32::MAX, 32),
+            fixed(i32::MAX, 62),
+            fixed(3 << 29, 62),
         ];
-        let corrs = [5i64, -17, 0];
-        let acc: Vec<i32> = (0..12).map(|i| i * 7919 - 40000).collect();
-        let mut got = vec![0.0; acc.len()];
-        requant_rows(&acc, 3, &rqs, &corrs, -3, 0.05, &mut got);
-        let mut want = Vec::new();
-        for row in acc.chunks_exact(3) {
-            for j in 0..3 {
-                want.push(dequant_acc(&rqs[j], row[j] as i64 + corrs[j], -3, 0.05));
+        let outside = [
+            Requant::from_multiplier(0.9),
+            fixed(1 << 30, 31),
+            fixed(i32::MAX, 1),
+            Requant::from_multiplier(f64::NAN),
+            Requant::from_multiplier(f64::INFINITY),
+            Requant::from_multiplier(f64::NEG_INFINITY),
+            Requant::from_multiplier(0.0),
+            Requant::from_multiplier(-0.3),
+            Requant::from_multiplier(1e-310),
+        ];
+        assert!(in_domain
+            .iter()
+            .all(|rq| matches!(rq, Requant::Fixed { rshift, .. } if (32..=62).contains(rshift))));
+        let small_corrs = [0i64, 5, -17, 0, 1, -1, 0];
+        let edge_corrs = [(1 << 30) - 1, 1 - (1 << 30), 0, -3];
+        let beyond_corrs = [1 << 30, -(1 << 30), 0];
+        // Column sets: the fast path's domain with small and extreme
+        // corrections, then one column at a time pushed outside it.
+        let mut sets: Vec<(Vec<Requant>, &[i64])> = vec![
+            (in_domain.to_vec(), &small_corrs),
+            (in_domain.to_vec(), &edge_corrs),
+            (in_domain.to_vec(), &beyond_corrs),
+        ];
+        for &rq in &outside {
+            let mut cols = in_domain.to_vec();
+            cols[2] = rq;
+            sets.push((cols, &small_corrs));
+        }
+        let k_acc = [2i32 << 14, 64 << 14, 1 << 30];
+        let acc_at = |i: usize| -> i32 {
+            match i % 13 {
+                0 => i32::MIN,
+                1 => i32::MAX,
+                2 => k_acc[i % 3],
+                3 => -k_acc[i % 3],
+                4 => [2, 4, 12, -2, -4, -12, 6][i % 7],
+                5 => i32::MIN + 1,
+                _ => (i as i32).wrapping_mul(7919) - 40000,
+            }
+        };
+        let check =
+            |cols: &[Requant], corrs: &[i64], w: usize, rows: usize, zp: i32, scale: f32| {
+                let rqs: Vec<Requant> = (0..w).map(|j| cols[j % cols.len()]).collect();
+                let cs: Vec<i64> = (0..w).map(|j| corrs[j % corrs.len()]).collect();
+                let acc: Vec<i32> = (0..rows * w).map(acc_at).collect();
+                let want: Vec<u32> = acc
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &a)| {
+                        dequant_acc(&rqs[i % w], a as i64 + cs[i % w], zp, scale).to_bits()
+                    })
+                    .collect();
+                for v in VARIANTS {
+                    let mut got = vec![0.0f32; acc.len()];
+                    requant_rows_with(v, &acc, &rqs, &cs, zp, scale, &mut got);
+                    let got: Vec<u32> = got.iter().map(|y| y.to_bits()).collect();
+                    assert_eq!(
+                        got, want,
+                        "{v:?} width={w} rows={rows} zp={zp} scale={scale}"
+                    );
+                }
+            };
+        let zps = [0, 127, -127, 256, -256, 257, -257, i32::MIN, i32::MAX];
+        for (cols, corrs) in &sets {
+            for w in [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33] {
+                for rows in [1, 7, 8, 300] {
+                    for zp in zps {
+                        check(cols, corrs, w, rows, zp, 0.05);
+                    }
+                }
             }
         }
-        assert_eq!(got, want);
-        // The channel-major helper agrees with the row helper at width 1.
-        let mut ch = Vec::new();
-        requant_channel_into(&acc, &rqs[1], corrs[1], -3, 0.05, &mut ch);
+        for scale in [1e-40f32, -2.5, 0.0, f32::MAX, f32::INFINITY, f32::NAN] {
+            for zp in [0, -256, 256] {
+                check(&in_domain, &small_corrs, 9, 7, zp, scale);
+            }
+        }
+        // The public entry point slices `rqs`/`corrs` to `width` and
+        // agrees with the channel-major helper at width 1.
+        let rqs = [in_domain[0], in_domain[4], outside[0]];
+        let acc: Vec<i32> = (0..12).map(|i| i * 7919 - 40000).collect();
         let mut ref1 = vec![0.0; acc.len()];
-        requant_rows(&acc, 1, &rqs[1..2], &corrs[1..2], -3, 0.05, &mut ref1);
+        requant_rows(&acc, 1, &rqs[1..], &[-17, 99], -3, 0.05, &mut ref1);
+        let mut ch = Vec::new();
+        requant_channel_into(&acc, &rqs[1], -17, -3, 0.05, &mut ch);
         assert_eq!(ch, ref1);
     }
 

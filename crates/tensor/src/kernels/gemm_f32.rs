@@ -354,7 +354,7 @@ fn pack_lanes_avx2(xt: &mut [f32], x: &Strided, i0: usize, lc: usize, kc: usize)
 
 /// Transposes an 8×8 block of 32-bit lanes held as eight row registers
 /// (`[__m256; 8]`) into eight column registers (`unpck`, `shuffle`,
-/// `perm2f128`): the skinny bodies' packing step, which only moves values
+/// `perm2f128`): the f32 skinny body's packing step, which only moves values
 /// and never computes on them. A macro rather than a function so it
 /// expands inside each caller's `#[target_feature(enable = "avx2")]` body.
 #[cfg(target_arch = "x86_64")]

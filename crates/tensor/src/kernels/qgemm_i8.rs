@@ -35,9 +35,7 @@
 //! Every step is exact integer arithmetic, so the maddubs kernel is
 //! bit-identical to the scalar triple loop at every block size.
 
-#[cfg(target_arch = "x86_64")]
-use super::gemm_f32::transpose8x8;
-use super::{Selection, ShapeClass, Tile, Variant, KC, MR, NR};
+use super::{Selection, ShapeClass, Tile, Variant, MR, NR};
 use crate::scratch;
 
 /// Maximum contraction depth accepted by every int8 GEMM variant.
@@ -60,7 +58,7 @@ pub(crate) fn run(sel: Selection, m: usize, n: usize, k: usize, a: &[i8], b: &[i
     }
     match sel.variant {
         Variant::Scalar => scalar(m, n, k, a, b, c),
-        _ if super::classify(m, n, k) == ShapeClass::Skinny => skinny(m, n, k, a, b, c),
+        v if super::classify(m, n, k) == ShapeClass::Skinny => skinny(v, m, n, k, a, b, c),
         Variant::Autovec => blocked_autovec(sel.tile, m, n, k, a, b, c),
         Variant::Avx2 => {
             // The maddubs path has its own pack format, so the
@@ -124,201 +122,424 @@ fn scalar(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Skinny body: one output element per SIMD lane.
+// Skinny bodies: `vpmaddwd` kernels for the avx2 row, a generic Rust body
+// for the autovec row.
 // ---------------------------------------------------------------------------
 
-/// Lanes of one skinny row group: each owns one output row.
-const SK_LANES: usize = 16;
-/// Output columns one skinny pass reduces together.
-const SK_COLS: usize = 4;
+/// Rows of `A` one row-dot step reduces together (one `hadd` tree).
+const SK_ROWS: usize = 8;
+/// `i16` lanes per `vpmaddwd` operand: the row-dot form pads `k` to a
+/// multiple of this with zeros.
+const SK_K: usize = 16;
 
-/// The skinny body of the packed variants ([`ShapeClass::Skinny`]): each
-/// SIMD lane owns one output element, across the rows of `C` when
-/// `n < NR` and across its columns otherwise (`k < 8`), which are the rows
-/// of `Cᵀ = Bᵀ·Aᵀ`. Exact `i32` accumulation, as in every variant.
-fn skinny(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+/// The skinny body of the packed variants ([`ShapeClass::Skinny`]). The
+/// `avx2` row runs the `vpmaddwd` kernels of [`skinny_avx2`] (on a CPU
+/// without AVX2 it takes the autovec body, as the packed GEMMs do); the
+/// `autovec` row runs [`skinny_generic`]. Exact `i32` accumulation, as in
+/// every variant.
+fn skinny(variant: Variant, m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
     assert!(k <= K_MAX, "qgemm skinny: k={k} exceeds K_MAX={K_MAX}");
-    if n < NR {
-        skinny_lanes_i8(m, n, k, (a, (k, 1)), (b, (n, 1)), c, (n, 1));
-    } else {
-        skinny_lanes_i8(n, m, k, (b, (1, n)), (a, (1, k)), c, (1, n));
+    #[cfg(target_arch = "x86_64")]
+    if variant == Variant::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: calling a `#[target_feature(enable = "avx2")]` function
+        // is sound iff the CPU supports AVX2, which the runtime check on
+        // the line above guarantees; the kernels inside assert their slice
+        // bounds before any raw pointer arithmetic.
+        return unsafe { skinny_avx2(m, n, k, a, b, c) };
     }
-}
-
-/// A strided int8 operand: element `(i, l)` at `data[i·rs + l·cs]`.
-type StridedI8<'a> = (&'a [i8], (usize, usize));
-
-/// `C(i, j) += Σ_l X(i, l)·Y(l, j)` for `i < p`, `j < q`, with `C(i, j)` at
-/// `c[i·c_rs + j·c_cs]` and lanes across `i`; dispatches to an
-/// AVX2-compiled copy when the CPU supports it.
-fn skinny_lanes_i8(
-    p: usize,
-    q: usize,
-    k: usize,
-    x: StridedI8,
-    y: StridedI8,
-    c: &mut [i32],
-    c_str: (usize, usize),
-) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: calling a `#[target_feature(enable = "avx2")]` function
-        // is sound iff the CPU supports AVX2, which the runtime check on
-        // the line above guarantees. Its body is safe Rust over ordinary
-        // slices, so feature availability is the only proof obligation.
-        return unsafe { skinny_lanes_i8_avx2(p, q, k, x, y, c, c_str) };
+        // SAFETY: as above — the runtime check on the line above
+        // guarantees AVX2; the body is safe Rust over ordinary slices.
+        return unsafe { skinny_generic_avx2(m, n, k, a, b, c) };
     }
-    skinny_lanes_i8_body(p, q, k, x, y, c, c_str);
+    skinny_generic(m, n, k, a, b, c);
 }
 
-/// [`skinny_lanes_i8_body`] recompiled with AVX2 codegen.
+/// [`skinny_generic`] recompiled with AVX2 codegen.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn skinny_lanes_i8_avx2(
-    p: usize,
-    q: usize,
-    k: usize,
-    x: StridedI8,
-    y: StridedI8,
-    c: &mut [i32],
-    c_str: (usize, usize),
-) {
-    skinny_lanes_i8_body(p, q, k, x, y, c, c_str);
+fn skinny_generic_avx2(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    skinny_generic(m, n, k, a, b, c);
 }
 
+/// The autovec row's skinny body: plain loops the compiler vectorises.
+/// With `n < NR` each output is a dot product of an `A` row with a column
+/// of `B` widened to `i16` once per call; otherwise (`k < SKINNY_K`) each
+/// row of `C` is `k` scaled rows of `B` summed across its columns. Either
+/// way an output's products are summed in `i32` before one add into `C`.
 #[inline(always)]
-fn skinny_lanes_i8_body(
-    p: usize,
-    q: usize,
-    k: usize,
-    (x, (x_rs, x_cs)): StridedI8,
-    (y, (y_rs, y_cs)): StridedI8,
-    c: &mut [i32],
-    (c_rs, c_cs): (usize, usize),
-) {
-    // Operands are widened to `i32` while packing, so the inner loop is a
-    // plain `i32` multiply-add; `KC` blocks only bound the buffers, since
-    // integer accumulation is exact in any order.
-    let kmax = KC.min(k);
-    let mut buf = scratch::take::<i32>(kmax * (SK_LANES + SK_COLS));
-    let (xt, yt) = buf.split_at_mut(kmax * SK_LANES);
-    for lc in (0..k).step_by(KC) {
-        let kc = KC.min(k - lc);
-        for i0 in (0..p).step_by(SK_LANES) {
-            let lanes = SK_LANES.min(p - i0);
-            pack_lanes_i8(xt, (x, (x_rs, x_cs)), i0, lanes, lc, kc);
-            let (xs, _) = xt[..kc * SK_LANES].as_chunks::<SK_LANES>();
-            for j0 in (0..q).step_by(SK_COLS) {
-                let cols = SK_COLS.min(q - j0);
-                for (l, row) in yt.as_chunks_mut::<SK_COLS>().0[..kc].iter_mut().enumerate() {
-                    let base = (lc + l) * y_rs + j0 * y_cs;
-                    for (jj, dst) in row.iter_mut().enumerate() {
-                        *dst = if jj < cols {
-                            i32::from(y[base + jj * y_cs])
-                        } else {
-                            0
-                        };
-                    }
+fn skinny_generic(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    let (a, c) = (&a[..m * k], &mut c[..m * n]);
+    if n < NR {
+        let mut bt = scratch::take::<i16>(n * k);
+        for (l, brow) in b[..k * n].chunks_exact(n).enumerate() {
+            for (j, &v) in brow.iter().enumerate() {
+                bt[j * k + l] = i16::from(v);
+            }
+        }
+        for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+            for (cj, col) in crow.iter_mut().zip(bt.chunks_exact(k)) {
+                let dot: i32 = arow
+                    .iter()
+                    .zip(col)
+                    .map(|(&x, &y)| i32::from(x) * i32::from(y))
+                    .sum();
+                *cj += dot;
+            }
+        }
+    } else {
+        let mut sums = scratch::take::<i32>(n);
+        for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+            sums.fill(0);
+            for (&x, brow) in arow.iter().zip(b.chunks_exact(n)) {
+                let x = i32::from(x);
+                for (s, &y) in sums.iter_mut().zip(brow) {
+                    *s += x * i32::from(y);
                 }
-                let mut acc = [[0i32; SK_LANES]; SK_COLS];
-                for (xv, yv) in xs.iter().zip(yt.as_chunks::<SK_COLS>().0) {
-                    for jj in 0..SK_COLS {
-                        let yj = yv[jj];
-                        for r in 0..SK_LANES {
-                            acc[jj][r] += xv[r] * yj;
-                        }
-                    }
-                }
-                for (jj, lane_sums) in acc.iter().enumerate().take(cols) {
-                    let base = i0 * c_rs + (j0 + jj) * c_cs;
-                    if c_rs == 1 {
-                        let dst = &mut c[base..base + lanes];
-                        for (d, &v) in dst.iter_mut().zip(lane_sums) {
-                            *d += v;
-                        }
-                    } else {
-                        for (r, &v) in lane_sums.iter().enumerate().take(lanes) {
-                            c[base + r * c_rs] += v;
-                        }
-                    }
-                }
+            }
+            for (cj, &s) in crow.iter_mut().zip(sums.iter()) {
+                *cj += s;
             }
         }
     }
 }
 
-/// Packs rows `i0..i0 + lanes` of `X`'s `KC` block at column `lc` (width
-/// `kc`) k-major into `xt`, widened to `i32`: lane `r` of step `l` at
-/// `l·SK_LANES + r`.
-#[inline(always)]
-fn pack_lanes_i8(xt: &mut [i32], x: StridedI8, i0: usize, lanes: usize, lc: usize, kc: usize) {
-    let (data, (rs, cs)) = x;
-    #[cfg(target_arch = "x86_64")]
-    if cs == 1 && lanes == SK_LANES && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: calling a `#[target_feature(enable = "avx2")]` function
-        // is sound iff the CPU supports AVX2, which the runtime check on
-        // the line above guarantees; the intrinsics inside assert their
-        // slice bounds before any raw pointer arithmetic.
-        return unsafe { pack_lanes_i8_avx2(xt, data, rs, i0, lc, kc) };
+/// The avx2 row's skinny kernels, all on `vpmaddwd` (`i16` pairs
+/// multiplied and summed into `i32` lanes):
+///
+/// * `n ≥ NR` (so `k < SKINNY_K`): [`skinny_pairs_cols_avx2`], lanes
+///   across the columns of `C`;
+/// * `n < NR`, `k ≤ 2`: [`skinny_pairs_rows_avx2`], lanes across an
+///   8-row block of `C` in storage order;
+/// * `n < NR`, `k ≥ 3`: [`skinny_rowdot_avx2`], one dot product per
+///   output, eight outputs reduced together.
+///
+/// Exactness is integer arithmetic: operands are `i8`, so every product
+/// satisfies `|a·b| ≤ 2¹⁴` and every `vpmaddwd` pair sum `≤ 2¹⁵` — far
+/// inside the `i32` lane, with no saturation anywhere — and the `i32`
+/// sums of at most `k ≤ K_MAX` products stay below `2³⁰`. Zero padding
+/// (the high half of an odd `k`'s last pair, `k` up to a multiple of 16,
+/// columns up to a multiple of 8) contributes zero products, and the
+/// outputs of padded rows are never written back. The result equals the
+/// scalar triple loop's in any summation order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn skinny_avx2(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
+    if n >= NR {
+        skinny_pairs_cols_avx2(m, n, k, a, b, c);
+    } else if k <= 2 {
+        skinny_pairs_rows_avx2(m, n, k, a, b, c);
+    } else {
+        skinny_rowdot_avx2(m, n, k, a, b, c);
     }
-    for r in 0..lanes {
-        let base = (i0 + r) * rs + lc * cs;
-        for (l, dst) in xt[r..kc * SK_LANES]
-            .iter_mut()
-            .step_by(SK_LANES)
+}
+
+/// Packs two `i8` values as one `i32` lane of two sign-extended `i16`s,
+/// `lo` in the low half — the operand layout of `vpmaddwd`.
+#[inline(always)]
+fn i16_pair(lo: i8, hi: i8) -> i32 {
+    (i32::from(hi) << 16) | i32::from(lo as i16 as u16)
+}
+
+/// The `i16` pair of rows `(2g, 2g + 1)` of `B` at column `j` (`k` rows of
+/// width `n`): zero in the high half past row `k`.
+#[inline(always)]
+fn b_pair(b: &[i8], n: usize, k: usize, g: usize, j: usize) -> i32 {
+    let hi = if 2 * g + 1 < k {
+        b[(2 * g + 1) * n + j]
+    } else {
+        0
+    };
+    i16_pair(b[2 * g * n + j], hi)
+}
+
+/// Widens eight rows of `A` for `k ≤ 2` — their `8·k` bytes are one
+/// contiguous load — to eight `i32` lanes: row `r`'s pair
+/// `(a(r, 0), a(r, 1))` when `k = 2`; `a(r, 0)` sign-extended when
+/// `k = 1`, whose high half only ever meets the zero high half of a
+/// [`b_pair`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn row_pairs8(block: &[i8], k: usize) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::{
+        _mm256_cvtepi8_epi16, _mm256_cvtepi8_epi32, _mm_loadl_epi64, _mm_loadu_si128,
+    };
+    assert!(block.len() >= 8 * k && k <= 2);
+    // SAFETY: asserted above: 16 readable bytes when `k = 2`, 8 when `k = 1`.
+    unsafe {
+        if k == 2 {
+            _mm256_cvtepi8_epi16(_mm_loadu_si128(block.as_ptr().cast()))
+        } else {
+            _mm256_cvtepi8_epi32(_mm_loadl_epi64(block.as_ptr().cast()))
+        }
+    }
+}
+
+/// `k < SKINNY_K`, `n ≥ NR`: each row of `C` takes eight columns per
+/// `vpmaddwd` per k-pair. `B` is packed once per call as [`b_pair`]s,
+/// zero-padded to a multiple of 8 columns, and `A` once as `i16` pairs of
+/// each row, which the row loop broadcasts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn skinny_pairs_cols_avx2(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    let groups = k.div_ceil(2);
+    let np = n.next_multiple_of(8);
+    let mut bp = scratch::take::<i32>(groups * np);
+    for (g, prow) in bp.chunks_exact_mut(np).enumerate() {
+        for (j, p) in prow[..n].iter_mut().enumerate() {
+            *p = b_pair(b, n, k, g, j);
+        }
+    }
+    let mut ap = scratch::take::<i32>(m * groups);
+    let whole = if k <= 2 { m / 8 * 8 } else { 0 };
+    for (block, dst) in a[..whole * k]
+        .chunks_exact(8 * k)
+        .zip(ap.as_chunks_mut::<8>().0)
+    {
+        // SAFETY: `dst` is an 8-element array: one 32-byte store.
+        unsafe {
+            std::arch::x86_64::_mm256_storeu_si256(dst.as_mut_ptr().cast(), row_pairs8(block, k))
+        };
+    }
+    for (arow, pairs) in a[whole * k..m * k]
+        .chunks_exact(k)
+        .zip(ap[whole * groups..].chunks_exact_mut(groups))
+    {
+        for (g, p) in pairs.iter_mut().enumerate() {
+            *p = b_pair(arow, 1, k, g, 0);
+        }
+    }
+    let c = &mut c[..m * n];
+    match groups {
+        1 => pairs_cols_avx2::<1>(n, np, &ap, &bp, c),
+        2 => pairs_cols_avx2::<2>(n, np, &ap, &bp, c),
+        3 => pairs_cols_avx2::<3>(n, np, &ap, &bp, c),
+        _ => pairs_cols_avx2::<4>(n, np, &ap, &bp, c),
+    }
+}
+
+/// The row loop of [`skinny_pairs_cols_avx2`] for `G` k-pairs: row `i`'s
+/// pairs at `ap[i·G..]`, pair `g` of column `j` at `bp[g·np + j]`; a
+/// column tail narrower than 8 goes through masked loads and stores.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pairs_cols_avx2<const G: usize>(n: usize, np: usize, ap: &[i32], bp: &[i32], c: &mut [i32]) {
+    use std::arch::x86_64::*;
+    assert!(bp.len() >= G * np && np >= n && np.is_multiple_of(8) && c.len() / n <= ap.len() / G);
+    let full = n / 8 * 8;
+    let tail = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32((n - full) as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    );
+    for (pairs, crow) in ap.as_chunks::<G>().0.iter().zip(c.chunks_exact_mut(n)) {
+        let av = pairs.map(|p| _mm256_set1_epi32(p));
+        // SAFETY: `j0 + 8 ≤ np` and `(G − 1)·np + np ≤ bp.len()`
+        // (asserted above), so every `B` load is in bounds.
+        let sum = |j0: usize| unsafe {
+            let mut s = _mm256_madd_epi16(av[0], _mm256_loadu_si256(bp.as_ptr().add(j0).cast()));
+            for (g, &x) in av.iter().enumerate().skip(1) {
+                let bv = _mm256_loadu_si256(bp.as_ptr().add(g * np + j0).cast());
+                s = _mm256_add_epi32(s, _mm256_madd_epi16(x, bv));
+            }
+            s
+        };
+        for j0 in (0..full).step_by(8) {
+            // SAFETY: `j0 + 8 ≤ full ≤ n = crow.len()`.
+            unsafe {
+                let dst = crow.as_mut_ptr().add(j0).cast::<__m256i>();
+                _mm256_storeu_si256(dst, _mm256_add_epi32(_mm256_loadu_si256(dst), sum(j0)));
+            }
+        }
+        if full < n {
+            // SAFETY: the mask enables lanes `0..n − full` only, all
+            // within `crow`; masked-off lanes are neither read nor written.
+            unsafe {
+                let dst = crow.as_mut_ptr().add(full);
+                let v = _mm256_add_epi32(_mm256_maskload_epi32(dst, tail), sum(full));
+                _mm256_maskstore_epi32(dst, tail, v);
+            }
+        }
+    }
+}
+
+/// `n < NR`, `k ≤ 2`: the outputs of eight rows are one row-major block
+/// of `8·n` elements of `C`, produced as `n` vectors in storage order.
+/// Lane `e` of vector `v` is element `f = 8v + e` of the block, row
+/// `f / n` and column `f mod n`: a `vpermd` picks that row's pair from
+/// the block's [`row_pairs8`], and it meets a per-lane pattern of
+/// [`b_pair`]s built once per call.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn skinny_pairs_rows_avx2(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    use std::arch::x86_64::*;
+    let mut rowsel = [_mm256_setzero_si256(); NR];
+    let mut bpat = [_mm256_setzero_si256(); NR];
+    let (mut row, mut col) = (0, 0);
+    for (sel, pat) in rowsel[..n].iter_mut().zip(&mut bpat) {
+        let (mut rows, mut pairs) = ([0i32; 8], [0i32; 8]);
+        for (r, p) in rows.iter_mut().zip(&mut pairs) {
+            (*r, *p) = (row, b_pair(b, n, k, 0, col));
+            col += 1;
+            if col == n {
+                (row, col) = (row + 1, 0);
+            }
+        }
+        // SAFETY: both are 8-element `i32` arrays: 32 readable bytes each.
+        (*sel, *pat) = unsafe {
+            (
+                _mm256_loadu_si256(rows.as_ptr().cast()),
+                _mm256_loadu_si256(pairs.as_ptr().cast()),
+            )
+        };
+    }
+    let block = |av: __m256i, v: usize| {
+        _mm256_madd_epi16(_mm256_permutevar8x32_epi32(av, rowsel[v]), bpat[v])
+    };
+    let whole = m / 8 * 8;
+    for (ablk, cblk) in a[..whole * k]
+        .chunks_exact(8 * k)
+        .zip(c.chunks_exact_mut(8 * n))
+    {
+        let av = row_pairs8(ablk, k);
+        for (v, dst) in cblk.as_chunks_mut::<8>().0.iter_mut().enumerate() {
+            // SAFETY: `dst` is an 8-element array: one 32-byte load and store.
+            unsafe {
+                let p = dst.as_mut_ptr().cast::<__m256i>();
+                _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), block(av, v)));
+            }
+        }
+    }
+    if whole < m {
+        let mut edge = [0i8; 16];
+        edge[..(m - whole) * k].copy_from_slice(&a[whole * k..m * k]);
+        let av = row_pairs8(&edge, k);
+        let mut out = [0i32; 8 * NR];
+        for (v, dst) in out.as_chunks_mut::<8>().0[..n].iter_mut().enumerate() {
+            // SAFETY: `dst` is an 8-element array: one 32-byte store.
+            unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), block(av, v)) };
+        }
+        for (cj, &x) in c[whole * n..m * n].iter_mut().zip(&out) {
+            *cj += x;
+        }
+    }
+}
+
+/// `n < NR`, `k ≥ 3`: the row-dot form. `B`'s columns are packed once per
+/// call as zero-padded `i16` rows of `kp = k` rounded up to 16, and each
+/// group of eight `A` rows is widened to `i16` once. The group's `8·n`
+/// outputs are produced in storage order, eight at a time: each output is
+/// the `i32` lane sum of `kp/16` `vpmaddwd` products of its row and
+/// column, and one `hadd` tree ([`hsum8`]) reduces eight of them into
+/// one vector of `C`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn skinny_rowdot_avx2(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    use std::arch::x86_64::*;
+    let kp = k.next_multiple_of(SK_K);
+    let mut bt = scratch::take::<i16>(n * kp);
+    for (l, brow) in b[..k * n].chunks_exact(n).enumerate() {
+        for (j, &v) in brow.iter().enumerate() {
+            bt[j * kp + l] = i16::from(v);
+        }
+    }
+    let mut at = scratch::take::<i16>(SK_ROWS * kp);
+    let full = k / SK_K * SK_K;
+    // Output `f` of a group: row `f / n` of `at`, column `f mod n` of `bt`.
+    let (mut aoff, mut boff) = ([0usize; SK_ROWS * NR], [0usize; SK_ROWS * NR]);
+    let (mut row, mut col) = (0, 0);
+    for (ao, bo) in aoff[..SK_ROWS * n].iter_mut().zip(&mut boff) {
+        (*ao, *bo) = (row * kp, col * kp);
+        col += 1;
+        if col == n {
+            (row, col) = (row + 1, 0);
+        }
+    }
+    assert!(at.len() == SK_ROWS * kp && bt.len() == n * kp);
+    let mut out = [0i32; SK_ROWS * NR];
+    for i0 in (0..m).step_by(SK_ROWS) {
+        let rows = SK_ROWS.min(m - i0);
+        for (arow, dst) in a[i0 * k..(i0 + rows) * k]
+            .chunks_exact(k)
+            .zip(at.chunks_exact_mut(kp))
+        {
+            for l0 in (0..full).step_by(SK_K) {
+                // SAFETY: `l0 + 16 ≤ full ≤ k = arow.len()` and
+                // `≤ kp = dst.len()`: a 16-byte load, a 32-byte store.
+                unsafe {
+                    let v = _mm256_cvtepi8_epi16(_mm_loadu_si128(arow.as_ptr().add(l0).cast()));
+                    _mm256_storeu_si256(dst.as_mut_ptr().add(l0).cast(), v);
+                }
+            }
+            // Positions `k..kp` of every row stay zero: nothing writes them.
+            for (d, &x) in dst[full..k].iter_mut().zip(&arow[full..]) {
+                *d = i16::from(x);
+            }
+        }
+        // Rows past `rows` of a partial group hold stale or zero data;
+        // their outputs are computed and dropped.
+        let cblk = &mut c[i0 * n..(i0 + rows) * n];
+        for (v, (ao, bo)) in aoff[..SK_ROWS * n]
+            .as_chunks::<SK_ROWS>()
+            .0
+            .iter()
+            .zip(boff.as_chunks::<SK_ROWS>().0)
             .enumerate()
         {
-            *dst = i32::from(data[base + l * cs]);
+            let mut acc = [_mm256_setzero_si256(); SK_ROWS];
+            for l0 in (0..kp).step_by(SK_K) {
+                for (s, (&ar, &bc)) in acc.iter_mut().zip(ao.iter().zip(bo)) {
+                    // SAFETY: `ar + l0 + 16 ≤ 8·kp = at.len()` and
+                    // `bc + l0 + 16 ≤ n·kp = bt.len()` (asserted above).
+                    unsafe {
+                        let av = _mm256_loadu_si256(at.as_ptr().add(ar + l0).cast());
+                        let bv = _mm256_loadu_si256(bt.as_ptr().add(bc + l0).cast());
+                        *s = _mm256_add_epi32(*s, _mm256_madd_epi16(av, bv));
+                    }
+                }
+            }
+            let sums = hsum8(acc);
+            if 8 * v + 8 <= cblk.len() {
+                // SAFETY: `8v + 8 ≤ cblk.len()`: one 32-byte load and store.
+                unsafe {
+                    let p = cblk.as_mut_ptr().add(8 * v).cast::<__m256i>();
+                    _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), sums));
+                }
+            } else {
+                // SAFETY: `out` holds `8·NR ≥ 8v + 8` i32.
+                unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(8 * v).cast(), sums) };
+            }
+        }
+        if rows < SK_ROWS {
+            let done = cblk.len() / 8 * 8;
+            for (cj, &x) in cblk[done..].iter_mut().zip(&out[done..]) {
+                *cj += x;
+            }
         }
     }
 }
 
-/// [`pack_lanes_i8`] for a full row group of rows contiguous in `l`: each
-/// row's eight bytes are sign-extended to eight `i32` lanes and the 8×8
-/// block goes through the shared in-register transpose.
+/// Lane `r` of the result is the sum of the eight lanes of `v[r]`: three
+/// levels of `vphaddd` leave each input's two 128-bit half sums in
+/// matching lanes of two registers, and one cross-lane permute pair adds
+/// them.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn pack_lanes_i8_avx2(xt: &mut [i32], data: &[i8], rs: usize, i0: usize, lc: usize, kc: usize) {
-    use std::arch::x86_64::{
-        _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cvtepi8_epi32, _mm256_storeu_si256,
-        _mm_loadl_epi64,
-    };
-    let full = kc / 8 * 8;
-    assert!(xt.len() >= kc * SK_LANES, "skinny lane buffer too short");
-    assert!(
-        full == 0 || (i0 + SK_LANES - 1) * rs + lc + full <= data.len(),
-        "skinny operand block out of bounds"
-    );
-    for half in 0..SK_LANES / 8 {
-        let row0 = (i0 + half * 8) * rs + lc;
-        for l0 in (0..full).step_by(8) {
-            let mut r = [_mm256_castsi256_ps(std::arch::x86_64::_mm256_setzero_si256()); 8];
-            for (q, reg) in r.iter_mut().enumerate() {
-                let at = row0 + q * rs + l0;
-                // SAFETY: asserted above — row `i0 + half·8 + q` reads the
-                // 8 bytes `l0..l0 + 8 ≤ full` from column `lc`, within
-                // `data`; `loadl` has no alignment requirement.
-                let bytes = unsafe { _mm_loadl_epi64(data.as_ptr().add(at).cast()) };
-                *reg = _mm256_castsi256_ps(_mm256_cvtepi8_epi32(bytes));
-            }
-            for (l, col) in transpose8x8!(r).into_iter().enumerate() {
-                // SAFETY: `(l0 + l)·SK_LANES + half·8 + 8 ≤ kc·SK_LANES ≤
-                // xt.len()` (asserted above), room for one 8-lane store.
-                unsafe {
-                    _mm256_storeu_si256(
-                        xt.as_mut_ptr().add((l0 + l) * SK_LANES + half * 8).cast(),
-                        _mm256_castps_si256(col),
-                    )
-                };
-            }
-        }
-    }
-    for r in 0..SK_LANES {
-        let base = (i0 + r) * rs + lc;
-        for l in full..kc {
-            xt[l * SK_LANES + r] = i32::from(data[base + l]);
-        }
-    }
+#[inline]
+fn hsum8(v: [std::arch::x86_64::__m256i; SK_ROWS]) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::{_mm256_add_epi32, _mm256_hadd_epi32, _mm256_permute2x128_si256};
+    let h01 = _mm256_hadd_epi32(v[0], v[1]);
+    let h23 = _mm256_hadd_epi32(v[2], v[3]);
+    let h45 = _mm256_hadd_epi32(v[4], v[5]);
+    let h67 = _mm256_hadd_epi32(v[6], v[7]);
+    let lo = _mm256_hadd_epi32(h01, h23);
+    let hi = _mm256_hadd_epi32(h45, h67);
+    _mm256_add_epi32(
+        _mm256_permute2x128_si256::<0x20>(lo, hi),
+        _mm256_permute2x128_si256::<0x31>(lo, hi),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -985,6 +1206,7 @@ fn micro_maddubs_fallback(
 
 #[cfg(test)]
 mod tests {
+    use super::super::SKINNY_K;
     use super::*;
     use crate::ops::qgemm::qgemm_reference;
 
@@ -1032,19 +1254,27 @@ mod tests {
         }
     }
 
-    /// The skinny class boundaries: `n` around `NR`, `k` around
-    /// `SKINNY_K`, `m` around `MR`, the 8-lane and 16-lane groups, and the
-    /// MLP's batch and eval-set sizes.
+    /// The skinny class boundaries and the edges of each `vpmaddwd`
+    /// kernel: `m` around `MR` and the 8-row groups, plus the MLP's batch
+    /// and eval-set sizes; with `n < NR`, `k` around the row-pair forms
+    /// (`k ≤ 2`), `SKINNY_K` and the row-dot form's 16-wide padding; with
+    /// `n ≥ NR`, every `k < SKINNY_K` (odd `k` pads the last pair) and
+    /// column counts that leave 8-lane tails.
     fn skinny_grid() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
-        for m in [2, MR - 1, MR + 1, 7, 9, 64, 300] {
-            for n in [1, 3, NR - 1, NR] {
-                for k in [1, 2, 7, 8] {
+        for m in [2, MR - 1, MR + 1, 7, 8, 9, 64, 300] {
+            for n in [1, 2, 3, NR - 1] {
+                for k in [1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 64] {
+                    shapes.push((m, n, k));
+                }
+            }
+            for n in [NR, NR + 1, 2 * NR + 7] {
+                for k in 1..SKINNY_K {
                     shapes.push((m, n, k));
                 }
             }
         }
-        shapes.extend([(64, 3, 32), (17, 5, 300), (300, 3, 600)]);
+        shapes.extend([(17, 5, 300), (300, 3, 600)]);
         shapes
     }
 
@@ -1065,6 +1295,25 @@ mod tests {
                 let mut got = vec![0i32; m * n];
                 qgemm_i8_with(v, m, n, k, &a, &b, &mut got);
                 assert_eq!(got, want, "({m}x{n}x{k}) variant {v:?}");
+            }
+        }
+        // All-−128 operands, the largest product `vpmaddwd` ever sees
+        // (2¹⁴ per product, 2¹⁵ per pair), at the deepest `k` of the
+        // skinny grid for each kernel: every output is `k·2¹⁴`.
+        let mut shapes: Vec<(usize, usize, usize)> = [1, 2, 3, NR - 1]
+            .into_iter()
+            .flat_map(|n| [(9, n, 64), (9, n, 2)])
+            .collect();
+        shapes.extend([(9, NR + 1, SKINNY_K - 1), (300, 3, 600)]);
+        for (m, n, k) in shapes {
+            let (a, b) = (vec![-128i8; m * k], vec![-128i8; k * n]);
+            for v in VARIANTS {
+                let mut got = vec![0i32; m * n];
+                qgemm_i8_with(v, m, n, k, &a, &b, &mut got);
+                assert!(
+                    got.iter().all(|&x| x == (k as i32) << 14),
+                    "({m}x{n}x{k}) variant {v:?}"
+                );
             }
         }
     }

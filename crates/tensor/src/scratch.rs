@@ -8,8 +8,9 @@
 //! the allocation to the pool instead of freeing it.
 //!
 //! One pool exists per element type (`f32` for the float kernels, `i8`/
-//! `u8`/`i32` for the quantized GEMM pack buffers and accumulators), so a
-//! buffer is always recycled into a pool of its own layout. The pools are
+//! `u8`/`i16`/`i32` for the quantized GEMM pack buffers and accumulators),
+//! so a buffer is always recycled into a pool of its own layout. Other
+//! crates pool their own `Copy` types by implementing [`Poolable`]. The pools are
 //! thread-local, so parallel MCMC chains each keep their own warm buffers
 //! without any synchronisation.
 
@@ -50,6 +51,7 @@ macro_rules! poolable {
 poolable!(f32, 0.0, POOL_F32);
 poolable!(i8, 0, POOL_I8);
 poolable!(u8, 0, POOL_U8);
+poolable!(i16, 0, POOL_I16);
 poolable!(i32, 0, POOL_I32);
 poolable!(i64, 0, POOL_I64);
 

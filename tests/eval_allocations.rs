@@ -72,14 +72,16 @@ const CONFIGS: usize = 200;
 const P: f64 = 1e-3;
 
 /// Mean allocations per evaluation each path may make: the counts this
-/// code measures (24.5, 31.1 and 10.4), rounded up. Before the
+/// code measures (24.5, 31.1 and 8.5), rounded up. Before the
 /// evaluation path reused its buffers they were 190.6 (f32 delta), 98.2
 /// (f32 incremental) and 183.8 (int8 delta, then in 64-row batches);
 /// before the delta loop kept its buffers per thread and fault
-/// application stopped building parameter paths, 60.2, 43.1 and 18.1.
+/// application stopped building parameter paths, 60.2, 43.1 and 18.1;
+/// before the int8 dense layers took their per-column requantizers from
+/// the scratch pool, 10.4 for int8.
 const F32_DELTA_MEAN: f64 = 25.0;
 const F32_INCREMENTAL_MEAN: f64 = 32.0;
-const I8_DELTA_MEAN: f64 = 11.0;
+const I8_DELTA_MEAN: f64 = 9.0;
 
 /// Mean per-evaluation allocation count over the delta hits (or, with
 /// `need_hit` false, over every evaluation) of `configs` evaluated by
