@@ -15,13 +15,16 @@
 //! * **avx2** — hand-written AVX2 intrinsics over the same packed-panel
 //!   layout: `mul`/`add` register tiles for f32
 //!   ([`gemm_f32`]), and a `maddubs`-style u8×i8 pairwise dot-product
-//!   kernel for int8 ([`qgemm_i8`]).
+//!   kernel for int8 ([`qgemm_i8`]), whose skinny shapes run `vpmaddwd`
+//!   kernels.
 //!
 //! Selection is overridable process-wide with `BDLFI_KERNEL=scalar|
 //! autovec|avx2` (read once, first use wins) so CI can force every suite
 //! through every variant. Forcing `avx2` on a host without AVX2 downgrades
 //! to `autovec` — the override must never make a binary crash or a suite
-//! vacuously skip.
+//! vacuously skip. The int8 quantize and requantize steps of
+//! `bdlfi-quant` read the same override: `scalar` and `autovec` run their
+//! reference loops, `avx2` (also the default) their SIMD kernels.
 //!
 //! # Determinism across variants
 //!
