@@ -146,6 +146,8 @@ fn quantize_slice_with(variant: Variant, src: &[f32], inv_scale: f64, zp: i64, d
         // the intrinsics inside read and write fixed-size arrays only.
         return unsafe { quantize_slice_avx2(src, inv_scale, zp, dst) };
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = variant; // only the AVX2 dispatch reads it
     quantize_slice_reference(src, inv_scale, zp, dst);
 }
 
@@ -563,6 +565,8 @@ fn requant_rows_with(
             return unsafe { requant_rows_avx2(acc, &lanes, zp_out, out_scale, dst) };
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = variant; // only the AVX2 dispatch reads it
     requant_rows_reference(acc, rqs, corrs, zp_out, out_scale, dst);
 }
 
@@ -621,11 +625,13 @@ fn requant_rows_reference(
 /// `period`-long arrays: the doubled multipliers `2·mult` as u32 bit
 /// patterns; the same for the odd lanes, moved down one lane (where
 /// `vpmuludq` reads them); the shifts `rshift − 32`; the corrections.
+#[cfg(target_arch = "x86_64")]
 struct RequantLanes {
     buf: scratch::ScratchBuf<i32>,
     period: usize,
 }
 
+#[cfg(target_arch = "x86_64")]
 impl RequantLanes {
     /// The lanes for `width = rqs.len()` columns, or `None` outside the
     /// 8-lane kernel's domain: a non-empty block whose every column is
@@ -915,12 +921,13 @@ mod tests {
     /// Every variant of the quantizer against the scalar oracle, over the
     /// value classes the exactness proofs enumerate: exact half-ties on
     /// dyadic grids and one ulp either side, signed zeros, subnormals,
-    /// infinities, quiet and signalling NaNs of both signs, `|x·inv|` near
-    /// 2⁹ (the f32 lanes' clamp), 2²⁴ and 2⁴⁰ (the f64 lanes' pre-clamp) —
+    /// infinities, quiet and signalling NaNs of both signs, the grid's ends
+    /// 127 and −128 exactly, `|x·inv|` near 2⁹ (the f32 lanes' clamp), 2²⁴,
+    /// and 2⁴⁰ and 2⁴¹ (the f64 lanes' pre-clamp) —
     /// crossed with degenerate (faulted) scales, reciprocals whose `as f32`
     /// overflows or underflows, zero points either side of ±256, and
-    /// slice lengths 0–40 at several offsets, so every tail and every lane
-    /// sees the specials.
+    /// slice lengths 0–40 at several offsets (plus 48 and the whole set),
+    /// so every tail and every lane sees the specials.
     #[test]
     fn avx2_quantizer_is_bit_identical_to_reference() {
         let ulps = |x: f32| {
@@ -968,8 +975,12 @@ mod tests {
             f32::from_bits(0x7fa0_0000),
             0.49999997,
             -0.49999997,
+            127.0,
+            -128.0,
             127.49,
             -128.49,
+            (1u64 << 41) as f32,
+            -((1u64 << 41) as f32),
         ]);
         xs.extend((-300..300).map(|i| i as f32 * 0.37));
         let invs = [
@@ -1005,7 +1016,7 @@ mod tests {
         ];
         for &inv in &invs {
             for &zp in &zps {
-                let mut windows = vec![&xs[..]];
+                let mut windows = vec![&xs[..], &xs[..48]];
                 for len in 0..=40 {
                     for off in [0, 7, 29, xs.len() - 40] {
                         windows.push(&xs[off..off + len]);
@@ -1109,7 +1120,7 @@ mod tests {
                     );
                 }
             };
-        let zps = [0, 127, -127, 256, -256, 257, -257, i32::MIN, i32::MAX];
+        let zps = [0, -3, 127, -127, 256, -256, 257, -257, i32::MIN, i32::MAX];
         for (cols, corrs) in &sets {
             for w in [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33] {
                 for rows in [1, 7, 8, 300] {

@@ -153,6 +153,8 @@ fn skinny(variant: Variant, m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c:
         // guarantees AVX2; the body is safe Rust over ordinary slices.
         return unsafe { skinny_generic_avx2(m, n, k, a, b, c) };
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = variant; // only the AVX2 dispatch reads it
     skinny_generic(m, n, k, a, b, c);
 }
 
@@ -279,12 +281,16 @@ fn row_pairs8(block: &[i8], k: usize) -> std::arch::x86_64::__m256i {
 }
 
 /// `k < SKINNY_K`, `n ≥ NR`: each row of `C` takes eight columns per
-/// `vpmaddwd` per k-pair. `B` is packed once per call as [`b_pair`]s,
-/// zero-padded to a multiple of 8 columns, and `A` once as `i16` pairs of
-/// each row, which the row loop broadcasts.
+/// `vpmaddwd`, one pass over `C` per k-pair. `B` is packed once per call
+/// as [`b_pair`]s, zero-padded to a multiple of 8 columns, and `A` once as
+/// `i16` pairs of each row, which the row loop broadcasts; a column tail
+/// narrower than 8 goes through masked loads and stores. (Below 8 columns
+/// a row's masked store overlaps the next row's masked load, which waits
+/// for it: that is why `n < NR`, `k ≤ 2` takes [`skinny_pairs_rows_avx2`].)
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn skinny_pairs_cols_avx2(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    use std::arch::x86_64::*;
     let groups = k.div_ceil(2);
     let np = n.next_multiple_of(8);
     let mut bp = scratch::take::<i32>(groups * np);
@@ -300,9 +306,7 @@ fn skinny_pairs_cols_avx2(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &
         .zip(ap.as_chunks_mut::<8>().0)
     {
         // SAFETY: `dst` is an 8-element array: one 32-byte store.
-        unsafe {
-            std::arch::x86_64::_mm256_storeu_si256(dst.as_mut_ptr().cast(), row_pairs8(block, k))
-        };
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), row_pairs8(block, k)) };
     }
     for (arow, pairs) in a[whole * k..m * k]
         .chunks_exact(k)
@@ -312,54 +316,37 @@ fn skinny_pairs_cols_avx2(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &
             *p = b_pair(arow, 1, k, g, 0);
         }
     }
-    let c = &mut c[..m * n];
-    match groups {
-        1 => pairs_cols_avx2::<1>(n, np, &ap, &bp, c),
-        2 => pairs_cols_avx2::<2>(n, np, &ap, &bp, c),
-        3 => pairs_cols_avx2::<3>(n, np, &ap, &bp, c),
-        _ => pairs_cols_avx2::<4>(n, np, &ap, &bp, c),
-    }
-}
-
-/// The row loop of [`skinny_pairs_cols_avx2`] for `G` k-pairs: row `i`'s
-/// pairs at `ap[i·G..]`, pair `g` of column `j` at `bp[g·np + j]`; a
-/// column tail narrower than 8 goes through masked loads and stores.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn pairs_cols_avx2<const G: usize>(n: usize, np: usize, ap: &[i32], bp: &[i32], c: &mut [i32]) {
-    use std::arch::x86_64::*;
-    assert!(bp.len() >= G * np && np >= n && np.is_multiple_of(8) && c.len() / n <= ap.len() / G);
+    assert!(bp.len() == groups * np && np >= n);
     let full = n / 8 * 8;
     let tail = _mm256_cmpgt_epi32(
         _mm256_set1_epi32((n - full) as i32),
         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
     );
-    for (pairs, crow) in ap.as_chunks::<G>().0.iter().zip(c.chunks_exact_mut(n)) {
-        let av = pairs.map(|p| _mm256_set1_epi32(p));
-        // SAFETY: `j0 + 8 ≤ np` and `(G − 1)·np + np ≤ bp.len()`
-        // (asserted above), so every `B` load is in bounds.
-        let sum = |j0: usize| unsafe {
-            let mut s = _mm256_madd_epi16(av[0], _mm256_loadu_si256(bp.as_ptr().add(j0).cast()));
-            for (g, &x) in av.iter().enumerate().skip(1) {
-                let bv = _mm256_loadu_si256(bp.as_ptr().add(g * np + j0).cast());
-                s = _mm256_add_epi32(s, _mm256_madd_epi16(x, bv));
+    // One pass over `C` per k-pair `g`: row `i` broadcasts its pair
+    // `ap[i·groups + g]` against the pairs `bp[g·np..]` of every column.
+    for (g, bg) in bp.chunks_exact(np).enumerate() {
+        for (pairs, crow) in ap.chunks_exact(groups).zip(c[..m * n].chunks_exact_mut(n)) {
+            let av = _mm256_set1_epi32(pairs[g]);
+            // SAFETY: `j0 + 8 ≤ np = bg.len()`: every `B` load is in bounds.
+            let prod = |j0: usize| unsafe {
+                _mm256_madd_epi16(av, _mm256_loadu_si256(bg.as_ptr().add(j0).cast()))
+            };
+            for j0 in (0..full).step_by(8) {
+                // SAFETY: `j0 + 8 ≤ full ≤ n = crow.len()`.
+                unsafe {
+                    let dst = crow.as_mut_ptr().add(j0).cast::<__m256i>();
+                    _mm256_storeu_si256(dst, _mm256_add_epi32(_mm256_loadu_si256(dst), prod(j0)));
+                }
             }
-            s
-        };
-        for j0 in (0..full).step_by(8) {
-            // SAFETY: `j0 + 8 ≤ full ≤ n = crow.len()`.
-            unsafe {
-                let dst = crow.as_mut_ptr().add(j0).cast::<__m256i>();
-                _mm256_storeu_si256(dst, _mm256_add_epi32(_mm256_loadu_si256(dst), sum(j0)));
-            }
-        }
-        if full < n {
-            // SAFETY: the mask enables lanes `0..n − full` only, all
-            // within `crow`; masked-off lanes are neither read nor written.
-            unsafe {
-                let dst = crow.as_mut_ptr().add(full);
-                let v = _mm256_add_epi32(_mm256_maskload_epi32(dst, tail), sum(full));
-                _mm256_maskstore_epi32(dst, tail, v);
+            if full < n {
+                // SAFETY: the mask enables lanes `0..n − full` only, all
+                // within `crow`; masked-off lanes are neither read nor
+                // written.
+                unsafe {
+                    let dst = crow.as_mut_ptr().add(full);
+                    let v = _mm256_add_epi32(_mm256_maskload_epi32(dst, tail), prod(full));
+                    _mm256_maskstore_epi32(dst, tail, v);
+                }
             }
         }
     }
@@ -1256,10 +1243,11 @@ mod tests {
 
     /// The skinny class boundaries and the edges of each `vpmaddwd`
     /// kernel: `m` around `MR` and the 8-row groups, plus the MLP's batch
-    /// and eval-set sizes; with `n < NR`, `k` around the row-pair forms
+    /// and eval-set sizes; with `n < NR`, `k` around the row-pair form
     /// (`k ≤ 2`), `SKINNY_K` and the row-dot form's 16-wide padding; with
     /// `n ≥ NR`, every `k < SKINNY_K` (odd `k` pads the last pair) and
-    /// column counts that leave 8-lane tails.
+    /// `k = SKINNY_K`, the first shape of the packed side, at column
+    /// counts that leave 8-lane tails.
     fn skinny_grid() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
         for m in [2, MR - 1, MR + 1, 7, 8, 9, 64, 300] {
@@ -1269,7 +1257,7 @@ mod tests {
                 }
             }
             for n in [NR, NR + 1, 2 * NR + 7] {
-                for k in 1..SKINNY_K {
+                for k in 1..=SKINNY_K {
                     shapes.push((m, n, k));
                 }
             }
